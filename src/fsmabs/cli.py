@@ -282,9 +282,7 @@ def build_comparison(machine: StateMachine, l: int) -> dict:
         "ordering": ordering,
         "chain": render_ordering_line(l, ordering),
         "behavior": {
-            "quotient_included_in_strict_past": bool(
-                behavior_included(quotient, strict_past, _Y)
-            ),
+            "quotient_included_in_strict_past": ordering["quotient_behavior_included"],
             "full_future_included_in_strict_past": bool(
                 behavior_included(full_future, strict_past, _Y)
             ),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .errors import InvalidSpec
+from .errors import FsmabsError, InvalidSpec
 from .laws import LAWS, check_laws
 from .machine import StateMachine, validate
 
@@ -157,7 +157,7 @@ def shrink_counterexample(machine: StateMachine, law_name: str, levels) -> State
                     current = candidate
                     progress = True
                     break
-            except Exception:
+            except FsmabsError:
                 continue
     return current
 

@@ -210,11 +210,16 @@ def is_domino_consistent(machine: StateMachine, l: int) -> PredicateResult:
         x: future_windows(machine, _Y, x, l + 1) for x in machine.states
     }
     wkey = window_sort_key(machine)
-    ordered_cells = sorted(cells.items(), key=lambda item: tuple(wkey(w) for w in item[0]))
+    ordered_cells = [
+        (windows, frozenset(windows), members)
+        for windows, members in sorted(
+            cells.items(), key=lambda item: tuple(wkey(w) for w in item[0])
+        )
+    ]
     for domino in dominoes(machine, _Y, l + 1):
         prefix = domino.restrict(0, l - 1)
-        for windows, members in ordered_cells:
-            if prefix not in windows:
+        for windows, window_set, members in ordered_cells:
+            if prefix not in window_set:
                 continue
             if not any(domino in long_futures[x] for x in members):
                 return PredicateResult(False, (domino, cell_token(windows)))

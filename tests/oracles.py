@@ -2,11 +2,14 @@
 
 Everything here works by explicit run enumeration on the transition
 graph, deliberately avoiding the window/fixpoint machinery under test.
+The one exception is ``naive_behavior_included``, the reference search
+for behavioral inclusion, which reads the right machine's prefix DFA.
 """
 
 import random
+from collections import deque
 
-from fsmabs.behavior import Window
+from fsmabs.behavior import InclusionVerdict, Window, prefix_automaton
 from fsmabs.machine import DIAMOND, ExternalAlphabet, StateMachine, validate
 
 
@@ -132,3 +135,37 @@ def shared_alphabet_machine(rng: random.Random, max_states: int) -> StateMachine
         )
         if validate(machine).accepted:
             return machine
+
+
+def naive_behavior_included(
+    left: StateMachine, right: StateMachine, mode: ExternalAlphabet
+) -> InclusionVerdict:
+    """Reference inclusion: breadth-first search of ``left``'s own states
+    against ``right``'s prefix DFA for the shortest rejected prefix."""
+    left = left.with_external(mode)
+    acceptor = prefix_automaton(right, mode)
+    queue = deque()
+    parents: dict = {}
+    for x0 in left.initial:
+        pair = (x0, acceptor.start)
+        if pair not in parents:
+            parents[pair] = None
+            queue.append(pair)
+    while queue:
+        pair = queue.popleft()
+        x, acc = pair
+        for _, u, y, x2 in left.outgoing(x):
+            symbol = left.project_external(u, y)
+            nxt = acceptor.step(acc, symbol)
+            if nxt == acceptor.sink:
+                word = [symbol]
+                cursor = pair
+                while parents[cursor] is not None:
+                    cursor, sym = parents[cursor]
+                    word.append(sym)
+                return InclusionVerdict(False, tuple(reversed(word)))
+            nxt_pair = (x2, nxt)
+            if nxt_pair not in parents:
+                parents[nxt_pair] = (pair, symbol)
+                queue.append(nxt_pair)
+    return InclusionVerdict(True, None)

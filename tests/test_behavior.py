@@ -18,10 +18,19 @@ from fsmabs.behavior import (
     window_sort_key,
 )
 from fsmabs.errors import IncompatibleAlphabets, InvalidSpec, NotAccepted
+from fsmabs.fuzz import FuzzConfig, machine_stream
 from fsmabs.machine import DIAMOND, StateMachine
+from fsmabs.qba import build_quotient_machine
+from fsmabs.salca import build_abstract_machine
 
 from .conftest import UY, Y
-from .oracles import enumerate_prefixes, enumerate_visit_windows, window, windows
+from .oracles import (
+    enumerate_prefixes,
+    enumerate_visit_windows,
+    naive_behavior_included,
+    window,
+    windows,
+)
 
 
 # -- windows -----------------------------------------------------------------
@@ -217,20 +226,24 @@ def test_external_strings_extended_matches_run_enumeration(fig_machine):
 # -- behavioral inclusion ------------------------------------------------------
 
 
+def _pruned(fig_machine, outputs=None):
+    """The five-state machine without x5, which removes the y1 y4 ... behaviors."""
+    return StateMachine(
+        states=("x1", "x2", "x3", "x4"),
+        inputs=fig_machine.inputs,
+        outputs=outputs or fig_machine.outputs,
+        initial=("x1",),
+        transitions=tuple(t for t in fig_machine.transitions if t[0] != "x5"),
+    )
+
+
 def test_inclusion_reflexive(fig_machine, loop_machine):
     assert behavior_included(fig_machine, fig_machine, Y)
     assert behavior_included(loop_machine, loop_machine, Y)
 
 
 def test_inclusion_detects_missing_branch(fig_machine):
-    # Removing x5 removes the y1 y4 ... behaviors.
-    pruned = StateMachine(
-        states=("x1", "x2", "x3", "x4"),
-        inputs=fig_machine.inputs,
-        outputs=fig_machine.outputs,
-        initial=("x1",),
-        transitions=tuple(t for t in fig_machine.transitions if t[0] != "x5"),
-    )
+    pruned = _pruned(fig_machine)
     assert behavior_included(pruned, fig_machine, Y)
     verdict = behavior_included(fig_machine, pruned, Y)
     assert not verdict
@@ -238,13 +251,7 @@ def test_inclusion_detects_missing_branch(fig_machine):
 
 
 def test_inclusion_counterexample_is_real_prefix(fig_machine):
-    pruned = StateMachine(
-        states=("x1", "x2", "x3", "x4"),
-        inputs=fig_machine.inputs,
-        outputs=fig_machine.outputs,
-        initial=("x1",),
-        transitions=tuple(t for t in fig_machine.transitions if t[0] != "x5"),
-    )
+    pruned = _pruned(fig_machine)
     verdict = behavior_included(fig_machine, pruned, Y)
     word = verdict.counterexample
     assert word in enumerate_prefixes(fig_machine, Y, len(word))
@@ -259,13 +266,7 @@ def test_inclusion_requires_compatible_alphabets(fig_machine, loop_machine):
 def test_inclusion_agrees_with_prefix_enumeration_to_depth8(fig_machine):
     variants = [
         fig_machine,
-        StateMachine(
-            states=("x1", "x2", "x3", "x4"),
-            inputs=fig_machine.inputs,
-            outputs=fig_machine.outputs,
-            initial=("x1",),
-            transitions=tuple(t for t in fig_machine.transitions if t[0] != "x5"),
-        ),
+        _pruned(fig_machine),
     ]
     for left, right in itertools.product(variants, repeat=2):
         expected = enumerate_prefixes(left, Y, 8) <= enumerate_prefixes(right, Y, 8)
@@ -305,6 +306,68 @@ def test_prefix_automaton_dot(fig_machine):
 
 def test_behavior_equal(fig_machine):
     assert behavior_equal(fig_machine, fig_machine, Y)
+
+
+def test_behavior_equal_fails_in_each_one_sided_direction(fig_machine):
+    pruned = _pruned(fig_machine)
+    # pruned is strictly below fig_machine: equality fails whichever side
+    # holds the extra behaviors.
+    assert behavior_included(pruned, fig_machine, Y)
+    assert not behavior_equal(pruned, fig_machine, Y)
+    assert not behavior_equal(fig_machine, pruned, Y)
+
+
+def test_inclusion_matches_columns_by_symbol(fig_machine):
+    reordered = _pruned(fig_machine, outputs=tuple(reversed(fig_machine.outputs)))
+    assert behavior_included(reordered, fig_machine, Y)
+    verdict = behavior_included(fig_machine, reordered, Y)
+    assert verdict.counterexample == ("y1", "y4")
+    assert behavior_equal(reordered, _pruned(fig_machine), Y)
+    assert not behavior_equal(fig_machine, reordered, Y)
+
+
+DIFFERENTIAL_CONFIG = FuzzConfig(seed=4242, count=20, max_states=5, max_inputs=2, max_outputs=3)
+
+
+def _abstraction_family(machine, mode):
+    """The machine with its window-state and quotient abstractions."""
+    family = [machine]
+    for l in DIFFERENTIAL_CONFIG.levels:
+        family.extend(
+            build_abstract_machine(machine, mode, IntervalSpec(l, m)) for m in range(l + 1)
+        )
+        family.append(build_quotient_machine(machine, l))
+    return family
+
+
+@pytest.mark.parametrize("mode", [Y, UY])
+def test_product_walk_matches_naive_inclusion_on_fuzz_corpus(mode):
+    diverging = 0
+    for machine in machine_stream(DIFFERENTIAL_CONFIG):
+        family = _abstraction_family(machine, mode)
+        expected = {
+            (i, j): naive_behavior_included(left, right, mode)
+            for i, left in enumerate(family)
+            for j, right in enumerate(family)
+        }
+        prefixes = {}
+
+        def exhibits(k, word):
+            if (k, len(word)) not in prefixes:
+                prefixes[k, len(word)] = enumerate_prefixes(family[k], mode, len(word))
+            return word in prefixes[k, len(word)]
+
+        for (i, j), oracle in expected.items():
+            left, right = family[i], family[j]
+            verdict = behavior_included(left, right, mode)
+            assert bool(verdict) == bool(oracle), (machine, i, j)
+            assert behavior_equal(left, right, mode) == bool(oracle and expected[j, i])
+            if not verdict:
+                diverging += 1
+                word = verdict.counterexample
+                assert len(word) == len(oracle.counterexample)
+                assert exhibits(i, word) and not exhibits(j, word)
+    assert diverging > 0
 
 
 def test_inclusion_is_transitive_on_random_triples():

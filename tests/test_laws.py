@@ -3,9 +3,11 @@ documenting where the literal partition/fiber claims genuinely diverge."""
 
 import pytest
 
+from fsmabs import fuzz
 from fsmabs.behavior import IntervalSpec, external_strings
+from fsmabs.errors import NotAccepted
 from fsmabs.fuzz import FuzzConfig, machine_stream, run_fuzz, shrink_counterexample
-from fsmabs.laws import LAWS, check_laws, fiber_partition
+from fsmabs.laws import LAWS, Law, check_laws, fiber_partition
 from fsmabs.machine import StateMachine, validate
 from fsmabs.qba import is_fixed_point, partition_at
 from fsmabs.relations import CanonicalKind, canonical_relation, inverse, verify_simulation
@@ -149,6 +151,24 @@ def test_shrinking_preserves_failure():
     assert "partition-fibers" in failed
     assert len(small.states) <= len(machine.states)
     assert len(small.transitions) <= len(machine.transitions)
+
+
+def test_shrinking_propagates_a_crashing_law(monkeypatch):
+    def crash(machine, levels):
+        raise RuntimeError("law crashed")
+
+    monkeypatch.setattr(fuzz, "LAWS", (Law("crashing", crash),))
+    with pytest.raises(RuntimeError, match="law crashed"):
+        shrink_counterexample(frozen_fiber_counterexample(), "crashing", levels=(2,))
+
+
+def test_shrinking_skips_candidates_a_law_rejects(monkeypatch):
+    def reject(machine, levels):
+        raise NotAccepted("candidate rejected")
+
+    monkeypatch.setattr(fuzz, "LAWS", (Law("rejecting", reject),))
+    machine = frozen_fiber_counterexample()
+    assert shrink_counterexample(machine, "rejecting", levels=(2,)) == machine
 
 
 def test_run_fuzz_reports_counts():
