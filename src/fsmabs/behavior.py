@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 
+from .analysis import derived
 from .errors import IncompatibleAlphabets, InvalidSpec, UnknownState
 from .machine import (
     DIAMOND,
@@ -176,7 +176,7 @@ class DominoSet:
 # -- forward fixpoints -------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@derived
 def _past_map(machine: StateMachine, mode: ExternalAlphabet, k: int):
     """For every state, the k-long external histories of runs reaching it.
 
@@ -205,7 +205,7 @@ def _past_map(machine: StateMachine, mode: ExternalAlphabet, k: int):
     return {x: frozenset(ws) for x, ws in past.items()}
 
 
-@lru_cache(maxsize=None)
+@derived
 def _future_map(machine: StateMachine, mode: ExternalAlphabet, k: int):
     """For every state, the set of k-long label sequences of paths from it."""
     machine = machine.with_external(mode)
@@ -235,7 +235,7 @@ def future_windows(machine: StateMachine, mode: ExternalAlphabet, x: str, k: int
     return _future_map(machine, mode, k)[x]
 
 
-@lru_cache(maxsize=None)
+@derived
 def dominoes(machine: StateMachine, mode: ExternalAlphabet, n: int) -> DominoSet:
     """All n-long external windows the machine can exhibit.
 
@@ -281,16 +281,33 @@ def external_strings(
 def external_strings_map(
     machine: StateMachine, mode: ExternalAlphabet, spec: IntervalSpec, extended: bool = False
 ) -> dict:
-    """``external_strings`` for every state at once (single fixpoint)."""
+    """``external_strings`` for every state at once (single fixpoint).
+
+    The plain map is derived data, memoised per machine; the extended one
+    is built afresh, since only ``is_sbalc`` reads it and that predicate
+    memoises its own verdict.
+    """
+    if extended:
+        return _strings_map(machine, mode, spec, True)
+    return _window_map(machine, mode, spec)
+
+
+def _strings_map(
+    machine: StateMachine, mode: ExternalAlphabet, spec: IntervalSpec, extended: bool = False
+) -> dict:
     require_accepted(machine, "external_strings")
     past = _past_map(machine, mode, spec.l - spec.m)
     fut = _future_map(machine, mode, spec.m + 1 if extended else spec.m)
     key = window_sort_key(machine)
+    shared: dict = {}  # one object per distinct window, whichever states exhibit it
     result = {}
     for x in machine.states:
         combined = {p.concat(f) for p in past[x] for f in fut[x]}
-        result[x] = tuple(sorted(combined, key=key))
+        result[x] = tuple(sorted((shared.setdefault(w, w) for w in combined), key=key))
     return result
+
+
+_window_map = derived(_strings_map)
 
 
 # -- prefix acceptor and behavioral inclusion --------------------------------
@@ -352,7 +369,7 @@ class PrefixAutomaton:
         return "\n".join(lines) + "\n"
 
 
-@lru_cache(maxsize=None)
+@derived
 def prefix_automaton(machine: StateMachine, mode: ExternalAlphabet) -> PrefixAutomaton:
     machine = machine.with_external(mode)
     alphabet = machine.external_symbols()
@@ -478,7 +495,7 @@ def behavior_equal(left: StateMachine, right: StateMachine, mode: ExternalAlphab
     return _first_divergence(left, right, mode, both_ways=True) is None
 
 
-@lru_cache(maxsize=None)
+@derived
 def saturation_check(machine: StateMachine, mode: ExternalAlphabet, l: int) -> bool:
     """Whether lengthening the window from l to l + 1 gains no precision.
 

@@ -38,18 +38,9 @@ _Y = ExternalAlphabet.OUTPUTS_ONLY
 
 def _load(path: str) -> StateMachine:
     machine = machine_io.load(path)
-    report = validate(machine)
-    if not report.accepted:
-        failing = [
-            name
-            for name, ok in (
-                ("separable", report.separable),
-                ("reachable", report.reachable),
-                ("live", report.live),
-            )
-            if not ok
-        ]
-        raise FsmabsError(f"machine is not {', '.join(failing)}")
+    problem = validate(machine).rejection()
+    if problem:
+        raise FsmabsError(problem)
     return machine
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from .analysis import scope
 from .errors import FsmabsError, InvalidSpec
 from .laws import LAWS, check_laws
 from .machine import StateMachine, validate
@@ -72,8 +73,9 @@ def random_machine(rng: random.Random, config: FuzzConfig) -> StateMachine:
         initial = rng.sample(states, rng.randint(1, n_states))
 
         machine = _assemble(states, inputs, outputs, initial, admissible, successors)
-        if validate(machine).accepted:
-            return machine
+        with scope():  # a rejected draw leaves nothing behind
+            if validate(machine).accepted:
+                return machine
 
 
 def machine_stream(config: FuzzConfig):
@@ -141,11 +143,16 @@ def _candidates(machine: StateMachine):
 
 
 def shrink_counterexample(machine: StateMachine, law_name: str, levels) -> StateMachine:
-    """Greedily minimize a machine while the named law still fails."""
+    """Greedily minimize a machine while the named law still fails.
+
+    Each candidate is checked in its own scope, so the derived data of a
+    rejected candidate dies with it.
+    """
     law = next(l for l in LAWS if l.name == law_name)
 
     def still_fails(candidate: StateMachine) -> bool:
-        return validate(candidate).accepted and law.check(candidate, levels) is not None
+        with scope():
+            return validate(candidate).accepted and law.check(candidate, levels) is not None
 
     current = machine
     progress = True
@@ -186,18 +193,25 @@ class FuzzReport:
 
 
 def run_fuzz(config: FuzzConfig, shrink: bool = True) -> FuzzReport:
+    """Check every law on every stream machine.
+
+    Each machine's law checks and shrinks run in one scope of their own,
+    dropped before the next machine, so derived data never accumulates
+    across the stream.
+    """
     report = FuzzReport(config=config)
     report.passes = {law.name: 0 for law in LAWS}
     for index, machine in enumerate(machine_stream(config)):
         report.machines.append(machine)
-        failures = check_laws(machine, config.levels)
-        failed_names = {name for name, _ in failures}
-        for law in LAWS:
-            if law.name not in failed_names:
-                report.passes[law.name] += 1
-        for name, detail in failures:
-            small = (
-                shrink_counterexample(machine, name, config.levels) if shrink else machine
-            )
-            report.failures.append((index, name, detail, small))
+        with scope():
+            failures = check_laws(machine, config.levels)
+            failed_names = {name for name, _ in failures}
+            for law in LAWS:
+                if law.name not in failed_names:
+                    report.passes[law.name] += 1
+            for name, detail in failures:
+                small = (
+                    shrink_counterexample(machine, name, config.levels) if shrink else machine
+                )
+                report.failures.append((index, name, detail, small))
     return report

@@ -17,12 +17,13 @@ from .behavior import (
     behavior_included,
     diamond_window,
     dominoes,
-    external_strings_map,
     saturation_check,
 )
 from .machine import DIAMOND, ExternalAlphabet, StateMachine
 from .qba import (
+    Partition,
     build_quotient_machine,
+    fibers,
     initial_partition,
     is_domino_consistent,
     is_fixed_point,
@@ -365,18 +366,9 @@ def law_joint_predicate_implications(machine: StateMachine, levels) -> str | Non
 
 
 def fiber_partition(machine: StateMachine, l: int):
-    """States grouped by their l-step future-window sets."""
-    from .qba import Partition
-
-    emap = external_strings_map(machine, _Y, IntervalSpec(l, l))
-    fibers: dict = {}
-    for x in machine.states:
-        fibers.setdefault(emap[x], set()).add(x)
+    """States grouped by their l-step future-window sets, as a partition."""
     order = {x: i for i, x in enumerate(machine.states)}
-    cells = sorted(
-        (tuple(sorted(members, key=order.__getitem__)) for members in fibers.values()),
-        key=lambda c: order[c[0]],
-    )
+    cells = sorted((members for _, members in fibers(machine, l)), key=lambda c: order[c[0]])
     return Partition(tuple(cells), level=l)
 
 

@@ -12,9 +12,9 @@ import enum
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Sequence
 
+from .analysis import derived
 from .errors import (
     NotAccepted,
     ParseError,
@@ -94,6 +94,15 @@ class ValidationReport:
     def accepted(self) -> bool:
         return self.separable and self.reachable and self.live
 
+    def rejection(self, flags: Sequence[str] = ("separable", "reachable", "live")) -> str | None:
+        """``"machine is not <flag>, ..."`` over the failing ``flags``, or None.
+
+        The one source of the validation messages of ``require_accepted``,
+        ``require_live_reachable`` and the command line.
+        """
+        failing = [name for name in flags if not getattr(self, name)]
+        return f"machine is not {', '.join(failing)}" if failing else None
+
 
 @dataclass(frozen=True)
 class StateMachine:
@@ -111,6 +120,9 @@ class StateMachine:
     external: ExternalAlphabet = ExternalAlphabet.OUTPUTS_ONLY
 
     _by_source: dict = field(init=False, repr=False, compare=False, hash=False)
+    _state_ix: dict = field(init=False, repr=False, compare=False, hash=False)
+    _input_ix: dict = field(init=False, repr=False, compare=False, hash=False)
+    _output_ix: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         object.__setattr__(self, "states", _check_alphabet(self.states, "state", reserved=False))
@@ -141,10 +153,13 @@ class StateMachine:
             key=lambda t: (state_ix[t[0]], input_ix[t[1]], output_ix[t[2]], state_ix[t[3]]),
         )
         object.__setattr__(self, "transitions", tuple(canon))
-        by_source: dict[str, tuple[Transition, ...]] = {s: () for s in self.states}
+        by_source: dict[str, list] = {s: [] for s in self.states}
         for t in self.transitions:
-            by_source[t[0]] = by_source[t[0]] + (t,)
-        object.__setattr__(self, "_by_source", by_source)
+            by_source[t[0]].append(t)
+        object.__setattr__(self, "_by_source", {s: tuple(ts) for s, ts in by_source.items()})
+        object.__setattr__(self, "_state_ix", state_ix)
+        object.__setattr__(self, "_input_ix", input_ix)
+        object.__setattr__(self, "_output_ix", output_ix)
 
     # -- enabled-set operators -------------------------------------------
 
@@ -155,28 +170,32 @@ class StateMachine:
         except KeyError:
             raise UnknownState(f"state {x!r} not declared") from None
 
+    # Each operator reads only the transitions leaving ``x`` and orders
+    # what it found by declaration index, so its cost is independent of
+    # the alphabet and state-set sizes.
+
     def admissible_outputs(self, x: str) -> tuple[str, ...]:
         """Outputs that can be emitted from ``x`` (over all inputs)."""
         found = {t[2] for t in self.outgoing(x)}
-        return tuple(y for y in self.outputs if y in found)
+        return tuple(sorted(found, key=self._output_ix.__getitem__))
 
     def post_states(self, x: str, u: str | None = None) -> tuple[str, ...]:
         """Successor states of ``x``; restricted to input ``u`` if given."""
-        if u is not None and u not in self.inputs:
+        if u is not None and u not in self._input_ix:
             raise UnknownInput(f"input {u!r} not declared")
         found = {t[3] for t in self.outgoing(x) if u is None or t[1] == u}
-        return tuple(s for s in self.states if s in found)
+        return tuple(sorted(found, key=self._state_ix.__getitem__))
 
     def enabled_inputs(self, x: str) -> tuple[str, ...]:
         """Inputs with at least one transition from ``x``."""
         found = {t[1] for t in self.outgoing(x)}
-        return tuple(u for u in self.inputs if u in found)
+        return tuple(sorted(found, key=self._input_ix.__getitem__))
 
     def project_external(self, u: str, y: str):
         """External symbol of a transition label under this machine's mode."""
-        if u not in self.inputs:
+        if u not in self._input_ix:
             raise UnknownInput(f"input {u!r} not declared")
-        if y not in self.outputs:
+        if y not in self._output_ix:
             raise UnknownOutput(f"output {y!r} not declared")
         if self.external is ExternalAlphabet.OUTPUTS_ONLY:
             return y
@@ -211,14 +230,27 @@ class StateMachine:
         return cached
 
     def with_external(self, external: ExternalAlphabet) -> "StateMachine":
+        """This machine under another external mode.
+
+        Returns one stable twin per mode, so derived data memoised for the
+        twin (keyed by identity) is found again on the next call.
+        """
         if external is self.external:
             return self
-        return StateMachine(
-            self.states, self.inputs, self.outputs, self.initial, self.transitions, external
-        )
+        twins = self.__dict__.get("_twin_memo")
+        if twins is None:
+            twins = {}
+            object.__setattr__(self, "_twin_memo", twins)
+        twin = twins.get(external)
+        if twin is None:
+            twin = twins[external] = StateMachine(
+                self.states, self.inputs, self.outputs, self.initial, self.transitions, external
+            )
+            object.__setattr__(twin, "_twin_memo", {self.external: self})
+        return twin
 
 
-@lru_cache(maxsize=None)
+@derived
 def validate(machine: StateMachine) -> ValidationReport:
     """Check the standing structural assumptions; reports, never raises.
 
@@ -255,18 +287,9 @@ def validate(machine: StateMachine) -> ValidationReport:
 
 def require_accepted(machine: StateMachine, operation: str) -> None:
     """Raise NotAccepted unless the machine passes full validation."""
-    report = validate(machine)
-    if not report.accepted:
-        failing = [
-            name
-            for name, ok in (
-                ("separable", report.separable),
-                ("reachable", report.reachable),
-                ("live", report.live),
-            )
-            if not ok
-        ]
-        raise NotAccepted(f"{operation}: machine is not {', '.join(failing)}")
+    problem = validate(machine).rejection()
+    if problem:
+        raise NotAccepted(f"{operation}: {problem}")
 
 
 def require_live_reachable(machine: StateMachine, operation: str) -> None:
@@ -275,14 +298,9 @@ def require_live_reachable(machine: StateMachine, operation: str) -> None:
     Built abstractions are typically not separable, yet behavior and
     simulation checks remain well defined for any live, reachable machine.
     """
-    report = validate(machine)
-    if not (report.live and report.reachable):
-        failing = [
-            name
-            for name, ok in (("reachable", report.reachable), ("live", report.live))
-            if not ok
-        ]
-        raise NotAccepted(f"{operation}: machine is not {', '.join(failing)}")
+    problem = validate(machine).rejection(("reachable", "live"))
+    if problem:
+        raise NotAccepted(f"{operation}: {problem}")
 
 
 # -- file format -----------------------------------------------------------

@@ -9,8 +9,8 @@ it can exhibit, which names exactly the cells of the l-th partition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
+from .analysis import derived
 from .behavior import (
     IntervalSpec,
     dominoes,
@@ -135,27 +135,48 @@ def refinement_fixpoint(machine: StateMachine, max_steps: int | None = None):
         max_steps = len(machine.states)
     if max_steps < 1:
         raise InvalidSpec(f"max_steps must be >= 1, got {max_steps}")
-    partition = initial_partition(machine)
+    partition = partition_at(machine, 1)
     while True:
         if is_fixed_point(machine, partition):
             return partition, partition.level, True
         if partition.level >= max_steps:
             return partition, partition.level, False
-        partition = refine(machine, partition)
+        partition = partition_at(machine, partition.level + 1)
 
 
-@lru_cache(maxsize=None)
+@derived
 def partition_at(machine: StateMachine, l: int) -> Partition:
-    """The l-th partition of the refinement chain."""
+    """The l-th partition of the refinement chain: one refinement round
+    on the (memoised) partition at level l - 1."""
     if l < 1:
         raise InvalidSpec(f"partition level must be >= 1, got {l}")
-    partition = initial_partition(machine)
-    for _ in range(l - 1):
-        partition = refine(machine, partition)
-    return partition
+    if l == 1:
+        return initial_partition(machine)
+    return refine(machine, partition_at(machine, l - 1))
 
 
-@lru_cache(maxsize=None)
+@derived
+def fibers(machine: StateMachine, l: int) -> tuple:
+    """States grouped by their (l, l) window sets, the l-step futures.
+
+    Returns ``(windows, members)`` pairs: ``windows`` is a fiber's window
+    tuple, the pairs come in canonical window order (the quotient's state
+    order) and ``members`` in declaration order.
+    """
+    emap = external_strings_map(machine, _Y, IntervalSpec(l, l))
+    groups: dict[tuple, list] = {}
+    for x in machine.states:
+        groups.setdefault(emap[x], []).append(x)
+    wkey = window_sort_key(machine)
+    return tuple(
+        sorted(
+            ((windows, tuple(members)) for windows, members in groups.items()),
+            key=lambda item: tuple(wkey(w) for w in item[0]),
+        )
+    )
+
+
+@derived
 def build_quotient_machine(machine: StateMachine, l: int) -> AbstractMachine:
     """Quotient machine over the cells named by l-step future window sets.
 
@@ -166,21 +187,16 @@ def build_quotient_machine(machine: StateMachine, l: int) -> AbstractMachine:
     if l < 1:
         raise InvalidSpec(f"build_quotient_machine requires l >= 1, got {l}")
     require_accepted(machine, "build_quotient_machine")
-    emap = external_strings_map(machine, _Y, IntervalSpec(l, l))
-    cells: dict[tuple, list] = {}
-    for x in machine.states:
-        cells.setdefault(emap[x], []).append(x)
-
-    wkey = window_sort_key(machine)
-    tokens = {ws: cell_token(ws) for ws in cells}
-    ordered = sorted(cells, key=lambda ws: tuple(wkey(w) for w in ws))
-    token_pos = {tokens[ws]: i for i, ws in enumerate(ordered)}
-    initial = sorted({tokens[emap[x0]] for x0 in machine.initial}, key=token_pos.__getitem__)
+    cells = fibers(machine, l)
+    tokens = tuple(cell_token(windows) for windows, _ in cells)
+    token_of = {x: tok for tok, (_, members) in zip(tokens, cells) for x in members}
+    token_pos = {tok: i for i, tok in enumerate(tokens)}
+    initial = sorted({token_of[x0] for x0 in machine.initial}, key=token_pos.__getitem__)
     transitions = {
-        (tokens[emap[x]], u, y, tokens[emap[x2]]) for x, u, y, x2 in machine.transitions
+        (token_of[x], u, y, token_of[x2]) for x, u, y, x2 in machine.transitions
     }
     return AbstractMachine(
-        states=tuple(tokens[ws] for ws in ordered),
+        states=tokens,
         inputs=machine.inputs,
         outputs=machine.outputs,
         initial=tuple(initial),
@@ -191,30 +207,22 @@ def build_quotient_machine(machine: StateMachine, l: int) -> AbstractMachine:
         mode=_Y,
         level=l,
         anchor=l,
-        window_map=tuple((tokens[ws], ws) for ws in ordered),
+        window_map=tuple((tok, windows) for tok, (windows, _) in zip(tokens, cells)),
     )
 
 
-@lru_cache(maxsize=None)
+@derived
 def is_domino_consistent(machine: StateMachine, l: int) -> PredicateResult:
     """Every window extension compatible with a cell is realizable from
     some member of that cell.  Witness on failure: (window, cell token)."""
     if l < 1:
         raise InvalidSpec(f"is_domino_consistent requires l >= 1, got {l}")
     require_accepted(machine, "is_domino_consistent")
-    emap = external_strings_map(machine, _Y, IntervalSpec(l, l))
-    cells: dict[tuple, list] = {}
-    for x in machine.states:
-        cells.setdefault(emap[x], []).append(x)
     long_futures = {
         x: future_windows(machine, _Y, x, l + 1) for x in machine.states
     }
-    wkey = window_sort_key(machine)
     ordered_cells = [
-        (windows, frozenset(windows), members)
-        for windows, members in sorted(
-            cells.items(), key=lambda item: tuple(wkey(w) for w in item[0])
-        )
+        (windows, frozenset(windows), members) for windows, members in fibers(machine, l)
     ]
     for domino in dominoes(machine, _Y, l + 1):
         prefix = domino.restrict(0, l - 1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .analysis import derived
 from .behavior import IntervalSpec, external_strings_map
 from .errors import (
     DigestMismatch,
@@ -326,7 +327,15 @@ def canonical_relation(
     m: int = 0,
 ) -> CanonicalRelation:
     """The comparison relation of the given kind, with both endpoint
-    machines built as needed from ``machine``."""
+    machines built as needed from ``machine`` (derived data, memoised per
+    machine)."""
+    return _canonical_relation(machine, kind, mode, l, m)
+
+
+@derived
+def _canonical_relation(
+    machine: StateMachine, kind: CanonicalKind, mode: ExternalAlphabet, l: int, m: int
+) -> CanonicalRelation:
     if kind is CanonicalKind.STATE_TO_ABSTRACT:
         spec = IntervalSpec(l, m)
         right = build_abstract_machine(machine, mode, spec)

@@ -12,8 +12,8 @@ machines simulate, or are simulated by, the original.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
+from .analysis import derived
 from .behavior import (
     IntervalSpec,
     Window,
@@ -83,7 +83,7 @@ def initial_windows(
     return tuple(sorted(found, key=window_sort_key(machine)))
 
 
-@lru_cache(maxsize=None)
+@derived
 def build_abstract_machine(
     machine: StateMachine, mode: ExternalAlphabet, spec: IntervalSpec
 ) -> AbstractMachine:
@@ -97,7 +97,7 @@ def build_abstract_machine(
     though in general not separable.
     """
     require_accepted(machine, "build_abstract_machine")
-    machine = machine.with_external(mode)
+    view = machine.with_external(mode)
     emap = external_strings_map(machine, mode, spec)
     key = window_sort_key(machine)
 
@@ -113,7 +113,7 @@ def build_abstract_machine(
         by_prefix[x] = buckets
     transitions = set()
     for x, u, y, x2 in machine.transitions:
-        symbol = machine.project_external(u, y)
+        symbol = view.project_external(u, y)
         for src in emap[x]:
             if spec.m > 0 and src.symbols[spec.l - spec.m] != symbol:
                 continue
@@ -143,7 +143,7 @@ def build_abstract_machine(
         transitions=tuple(t for t in transitions if t[0] in reachable and t[3] in reachable),
         external=mode,
         kind="window",
-        source_digest=machine.digest(),
+        source_digest=view.digest(),
         mode=mode,
         level=spec.l,
         anchor=spec.m,
@@ -162,7 +162,6 @@ def standard_realization(machine: StateMachine, l: int) -> AbstractMachine:
         raise InvalidSpec(f"standard_realization requires l >= 1, got {l}")
     require_accepted(machine, "standard_realization")
     mode = ExternalAlphabet.INPUT_OUTPUT_PAIRS
-    machine = machine.with_external(mode)
     key = window_sort_key(machine)
     states = sorted(
         {diamond_window(l)} | dominoes(machine, mode, l).as_set(), key=key
@@ -179,7 +178,7 @@ def standard_realization(machine: StateMachine, l: int) -> AbstractMachine:
         transitions=tuple(transitions),
         external=mode,
         kind="window",
-        source_digest=machine.digest(),
+        source_digest=machine.with_external(mode).digest(),
         mode=mode,
         level=l,
         anchor=0,
@@ -196,7 +195,7 @@ class PredicateResult:
         return self.holds
 
 
-@lru_cache(maxsize=None)
+@derived
 def is_future_unique(
     machine: StateMachine, mode: ExternalAlphabet, spec: IntervalSpec
 ) -> PredicateResult:
@@ -217,7 +216,7 @@ def is_future_unique(
     return PredicateResult(True)
 
 
-@lru_cache(maxsize=None)
+@derived
 def is_sbalc(
     machine: StateMachine, mode: ExternalAlphabet, spec: IntervalSpec
 ) -> PredicateResult:
@@ -247,7 +246,7 @@ def is_async_l_complete(machine: StateMachine, mode: ExternalAlphabet, l: int) -
     return behavior_equal(machine, abstraction, mode)
 
 
-@lru_cache(maxsize=None)
+@derived
 def joint_fu_sbalc(machine: StateMachine, mode: ExternalAlphabet, spec: IntervalSpec) -> bool:
     """Every realizable (l+1)-window is determined by its first l symbols.
 

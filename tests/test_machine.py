@@ -3,7 +3,7 @@ import json
 import pytest
 
 from fsmabs import machine as mod
-from fsmabs.errors import ParseError, UnknownInput, UnknownState
+from fsmabs.errors import NotAccepted, ParseError, UnknownInput, UnknownState
 from fsmabs.machine import DIAMOND, ExternalAlphabet, StateMachine, validate
 
 from .conftest import UY
@@ -52,6 +52,48 @@ def test_enabled_inputs_all_loops():
         transitions=(("s", "ua", "y", "s"), ("s", "ub", "y", "s")),
     )
     assert m.enabled_inputs("s") == ("ua", "ub")
+
+
+def test_enabled_sets_follow_declaration_order():
+    # Declaration order differs from both the name order and the order in
+    # which the transitions are listed.
+    m = StateMachine(
+        states=("c", "a", "b"),
+        inputs=("v", "u"),
+        outputs=("z", "y"),
+        initial=("c",),
+        transitions=(
+            ("c", "u", "y", "b"),
+            ("c", "u", "z", "a"),
+            ("c", "v", "y", "c"),
+            ("c", "u", "y", "a"),
+            ("c", "u", "z", "b"),
+            ("c", "v", "z", "c"),
+        ),
+    )
+    assert m.post_states("c") == ("c", "a", "b")
+    assert m.post_states("c", "u") == ("a", "b")
+    assert m.admissible_outputs("c") == ("z", "y")
+    assert m.enabled_inputs("c") == ("v", "u")
+
+
+def test_rejection_messages():
+    m = StateMachine(
+        states=("a", "b", "c"),
+        inputs=("u",),
+        outputs=("y", "z"),
+        initial=("a",),
+        transitions=(("a", "u", "y", "a"), ("a", "u", "z", "b"), ("c", "u", "y", "a")),
+    )
+    report = validate(m)
+    assert report.rejection() == "machine is not separable, reachable, live"
+    assert report.rejection(("reachable", "live")) == "machine is not reachable, live"
+    with pytest.raises(NotAccepted, match=r"^op: machine is not separable, reachable, live$"):
+        mod.require_accepted(m, "op")
+    with pytest.raises(NotAccepted, match=r"^op: machine is not reachable, live$"):
+        mod.require_live_reachable(m, "op")
+    loop = StateMachine(("s",), ("u",), ("y",), ("s",), (("s", "u", "y", "s"),))
+    assert validate(loop).rejection() is None
 
 
 def test_project_external(fig_machine):
