@@ -19,14 +19,14 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .analysis import derived
-from .errors import IncompatibleAlphabets, InvalidSpec, UnknownState
+from .errors import InvalidSpec, UnknownState
 from .machine import (
     DIAMOND,
     ExternalAlphabet,
     StateMachine,
-    machines_compatible,
     require_accepted,
-    require_live_reachable,
+    require_comparable,
+    successors,
 )
 
 def symbol_token(symbol) -> str:
@@ -183,7 +183,7 @@ def _past_map(machine: StateMachine, mode: ExternalAlphabet, k: int):
     Breadth-first closure of (state, last-k-window) pairs seeded with
     (x0, diamond^k); exact because the machine is finite and live.
     """
-    machine = machine.with_external(mode)
+    table = successors(machine, mode)
     past: dict[str, set] = {x: set() for x in machine.states}
     seed = diamond_window(k)
     queue = deque()
@@ -195,29 +195,31 @@ def _past_map(machine: StateMachine, mode: ExternalAlphabet, k: int):
         queue.append(pair)
     while queue:
         x, hist = queue.popleft()
-        for _, u, y, x2 in machine.outgoing(x):
-            nxt = hist.shift(machine.project_external(u, y)) if k else hist
-            pair = (x2, nxt)
-            if pair not in seen:
-                seen.add(pair)
-                past[x2].add(nxt)
-                queue.append(pair)
+        for symbol, targets in table[x].items():
+            nxt = hist.shift(symbol) if k else hist
+            for x2 in targets:
+                pair = (x2, nxt)
+                if pair not in seen:
+                    seen.add(pair)
+                    past[x2].add(nxt)
+                    queue.append(pair)
     return {x: frozenset(ws) for x, ws in past.items()}
 
 
 @derived
 def _future_map(machine: StateMachine, mode: ExternalAlphabet, k: int):
     """For every state, the set of k-long label sequences of paths from it."""
-    machine = machine.with_external(mode)
+    table = successors(machine, mode)
     fut = {x: frozenset([Window(())]) for x in machine.states}
     for _ in range(k):
         nxt = {}
         for x in machine.states:
             acc = set()
-            for _, u, y, x2 in machine.outgoing(x):
-                w = machine.project_external(u, y)
-                for tail in fut[x2]:
-                    acc.add(Window((w,)).concat(tail))
+            for symbol, targets in table[x].items():
+                head = Window((symbol,))
+                for x2 in targets:
+                    for tail in fut[x2]:
+                        acc.add(head.concat(tail))
             nxt[x] = frozenset(acc)
         fut = nxt
     return fut
@@ -371,13 +373,9 @@ class PrefixAutomaton:
 
 @derived
 def prefix_automaton(machine: StateMachine, mode: ExternalAlphabet) -> PrefixAutomaton:
-    machine = machine.with_external(mode)
-    alphabet = machine.external_symbols()
+    alphabet = mode.alphabet(machine.inputs, machine.outputs)
     column = {symbol: i for i, symbol in enumerate(alphabet)}
-    successors: dict[str, dict[int, set]] = {x: {} for x in machine.states}
-    for x, u, y, x2 in machine.transitions:
-        col = column[machine.project_external(u, y)]
-        successors[x].setdefault(col, set()).add(x2)
+    moves = successors(machine, mode)
     start = frozenset(machine.initial)
     subsets = [start]
     index = {start: 0}
@@ -387,8 +385,8 @@ def prefix_automaton(machine: StateMachine, mode: ExternalAlphabet) -> PrefixAut
         subset = frontier.popleft()
         targets = [set() for _ in alphabet]
         for x in subset:
-            for col, succ in successors[x].items():
-                targets[col] |= succ
+            for symbol, succ in moves[x].items():
+                targets[column[symbol]] |= succ
         row = []
         for succ in map(frozenset, targets):
             if succ not in index:
@@ -404,7 +402,7 @@ def prefix_automaton(machine: StateMachine, mode: ExternalAlphabet) -> PrefixAut
     sink = index[empty]
     rows[empty] = [sink] * len(alphabet)
     table = tuple(tuple(rows[s]) for s in subsets)
-    return PrefixAutomaton(tuple(alphabet), tuple(subsets), table, sink)
+    return PrefixAutomaton(alphabet, tuple(subsets), table, sink)
 
 
 @dataclass(frozen=True)
@@ -435,10 +433,7 @@ def _first_divergence(
     alphabets in different orders.
     """
     operation = "behavior_equal" if both_ways else "behavior_included"
-    require_live_reachable(left, operation)
-    require_live_reachable(right, operation)
-    if not machines_compatible(left, right, mode):
-        raise IncompatibleAlphabets(f"{operation}: external alphabets differ")
+    require_comparable(left, right, mode, operation)
     lhs = prefix_automaton(left, mode)
     rhs = prefix_automaton(right, mode)
     columns = tuple(

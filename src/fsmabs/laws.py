@@ -298,11 +298,7 @@ def law_domino_transition_triples(machine: StateMachine, levels) -> str | None:
         for l in levels:
             for m in _anchors(l):
                 built = build_abstract_machine(machine, mode, IntervalSpec(l, m))
-                built_view = built.with_external(mode)
-                triples = {
-                    (x, built_view.project_external(u, y), x2)
-                    for x, u, y, x2 in built.transitions
-                }
+                triples = {(x, mode.project(u, y), x2) for x, u, y, x2 in built.transitions}
                 states = {tok: built.single_window_of(tok) for tok in built.states}
                 names = set(states)
                 expected = set()
@@ -437,12 +433,10 @@ def law_strict_past_deterministic(machine: StateMachine, levels) -> str | None:
     for mode in _BOTH:
         for l in levels:
             built = build_abstract_machine(machine, mode, IntervalSpec(l, 0))
-            view = built.with_external(mode)
             for x in built.states:
                 seen: dict = {}
                 for _, u, y, x2 in built.outgoing(x):
-                    symbol = view.project_external(u, y)
-                    if seen.setdefault(symbol, x2) != x2:
+                    if seen.setdefault(mode.project(u, y), x2) != x2:
                         return f"strict past nondeterministic at mode={mode.value} l={l}"
     return None
 

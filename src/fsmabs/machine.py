@@ -16,6 +16,7 @@ from typing import Sequence
 
 from .analysis import derived
 from .errors import (
+    IncompatibleAlphabets,
     NotAccepted,
     ParseError,
     UnknownInput,
@@ -46,6 +47,19 @@ class ExternalAlphabet(enum.Enum):
             if mode.value == token:
                 return mode
         raise ParseError(f"unknown external alphabet mode {token!r}")
+
+    # ``project`` and ``alphabet`` are the one place the mode rule lives:
+    # an external symbol is the output ``y`` or the pair ``(u, y)``.
+
+    def project(self, u: str, y: str):
+        """External symbol of the transition label (u, y) under this mode."""
+        return y if self is ExternalAlphabet.OUTPUTS_ONLY else (u, y)
+
+    def alphabet(self, inputs: Sequence[str], outputs: Sequence[str]) -> tuple:
+        """The external alphabet over the declared labels, in canonical order."""
+        if self is ExternalAlphabet.OUTPUTS_ONLY:
+            return tuple(outputs)
+        return tuple((u, y) for u in inputs for y in outputs)
 
 
 def check_symbol(name: str, role: str, reserved: bool = True) -> str:
@@ -197,15 +211,11 @@ class StateMachine:
             raise UnknownInput(f"input {u!r} not declared")
         if y not in self._output_ix:
             raise UnknownOutput(f"output {y!r} not declared")
-        if self.external is ExternalAlphabet.OUTPUTS_ONLY:
-            return y
-        return (u, y)
+        return self.external.project(u, y)
 
     def external_symbols(self) -> tuple:
         """The external alphabet in canonical order."""
-        if self.external is ExternalAlphabet.OUTPUTS_ONLY:
-            return self.outputs
-        return tuple((u, y) for u in self.inputs for y in self.outputs)
+        return self.external.alphabet(self.inputs, self.outputs)
 
     # -- derived structure -------------------------------------------------
 
@@ -230,24 +240,24 @@ class StateMachine:
         return cached
 
     def with_external(self, external: ExternalAlphabet) -> "StateMachine":
-        """This machine under another external mode.
-
-        Returns one stable twin per mode, so derived data memoised for the
-        twin (keyed by identity) is found again on the next call.
-        """
+        """This machine under another external mode."""
         if external is self.external:
             return self
-        twins = self.__dict__.get("_twin_memo")
-        if twins is None:
-            twins = {}
-            object.__setattr__(self, "_twin_memo", twins)
-        twin = twins.get(external)
-        if twin is None:
-            twin = twins[external] = StateMachine(
-                self.states, self.inputs, self.outputs, self.initial, self.transitions, external
-            )
-            object.__setattr__(twin, "_twin_memo", {self.external: self})
-        return twin
+        return StateMachine(
+            self.states, self.inputs, self.outputs, self.initial, self.transitions, external
+        )
+
+
+def successors(machine: StateMachine, mode: ExternalAlphabet) -> dict:
+    """state -> {external symbol -> frozenset of successor states}.
+
+    Symbols appear in the order of their first transition.  Built afresh
+    on each call, not memoised, so no table outlives its caller.
+    """
+    table: dict[str, dict] = {x: {} for x in machine.states}
+    for x, u, y, x2 in machine.transitions:
+        table[x].setdefault(mode.project(u, y), set()).add(x2)
+    return {x: {s: frozenset(t) for s, t in row.items()} for x, row in table.items()}
 
 
 @derived
@@ -301,6 +311,17 @@ def require_live_reachable(machine: StateMachine, operation: str) -> None:
     problem = validate(machine).rejection(("reachable", "live"))
     if problem:
         raise NotAccepted(f"{operation}: {problem}")
+
+
+def require_comparable(
+    left: StateMachine, right: StateMachine, mode: ExternalAlphabet, operation: str
+) -> None:
+    """Gate of every comparison: both machines live and reachable, over
+    the same external alphabet."""
+    require_live_reachable(left, operation)
+    require_live_reachable(right, operation)
+    if not machines_compatible(left, right, mode):
+        raise IncompatibleAlphabets(f"{operation}: external alphabets differ")
 
 
 # -- file format -----------------------------------------------------------
@@ -383,10 +404,5 @@ def machines_compatible(
     left: StateMachine, right: StateMachine, external: ExternalAlphabet
 ) -> bool:
     """Whether both machines project onto the same non-empty external alphabet."""
-    if external is ExternalAlphabet.OUTPUTS_ONLY:
-        same = set(left.outputs) == set(right.outputs)
-        nonempty = bool(left.outputs)
-    else:
-        same = set(left.outputs) == set(right.outputs) and set(left.inputs) == set(right.inputs)
-        nonempty = bool(left.outputs) and bool(left.inputs)
-    return same and nonempty
+    alpha = set(external.alphabet(left.inputs, left.outputs))
+    return bool(alpha) and alpha == set(external.alphabet(right.inputs, right.outputs))

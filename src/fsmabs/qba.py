@@ -202,11 +202,6 @@ def build_quotient_machine(machine: StateMachine, l: int) -> AbstractMachine:
         initial=tuple(initial),
         transitions=tuple(transitions),
         external=_Y,
-        kind="cell",
-        source_digest=machine.digest(),
-        mode=_Y,
-        level=l,
-        anchor=l,
         window_map=tuple((tok, windows) for tok, (windows, _) in zip(tokens, cells)),
     )
 

@@ -14,17 +14,13 @@ from dataclasses import dataclass
 
 from .analysis import derived
 from .behavior import IntervalSpec, external_strings_map
-from .errors import (
-    DigestMismatch,
-    IncompatibleAlphabets,
-    InvalidSpec,
-    MalformedRelation,
-)
+from .errors import DigestMismatch, InvalidSpec, MalformedRelation
 from .machine import (
     ExternalAlphabet,
     StateMachine,
-    machines_compatible,
+    require_comparable,
     require_live_reachable,
+    successors,
 )
 from .qba import build_quotient_machine
 from .salca import build_abstract_machine
@@ -125,24 +121,12 @@ class SimulationVerdict:
         return self.valid
 
 
-def _project(mode: ExternalAlphabet, u: str, y: str):
-    return y if mode is ExternalAlphabet.OUTPUTS_ONLY else (u, y)
-
-
-def _succ_by_symbol(machine: StateMachine, mode: ExternalAlphabet) -> dict:
-    """state -> {external symbol -> frozenset of successor states}."""
-    table: dict[str, dict] = {x: {} for x in machine.states}
-    for x, u, y, x2 in machine.transitions:
-        table[x].setdefault(_project(mode, u, y), set()).add(x2)
-    return table
-
-
 def _check_step(
     left: StateMachine, right: StateMachine, mode: ExternalAlphabet, pairs: frozenset
 ) -> SimulationVerdict:
     """Step condition only: every left transition from a related state is
     matched by a related right transition with equal external label."""
-    right_succ = _succ_by_symbol(right, mode)
+    right_succ = successors(right, mode)
     partners: dict[str, list] = {}
     right_order = {x: i for i, x in enumerate(right.states)}
     for a, b in sorted(pairs, key=lambda p: right_order[p[1]]):
@@ -152,7 +136,7 @@ def _check_step(
         related_to.setdefault(a, set()).add(b)
     for t in left.transitions:
         x1, u1, y1, x1_next = t
-        symbol = _project(mode, u1, y1)
+        symbol = mode.project(u1, y1)
         targets = related_to.get(x1_next, frozenset())
         for x2 in partners.get(x1, ()):
             succs = right_succ[x2].get(symbol)
@@ -184,10 +168,7 @@ def verify_simulation(
     ``right`` to ``left``; the verdict's ``direction`` names the side
     that failed.
     """
-    require_live_reachable(left, "verify_simulation")
-    require_live_reachable(right, "verify_simulation")
-    if not machines_compatible(left, right, mode):
-        raise IncompatibleAlphabets("verify_simulation: external alphabets differ")
+    require_comparable(left, right, mode, "verify_simulation")
     _check_binding(relation, left, right)
     pairs = frozenset(relation.pairs)
     verdict = _check_initial(left, right, pairs)
@@ -210,36 +191,58 @@ def verify_simulation(
     return SimulationVerdict(True)
 
 
-def greatest_simulation(
-    left: StateMachine, right: StateMachine, mode: ExternalAlphabet
+def _matched(moves: dict, replies: dict, alive: set, backward: bool) -> bool:
+    """Whether every move in ``moves`` (symbol -> targets) has a reply on
+    the same symbol that lands in ``alive``: the pair is (target, reply),
+    or (reply, target) when the moves are the right machine's."""
+    for symbol, targets in moves.items():
+        options = replies.get(symbol)
+        if not options:
+            return False
+        for t in targets:
+            landing = ((o, t) for o in options) if backward else ((t, o) for o in options)
+            if alive.isdisjoint(landing):
+                return False
+    return True
+
+
+def _greatest(
+    left: StateMachine, right: StateMachine, mode: ExternalAlphabet, both_ways: bool
 ) -> Relation:
-    """Largest relation closed under the step condition, by iterated
-    removal of unmatched pairs.  ``left`` is simulated by ``right`` iff
-    this relation additionally relates every initial left state to an
-    initial right state (see :func:`simulates`)."""
-    require_live_reachable(left, "greatest_simulation")
-    require_live_reachable(right, "greatest_simulation")
-    if not machines_compatible(left, right, mode):
-        raise IncompatibleAlphabets("greatest_simulation: external alphabets differ")
-    left_moves = {
-        x: [(_project(mode, t[1], t[2]), t[3]) for t in left.outgoing(x)]
-        for x in left.states
-    }
-    right_succ = _succ_by_symbol(right, mode)
+    """Largest relation whose step condition holds from ``left`` to
+    ``right`` (with ``both_ways``, also from ``right`` to ``left``), by
+    round-based removal of unmatched pairs until a round removes none.
+
+    The bisimulation is a joint fixpoint, not the intersection of the two
+    one-sided greatest relations: a pair survives only if each of its
+    moves is matched by the other side *within the surviving set*.
+    """
+    operation = "greatest_bisimulation" if both_ways else "greatest_simulation"
+    require_comparable(left, right, mode, operation)
+    left_succ = successors(left, mode)
+    right_succ = successors(right, mode)
     alive = {(a, b) for a in left.states for b in right.states}
     changed = True
     while changed:
         changed = False
         for pair in sorted(alive):
             a, b = pair
-            ok = all(
-                any((a_next, b_next) in alive for b_next in right_succ[b].get(symbol, ()))
-                for symbol, a_next in left_moves[a]
-            )
-            if not ok:
+            if not (
+                _matched(left_succ[a], right_succ[b], alive, backward=False)
+                and (not both_ways or _matched(right_succ[b], left_succ[a], alive, backward=True))
+            ):
                 alive.discard(pair)
                 changed = True
     return make_relation(left, right, alive)
+
+
+def greatest_simulation(
+    left: StateMachine, right: StateMachine, mode: ExternalAlphabet
+) -> Relation:
+    """Largest relation closed under the step condition.  ``left`` is
+    simulated by ``right`` iff this relation additionally relates every
+    initial left state to an initial right state (see :func:`simulates`)."""
+    return _greatest(left, right, mode, both_ways=False)
 
 
 def simulates(left: StateMachine, right: StateMachine, mode: ExternalAlphabet) -> bool:
@@ -252,44 +255,8 @@ def simulates(left: StateMachine, right: StateMachine, mode: ExternalAlphabet) -
 def greatest_bisimulation(
     left: StateMachine, right: StateMachine, mode: ExternalAlphabet
 ) -> Relation:
-    """Largest relation whose step condition holds in both directions.
-
-    This is a joint fixpoint, not the intersection of the two one-sided
-    greatest relations: a pair survives only if each of its moves is
-    matched by the other side *within the surviving set*.
-    """
-    require_live_reachable(left, "greatest_bisimulation")
-    require_live_reachable(right, "greatest_bisimulation")
-    if not machines_compatible(left, right, mode):
-        raise IncompatibleAlphabets("greatest_bisimulation: external alphabets differ")
-    left_moves = {
-        x: [(_project(mode, t[1], t[2]), t[3]) for t in left.outgoing(x)]
-        for x in left.states
-    }
-    right_moves = {
-        x: [(_project(mode, t[1], t[2]), t[3]) for t in right.outgoing(x)]
-        for x in right.states
-    }
-    left_succ = _succ_by_symbol(left, mode)
-    right_succ = _succ_by_symbol(right, mode)
-    alive = {(a, b) for a in left.states for b in right.states}
-    changed = True
-    while changed:
-        changed = False
-        for pair in sorted(alive):
-            a, b = pair
-            forward = all(
-                any((a2, b2) in alive for b2 in right_succ[b].get(s, ()))
-                for s, a2 in left_moves[a]
-            )
-            backward = forward and all(
-                any((a2, b2) in alive for a2 in left_succ[a].get(s, ()))
-                for s, b2 in right_moves[b]
-            )
-            if not (forward and backward):
-                alive.discard(pair)
-                changed = True
-    return make_relation(left, right, alive)
+    """Largest relation whose step condition holds in both directions."""
+    return _greatest(left, right, mode, both_ways=True)
 
 
 def bisimilar(left: StateMachine, right: StateMachine, mode: ExternalAlphabet) -> bool:

@@ -35,15 +35,9 @@ class AbstractMachine(StateMachine):
 
     ``window_map`` pairs each state token with the windows it denotes: a
     single window for window-state machines, a whole cell of windows for
-    quotient machines.  Provenance fields record how the machine was
-    built; they have no semantic effect.
+    quotient machines.
     """
 
-    kind: str = "window"  # "window" or "cell"
-    source_digest: str = ""
-    mode: ExternalAlphabet = ExternalAlphabet.OUTPUTS_ONLY
-    level: int = 0
-    anchor: int = 0
     window_map: tuple = ()  # ordered (token, tuple-of-Window) pairs
 
     _windows_by_token: dict = field(init=False, repr=False, compare=False, hash=False)
@@ -97,7 +91,6 @@ def build_abstract_machine(
     though in general not separable.
     """
     require_accepted(machine, "build_abstract_machine")
-    view = machine.with_external(mode)
     emap = external_strings_map(machine, mode, spec)
     key = window_sort_key(machine)
 
@@ -113,7 +106,7 @@ def build_abstract_machine(
         by_prefix[x] = buckets
     transitions = set()
     for x, u, y, x2 in machine.transitions:
-        symbol = view.project_external(u, y)
+        symbol = mode.project(u, y)
         for src in emap[x]:
             if spec.m > 0 and src.symbols[spec.l - spec.m] != symbol:
                 continue
@@ -142,11 +135,6 @@ def build_abstract_machine(
         initial=tuple(w.name for w in initial),
         transitions=tuple(t for t in transitions if t[0] in reachable and t[3] in reachable),
         external=mode,
-        kind="window",
-        source_digest=view.digest(),
-        mode=mode,
-        level=spec.l,
-        anchor=spec.m,
         window_map=tuple((w.name, (w,)) for w in kept),
     )
 
@@ -177,11 +165,6 @@ def standard_realization(machine: StateMachine, l: int) -> AbstractMachine:
         initial=(diamond_window(l).name,),
         transitions=tuple(transitions),
         external=mode,
-        kind="window",
-        source_digest=machine.with_external(mode).digest(),
-        mode=mode,
-        level=l,
-        anchor=0,
         window_map=tuple((w.name, (w,)) for w in states),
     )
 

@@ -4,6 +4,9 @@ Everything here works by explicit run enumeration on the transition
 graph, deliberately avoiding the window/fixpoint machinery under test.
 The one exception is ``naive_behavior_included``, the reference search
 for behavioral inclusion, which reads the right machine's prefix DFA.
+``naive_greatest_simulation`` and ``naive_greatest_bisimulation`` are
+plain removal loops over per-transition moves, with their own label
+projection.
 """
 
 import random
@@ -169,3 +172,76 @@ def naive_behavior_included(
                 parents[nxt_pair] = (pair, symbol)
                 queue.append(nxt_pair)
     return InclusionVerdict(True, None)
+
+
+def _project(mode: ExternalAlphabet, u: str, y: str):
+    return y if mode is ExternalAlphabet.OUTPUTS_ONLY else (u, y)
+
+
+def _succ_by_symbol(machine: StateMachine, mode: ExternalAlphabet) -> dict:
+    """state -> {external symbol -> set of successor states}."""
+    table: dict[str, dict] = {x: {} for x in machine.states}
+    for x, u, y, x2 in machine.transitions:
+        table[x].setdefault(_project(mode, u, y), set()).add(x2)
+    return table
+
+
+def naive_greatest_simulation(
+    left: StateMachine, right: StateMachine, mode: ExternalAlphabet
+) -> set:
+    """Reference greatest step-closed relation: remove every pair with an
+    unmatched left move, round after round, until a round removes none."""
+    left_moves = {
+        x: [(_project(mode, t[1], t[2]), t[3]) for t in left.outgoing(x)]
+        for x in left.states
+    }
+    right_succ = _succ_by_symbol(right, mode)
+    alive = {(a, b) for a in left.states for b in right.states}
+    changed = True
+    while changed:
+        changed = False
+        for pair in sorted(alive):
+            a, b = pair
+            ok = all(
+                any((a_next, b_next) in alive for b_next in right_succ[b].get(symbol, ()))
+                for symbol, a_next in left_moves[a]
+            )
+            if not ok:
+                alive.discard(pair)
+                changed = True
+    return alive
+
+
+def naive_greatest_bisimulation(
+    left: StateMachine, right: StateMachine, mode: ExternalAlphabet
+) -> set:
+    """Reference greatest bisimulation: the same removal loop, with the
+    right machine's moves checked against the left machine's as well."""
+    left_moves = {
+        x: [(_project(mode, t[1], t[2]), t[3]) for t in left.outgoing(x)]
+        for x in left.states
+    }
+    right_moves = {
+        x: [(_project(mode, t[1], t[2]), t[3]) for t in right.outgoing(x)]
+        for x in right.states
+    }
+    left_succ = _succ_by_symbol(left, mode)
+    right_succ = _succ_by_symbol(right, mode)
+    alive = {(a, b) for a in left.states for b in right.states}
+    changed = True
+    while changed:
+        changed = False
+        for pair in sorted(alive):
+            a, b = pair
+            forward = all(
+                any((a2, b2) in alive for b2 in right_succ[b].get(s, ()))
+                for s, a2 in left_moves[a]
+            )
+            backward = forward and all(
+                any((a2, b2) in alive for a2 in left_succ[a].get(s, ()))
+                for s, b2 in right_moves[b]
+            )
+            if not (forward and backward):
+                alive.discard(pair)
+                changed = True
+    return alive

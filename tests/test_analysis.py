@@ -14,7 +14,7 @@ from fsmabs.qba import build_quotient_machine, fibers, partition_at
 from fsmabs.relations import CanonicalKind, canonical_relation
 from fsmabs.salca import build_abstract_machine
 
-from .conftest import UY, Y
+from .conftest import Y
 
 #: The acceptance-battery stream (tests/test_acceptance.py BATTERY_CONFIG).
 STREAM = FuzzConfig(seed=20260809, count=20, max_states=6, max_inputs=3, max_outputs=3)
@@ -48,13 +48,6 @@ def test_result_of_one_scope_never_returned_in_another(fig_machine):
     assert len({id(r) for r in results}) == len(results)
     assert all(r == outside for r in results)
     assert build_abstract_machine(fig_machine, Y, spec) is outside
-
-
-def test_with_external_returns_one_stable_twin(fig_machine):
-    twin = fig_machine.with_external(UY)
-    assert twin is fig_machine.with_external(UY)
-    assert twin.with_external(Y) is fig_machine
-    assert fig_machine.with_external(Y) is fig_machine
 
 
 def test_only_the_plain_strings_map_is_memoised(fig_machine):

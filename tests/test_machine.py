@@ -2,11 +2,18 @@ import json
 
 import pytest
 
+from fsmabs import behavior, relations
 from fsmabs import machine as mod
-from fsmabs.errors import NotAccepted, ParseError, UnknownInput, UnknownState
+from fsmabs.errors import (
+    IncompatibleAlphabets,
+    NotAccepted,
+    ParseError,
+    UnknownInput,
+    UnknownState,
+)
 from fsmabs.machine import DIAMOND, ExternalAlphabet, StateMachine, validate
 
-from .conftest import UY
+from .conftest import UY, Y
 
 
 def test_admissible_outputs(fig_machine):
@@ -305,3 +312,48 @@ def test_to_dot_counts(fig_machine):
     dot = mod.to_dot(fig_machine)
     assert dot.count("doublecircle") == 2
     assert dot.count("->") == len(fig_machine.transitions)
+
+
+def _loop(inputs, outputs) -> StateMachine:
+    """One state with a self-loop on every declared label."""
+    return StateMachine(
+        states=("s",),
+        inputs=inputs,
+        outputs=outputs,
+        initial=("s",),
+        transitions=tuple(("s", u, y, "s") for u in inputs for y in outputs),
+    )
+
+
+@pytest.mark.parametrize(
+    "left, right, mode, compatible",
+    [
+        ((("u1",), ("y1", "y2")), (("v1", "v2"), ("y1", "y2")), Y, True),
+        ((("u1",), ("y1", "y2")), (("v1", "v2"), ("y1", "y2")), UY, False),
+        ((("u1", "u2"), ("y1", "y2")), (("u2", "u1"), ("y2", "y1")), Y, True),
+        ((("u1", "u2"), ("y1", "y2")), (("u2", "u1"), ("y2", "y1")), UY, True),
+        ((("u1",), ("y1",)), (("u1",), ("y1", "y2")), Y, False),
+    ],
+)
+def test_machines_compatible(left, right, mode, compatible):
+    assert mod.machines_compatible(_loop(*left), _loop(*right), mode) is compatible
+
+
+@pytest.mark.parametrize(
+    "module, operation",
+    [
+        (behavior, "behavior_included"),
+        (behavior, "behavior_equal"),
+        (relations, "verify_simulation"),
+        (relations, "greatest_simulation"),
+        (relations, "greatest_bisimulation"),
+    ],
+)
+def test_comparison_names_itself_when_alphabets_differ(module, operation):
+    left, right = _loop(("u1",), ("y1",)), _loop(("u2",), ("y1",))
+    extra = (relations.make_relation(left, right, []),) if operation == "verify_simulation" else ()
+    compare = getattr(module, operation)
+    compare(left, right, Y, *extra)  # same outputs: comparable by outputs alone
+    with pytest.raises(IncompatibleAlphabets) as raised:
+        compare(left, right, UY, *extra)
+    assert str(raised.value) == f"{operation}: external alphabets differ"

@@ -4,7 +4,8 @@ import pytest
 
 from fsmabs.behavior import IntervalSpec
 from fsmabs.errors import DigestMismatch, IncompatibleAlphabets, MalformedRelation
-from fsmabs.machine import StateMachine
+from fsmabs.fuzz import FuzzConfig, machine_stream
+from fsmabs.machine import StateMachine, machines_compatible
 from fsmabs.qba import build_quotient_machine, is_fixed_point, partition_at
 from fsmabs.relations import (
     CanonicalKind,
@@ -13,6 +14,7 @@ from fsmabs.relations import (
     canonical_relation,
     compose,
     control_compatibility,
+    greatest_bisimulation,
     greatest_simulation,
     identity_relation,
     inverse,
@@ -23,6 +25,7 @@ from fsmabs.relations import (
 from fsmabs.salca import build_abstract_machine, is_future_unique, is_sbalc
 
 from .conftest import UY, Y
+from .oracles import naive_greatest_bisimulation, naive_greatest_simulation
 
 
 # -- verify_simulation -----------------------------------------------------------
@@ -165,6 +168,35 @@ def test_greatest_matches_exhaustive_search():
             assert subset <= greatest
     assert union == greatest
     assert _step_closed(left, right, Y, greatest)
+
+
+#: The first machines of the acceptance-battery stream, at levels 1-2.
+DIFFERENTIAL_CONFIG = FuzzConfig(
+    seed=20260809, count=20, max_states=6, max_inputs=3, max_outputs=3, levels=(1, 2)
+)
+
+
+@pytest.mark.parametrize("mode", [Y, UY])
+def test_greatest_relations_match_naive_loops_on_fuzz_corpus(mode):
+    pairs = proper = 0
+    for machine in machine_stream(DIFFERENTIAL_CONFIG):
+        family = [machine]
+        for l in DIFFERENTIAL_CONFIG.levels:
+            family.extend(
+                build_abstract_machine(machine, mode, IntervalSpec(l, m)) for m in range(l + 1)
+            )
+            family.append(build_quotient_machine(machine, l))
+        for left, right in itertools.product(family, repeat=2):
+            if not machines_compatible(left, right, mode):
+                continue
+            pairs += 1
+            sim = set(greatest_simulation(left, right, mode).pairs)
+            assert sim == naive_greatest_simulation(left, right, mode), (machine, left, right)
+            bisim = set(greatest_bisimulation(left, right, mode).pairs)
+            assert bisim == naive_greatest_bisimulation(left, right, mode), (machine, left, right)
+            proper += bool(bisim) and bisim < sim
+    assert pairs > 1000
+    assert proper > 0
 
 
 def test_simulates_both_window_machines(fig_machine):
