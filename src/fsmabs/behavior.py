@@ -280,26 +280,15 @@ def external_strings(
     return tuple(sorted(combined, key=window_sort_key(machine)))
 
 
+@derived
 def external_strings_map(
-    machine: StateMachine, mode: ExternalAlphabet, spec: IntervalSpec, extended: bool = False
+    machine: StateMachine, mode: ExternalAlphabet, spec: IntervalSpec
 ) -> dict:
-    """``external_strings`` for every state at once (single fixpoint).
-
-    The plain map is derived data, memoised per machine; the extended one
-    is built afresh, since only ``is_sbalc`` reads it and that predicate
-    memoises its own verdict.
-    """
-    if extended:
-        return _strings_map(machine, mode, spec, True)
-    return _window_map(machine, mode, spec)
-
-
-def _strings_map(
-    machine: StateMachine, mode: ExternalAlphabet, spec: IntervalSpec, extended: bool = False
-) -> dict:
+    """``external_strings`` for every state at once (single fixpoint),
+    memoised per machine."""
     require_accepted(machine, "external_strings")
     past = _past_map(machine, mode, spec.l - spec.m)
-    fut = _future_map(machine, mode, spec.m + 1 if extended else spec.m)
+    fut = _future_map(machine, mode, spec.m)
     key = window_sort_key(machine)
     shared: dict = {}  # one object per distinct window, whichever states exhibit it
     result = {}
@@ -307,9 +296,6 @@ def _strings_map(
         combined = {p.concat(f) for p in past[x] for f in fut[x]}
         result[x] = tuple(sorted((shared.setdefault(w, w) for w in combined), key=key))
     return result
-
-
-_window_map = derived(_strings_map)
 
 
 # -- prefix acceptor and behavioral inclusion --------------------------------

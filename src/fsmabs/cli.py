@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import machine as machine_io
 from .behavior import IntervalSpec, behavior_included
-from .errors import FsmabsError
+from .errors import FsmabsError, InvalidSpec
 from .fuzz import FuzzConfig, run_fuzz
 from .machine import ExternalAlphabet, StateMachine, to_dot, validate
 from .qba import (
@@ -63,6 +63,8 @@ def build_report(machine: StateMachine, mode: ExternalAlphabet, l_max: int,
     The window predicates honor ``mode``; the quotient family (partitions,
     domino consistency, ordering verdicts) is defined over outputs only.
     """
+    if l_max < 1:
+        raise InvalidSpec(f"window length l must be >= 1, got {l_max}")
     properties = []
     for l in range(1, l_max + 1):
         for m in sorted({0, l}):

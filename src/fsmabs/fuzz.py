@@ -34,6 +34,8 @@ class FuzzConfig:
             raise InvalidSpec("max_inputs and max_outputs must be in 1..4")
         if self.count < 0:
             raise InvalidSpec("count must be >= 0")
+        if not self.levels or min(self.levels) < 1:
+            raise InvalidSpec(f"levels must be window lengths >= 1, got {self.levels}")
 
 
 def _assemble(states, inputs, outputs, initial, admissible, successors):

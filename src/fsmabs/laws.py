@@ -96,7 +96,7 @@ def law_state_to_abstract_forward(machine: StateMachine, levels) -> str | None:
                 canon = canonical_relation(
                     CanonicalKind.STATE_TO_ABSTRACT, machine, mode, l, m
                 )
-                holds = bool(verify_simulation(canon.left, canon.right, _UY, canon.relation))
+                holds = bool(verify_simulation(canon.left, canon.right, _UY, canon))
                 expected = bool(is_future_unique(machine, mode, IntervalSpec(l, m)))
                 if holds != expected:
                     return f"forward iff broken at mode={mode.value} l={l} m={m}"
@@ -111,9 +111,7 @@ def law_state_to_abstract_backward(machine: StateMachine, levels) -> str | None:
                 canon = canonical_relation(
                     CanonicalKind.STATE_TO_ABSTRACT, machine, mode, l, m
                 )
-                holds = bool(
-                    verify_simulation(canon.right, canon.left, mode, inverse(canon.relation))
-                )
+                holds = bool(verify_simulation(canon.right, canon.left, mode, inverse(canon)))
                 expected = bool(is_sbalc(machine, mode, IntervalSpec(l, m)))
                 if holds != expected:
                     return f"backward iff broken at mode={mode.value} l={l} m={m}"
@@ -126,7 +124,7 @@ def law_longer_window_forward(machine: StateMachine, levels) -> str | None:
         for l in _paired_levels(levels):
             for m in _anchors(l):
                 canon = canonical_relation(CanonicalKind.L_STEP, machine, mode, l, m)
-                if not verify_simulation(canon.left, canon.right, mode, canon.relation):
+                if not verify_simulation(canon.left, canon.right, mode, canon):
                     return f"l-step forward failed at mode={mode.value} l={l} m={m}"
     return None
 
@@ -138,9 +136,7 @@ def law_longer_window_backward(machine: StateMachine, levels) -> str | None:
             saturated = saturation_check(machine, mode, l)
             for m in _anchors(l):
                 canon = canonical_relation(CanonicalKind.L_STEP, machine, mode, l, m)
-                holds = bool(
-                    verify_simulation(canon.right, canon.left, mode, inverse(canon.relation))
-                )
+                holds = bool(verify_simulation(canon.right, canon.left, mode, inverse(canon)))
                 if holds != saturated:
                     return f"l-step backward iff broken at mode={mode.value} l={l} m={m}"
     return None
@@ -152,7 +148,7 @@ def law_anchor_shift_forward(machine: StateMachine, levels) -> str | None:
         for l in levels:
             for m in range(l):
                 canon = canonical_relation(CanonicalKind.M_STEP, machine, mode, l, m)
-                if not verify_simulation(canon.left, canon.right, mode, canon.relation):
+                if not verify_simulation(canon.left, canon.right, mode, canon):
                     return f"m-step forward failed at mode={mode.value} l={l} m={m}"
     return None
 
@@ -169,9 +165,7 @@ def law_anchor_shift_backward(machine: StateMachine, levels) -> str | None:
         for l in levels:
             for m in range(l):
                 canon = canonical_relation(CanonicalKind.M_STEP, machine, mode, l, m)
-                holds = bool(
-                    verify_simulation(canon.right, canon.left, mode, inverse(canon.relation))
-                )
+                holds = bool(verify_simulation(canon.right, canon.left, mode, inverse(canon)))
                 expected = joint_fu_sbalc(machine, mode, IntervalSpec(l, m))
                 if holds != expected:
                     return f"m-step backward iff broken at mode={mode.value} l={l} m={m}"
@@ -205,9 +199,7 @@ def law_anchor_shift_backward_anchored(machine: StateMachine, levels) -> str | N
         for l in levels:
             for m in range(l):
                 canon = canonical_relation(CanonicalKind.M_STEP, machine, mode, l, m)
-                holds = bool(
-                    verify_simulation(canon.right, canon.left, mode, inverse(canon.relation))
-                )
+                holds = bool(verify_simulation(canon.right, canon.left, mode, inverse(canon)))
                 expected = anchored_unique_extension(machine, mode, IntervalSpec(l, m))
                 if holds != expected:
                     return f"anchored m-step iff broken at mode={mode.value} l={l} m={m}"
@@ -218,7 +210,7 @@ def law_quotient_forward(machine: StateMachine, levels) -> str | None:
     """The cell map is always a simulation into the quotient machine."""
     for l in levels:
         canon = canonical_relation(CanonicalKind.STATE_TO_QUOTIENT, machine, l=l)
-        if not verify_simulation(canon.left, canon.right, _UY, canon.relation):
+        if not verify_simulation(canon.left, canon.right, _UY, canon):
             return f"quotient forward failed at l={l}"
     return None
 
@@ -232,7 +224,7 @@ def law_quotient_backward(machine: StateMachine, levels) -> str | None:
     """
     for l in levels:
         canon = canonical_relation(CanonicalKind.STATE_TO_QUOTIENT, machine, l=l)
-        holds = bool(verify_simulation(canon.right, canon.left, _Y, inverse(canon.relation)))
+        holds = bool(verify_simulation(canon.right, canon.left, _Y, inverse(canon)))
         expected = bool(is_fixed_point(machine, partition_at(machine, l)))
         if holds != expected:
             return f"quotient backward iff broken at l={l}"
@@ -244,7 +236,7 @@ def law_quotient_backward_stability(machine: StateMachine, levels) -> str | None
     under predecessor splitting."""
     for l in levels:
         canon = canonical_relation(CanonicalKind.STATE_TO_QUOTIENT, machine, l=l)
-        holds = bool(verify_simulation(canon.right, canon.left, _Y, inverse(canon.relation)))
+        holds = bool(verify_simulation(canon.right, canon.left, _Y, inverse(canon)))
         expected = bool(is_fixed_point(machine, fiber_partition(machine, l)))
         if holds != expected:
             return f"quotient stability iff broken at l={l}"
@@ -265,7 +257,7 @@ def law_salca_quotient_forward(machine: StateMachine, levels) -> str | None:
     """Window-to-cell membership verifies iff domino consistent."""
     for l in levels:
         canon = canonical_relation(CanonicalKind.SALCA_TO_QUOTIENT, machine, _Y, l)
-        holds = bool(verify_simulation(canon.left, canon.right, _Y, canon.relation))
+        holds = bool(verify_simulation(canon.left, canon.right, _Y, canon))
         expected = bool(is_domino_consistent(machine, l))
         if holds != expected:
             return f"salca-to-quotient iff broken at l={l}"
@@ -276,7 +268,7 @@ def law_salca_quotient_backward(machine: StateMachine, levels) -> str | None:
     """Inverse verifies iff future unique over the full future window."""
     for l in levels:
         canon = canonical_relation(CanonicalKind.SALCA_TO_QUOTIENT, machine, _Y, l)
-        holds = bool(verify_simulation(canon.right, canon.left, _Y, inverse(canon.relation)))
+        holds = bool(verify_simulation(canon.right, canon.left, _Y, inverse(canon)))
         expected = bool(is_future_unique(machine, _Y, IntervalSpec(l, l)))
         if holds != expected:
             return f"salca-to-quotient inverse iff broken at l={l}"
@@ -401,14 +393,12 @@ def law_renaming_under_uniqueness(machine: StateMachine, levels) -> str | None:
         if not is_future_unique(machine, _Y, IntervalSpec(l, l)):
             continue
         renaming = canonical_relation(CanonicalKind.RENAMING, machine, _Y, l)
-        if not verify_simulation(
-            renaming.left, renaming.right, _Y, renaming.relation, bisim=True
-        ):
+        if not verify_simulation(renaming.left, renaming.right, _Y, renaming, bisim=True):
             return f"renaming not a bisimulation at l={l}"
         abstract = canonical_relation(CanonicalKind.STATE_TO_ABSTRACT, machine, _Y, l, l)
         quotient = canonical_relation(CanonicalKind.STATE_TO_QUOTIENT, machine, l=l)
-        composed = compose(abstract.relation, renaming.relation)
-        if set(composed.pairs) != set(quotient.relation.pairs):
+        composed = compose(abstract, renaming)
+        if set(composed.pairs) != set(quotient.pairs):
             return f"composition identity broken at l={l}"
     return None
 

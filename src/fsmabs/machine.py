@@ -213,10 +213,6 @@ class StateMachine:
             raise UnknownOutput(f"output {y!r} not declared")
         return self.external.project(u, y)
 
-    def external_symbols(self) -> tuple:
-        """The external alphabet in canonical order."""
-        return self.external.alphabet(self.inputs, self.outputs)
-
     # -- derived structure -------------------------------------------------
 
     def reachable_states(self) -> tuple[str, ...]:
@@ -231,13 +227,8 @@ class StateMachine:
         return tuple(s for s in self.states if s in seen)
 
     def digest(self) -> str:
-        """Short content hash binding relations and reports to a machine."""
-        cached = self.__dict__.get("_digest_memo")
-        if cached is None:
-            blob = dumps(self).encode("utf-8")
-            cached = hashlib.sha256(blob).hexdigest()[:12]
-            object.__setattr__(self, "_digest_memo", cached)
-        return cached
+        """Short hash of the machine's file form, printed by reports."""
+        return hashlib.sha256(dumps(self).encode("utf-8")).hexdigest()[:12]
 
     def with_external(self, external: ExternalAlphabet) -> "StateMachine":
         """This machine under another external mode."""

@@ -32,12 +32,6 @@ class Partition:
     cells: tuple[tuple[str, ...], ...]
     level: int = 0
 
-    def cell_of(self, x: str) -> tuple[str, ...]:
-        for cell in self.cells:
-            if x in cell:
-                return cell
-        raise InvalidPartition(f"state {x!r} not covered")
-
     def __len__(self) -> int:
         return len(self.cells)
 

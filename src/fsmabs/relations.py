@@ -1,16 +1,17 @@
 """Simulation relations, their greatest fixpoint, and the canonical
 relations of the comparison results.
 
-A relation is a set of state pairs bound to its endpoint machines by
-content digests.  ``verify_simulation`` checks the step condition
-transition by transition so the counterexample it reports is the first
-unmatched (pair, transition) in canonical order.
+A relation is a set of state pairs that holds its two endpoint machines;
+it binds to a machine that is that endpoint or has the same content.
+``verify_simulation`` checks the step condition transition by transition
+so the counterexample it reports is the first unmatched (pair,
+transition) in canonical order.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .analysis import derived
 from .behavior import IntervalSpec, external_strings_map
@@ -21,6 +22,7 @@ from .machine import (
     require_comparable,
     require_live_reachable,
     successors,
+    to_dict,
 )
 from .qba import build_quotient_machine
 from .salca import build_abstract_machine
@@ -32,8 +34,8 @@ _Y = ExternalAlphabet.OUTPUTS_ONLY
 class Relation:
     """Ordered set of (left state, right state) pairs between two machines."""
 
-    left_digest: str
-    right_digest: str
+    left: StateMachine = field(repr=False)
+    right: StateMachine = field(repr=False)
     pairs: tuple[tuple[str, str], ...]
 
     def __contains__(self, pair) -> bool:
@@ -62,11 +64,17 @@ def make_relation(left: StateMachine, right: StateMachine, pairs) -> Relation:
     ordered = tuple(
         sorted(set(pairs), key=lambda p: (left_order[p[0]], right_order[p[1]]))
     )
-    return Relation(left.digest(), right.digest(), ordered)
+    return Relation(left, right, ordered)
+
+
+def _same_machine(bound: StateMachine, given: StateMachine) -> bool:
+    """Whether ``given`` is the endpoint ``bound`` or has its content (the
+    fields the file format writes), as an equal machine reloaded has."""
+    return bound is given or to_dict(bound) == to_dict(given)
 
 
 def _check_binding(relation: Relation, left: StateMachine, right: StateMachine) -> None:
-    if relation.left_digest != left.digest() or relation.right_digest != right.digest():
+    if not (_same_machine(relation.left, left) and _same_machine(relation.right, right)):
         raise MalformedRelation("relation is bound to different machines")
     left_states = set(left.states)
     right_states = set(right.states)
@@ -76,22 +84,18 @@ def _check_binding(relation: Relation, left: StateMachine, right: StateMachine) 
 
 
 def inverse(relation: Relation) -> Relation:
-    return Relation(
-        relation.right_digest,
-        relation.left_digest,
-        tuple(sorted(((b, a) for a, b in relation.pairs))),
-    )
+    return make_relation(relation.right, relation.left, [(b, a) for a, b in relation.pairs])
 
 
 def compose(first: Relation, second: Relation) -> Relation:
     """Relational composition; the shared middle machine must match."""
-    if first.right_digest != second.left_digest:
+    if not _same_machine(first.right, second.left):
         raise DigestMismatch("compose: middle machines differ")
     by_middle: dict[str, list] = {}
     for b, c in second.pairs:
         by_middle.setdefault(b, []).append(c)
     combined = {(a, c) for a, b in first.pairs for c in by_middle.get(b, ())}
-    return Relation(first.left_digest, second.right_digest, tuple(sorted(combined)))
+    return make_relation(first.left, second.right, combined)
 
 
 def identity_relation(machine: StateMachine) -> Relation:
@@ -278,23 +282,15 @@ class CanonicalKind(enum.Enum):
     RENAMING = "renaming"
 
 
-@dataclass(frozen=True)
-class CanonicalRelation:
-    kind: CanonicalKind
-    relation: Relation
-    left: StateMachine
-    right: StateMachine
-
-
 def canonical_relation(
     kind: CanonicalKind,
     machine: StateMachine,
     mode: ExternalAlphabet = _Y,
     l: int = 1,
     m: int = 0,
-) -> CanonicalRelation:
-    """The comparison relation of the given kind, with both endpoint
-    machines built as needed from ``machine`` (derived data, memoised per
+) -> Relation:
+    """The comparison relation of the given kind, whose endpoint machines
+    are built as needed from ``machine`` (derived data, memoised per
     machine)."""
     return _canonical_relation(machine, kind, mode, l, m)
 
@@ -302,13 +298,13 @@ def canonical_relation(
 @derived
 def _canonical_relation(
     machine: StateMachine, kind: CanonicalKind, mode: ExternalAlphabet, l: int, m: int
-) -> CanonicalRelation:
+) -> Relation:
     if kind is CanonicalKind.STATE_TO_ABSTRACT:
         spec = IntervalSpec(l, m)
         right = build_abstract_machine(machine, mode, spec)
         emap = external_strings_map(machine, mode, spec)
         pairs = [(x, w.name) for x in machine.states for w in emap[x]]
-        return CanonicalRelation(kind, make_relation(machine, right, pairs), machine, right)
+        return make_relation(machine, right, pairs)
 
     if kind is CanonicalKind.L_STEP:
         spec = IntervalSpec(l, m)
@@ -321,7 +317,7 @@ def _canonical_relation(
             shrunk = window.restrict(1, l)
             if shrunk.name in right_states:
                 pairs.append((token, shrunk.name))
-        return CanonicalRelation(kind, make_relation(left, right, pairs), left, right)
+        return make_relation(left, right, pairs)
 
     if kind is CanonicalKind.M_STEP:
         if m >= l:
@@ -336,14 +332,14 @@ def _canonical_relation(
                 for b in down[x]:
                     if a.symbols[: l - 1] == b.symbols[1:]:
                         pairs.add((a.name, b.name))
-        return CanonicalRelation(kind, make_relation(left, right, pairs), left, right)
+        return make_relation(left, right, pairs)
 
     if kind is CanonicalKind.STATE_TO_QUOTIENT:
         right = build_quotient_machine(machine, l)
         emap = external_strings_map(machine, _Y, IntervalSpec(l, l))
         token_of = {frozenset(ws): tok for tok, ws in right.window_map}
         pairs = [(x, token_of[frozenset(emap[x])]) for x in machine.states]
-        return CanonicalRelation(kind, make_relation(machine, right, pairs), machine, right)
+        return make_relation(machine, right, pairs)
 
     if kind in (CanonicalKind.SALCA_TO_QUOTIENT, CanonicalKind.RENAMING):
         left = build_abstract_machine(machine, _Y, IntervalSpec(l, l))
@@ -354,7 +350,7 @@ def _canonical_relation(
                 continue
             for window in windows:
                 pairs.append((window.name, token))
-        return CanonicalRelation(kind, make_relation(left, right, pairs), left, right)
+        return make_relation(left, right, pairs)
 
     raise InvalidSpec(f"unknown canonical relation kind {kind!r}")
 

@@ -207,15 +207,15 @@ def is_sbalc(
     extension of a window compatible with a state is realizable through
     that state.  Witness on failure: (state, blocked window)."""
     require_accepted(machine, "is_sbalc")
-    emap = {x: frozenset(ws) for x, ws in external_strings_map(machine, mode, spec).items()}
-    extended = {
-        x: frozenset(ws)
-        for x, ws in external_strings_map(machine, mode, spec, extended=True).items()
-    }
-    l = spec.l
+    emap = external_strings_map(machine, mode, spec)
+    l, m = spec.l, spec.m
     for x in machine.states:
+        # A window of x extends through x iff its last m + 1 symbols are a
+        # future of x: its past part is already a history of x.
+        windows = frozenset(emap[x])
+        futures = future_windows(machine, mode, x, m + 1)
         for domino in dominoes(machine, mode, l + 1):
-            if domino.restrict(0, l - 1) in emap[x] and domino not in extended[x]:
+            if domino.restrict(0, l - 1) in windows and domino.restrict(l - m, l) not in futures:
                 return PredicateResult(False, (x, domino))
     return PredicateResult(True)
 

@@ -116,31 +116,31 @@ def test_criterion_2_relation_suite():
     q = five_state_machine()
 
     canon_10 = canonical_relation(CanonicalKind.STATE_TO_ABSTRACT, q, Y, 1, 0)
-    assert canon_10.relation.pairs == (
+    assert canon_10.pairs == (
         ("x1", "<>"), ("x2", "y1"), ("x2", "y3"), ("x3", "y2"),
         ("x3", "y4"), ("x4", "y1"), ("x4", "y3"), ("x5", "<>"),
     )
-    assert verify_simulation(canon_10.left, canon_10.right, Y, canon_10.relation)
+    assert verify_simulation(canon_10.left, canon_10.right, Y, canon_10)
 
     canon_11 = canonical_relation(CanonicalKind.STATE_TO_ABSTRACT, q, Y, 1, 1)
-    assert canon_11.relation.pairs == (
+    assert canon_11.pairs == (
         ("x1", "y1"), ("x2", "y2"), ("x3", "y3"), ("x4", "y4"), ("x5", "y1"),
     )
-    assert verify_simulation(canon_11.left, canon_11.right, Y, canon_11.relation)
+    assert verify_simulation(canon_11.left, canon_11.right, Y, canon_11)
 
     canon_22 = canonical_relation(CanonicalKind.STATE_TO_ABSTRACT, q, Y, 2, 2)
-    verdict = verify_simulation(canon_22.left, canon_22.right, Y, canon_22.relation)
+    verdict = verify_simulation(canon_22.left, canon_22.right, Y, canon_22)
     assert not verdict
     assert verdict.failed_pair == ("x3", "y3.y4")
     assert verdict.failed_transition == ("x3", "u3", "y3", "x2")
 
     canon_q1 = canonical_relation(CanonicalKind.STATE_TO_QUOTIENT, q, l=1)
-    assert canon_q1.relation.pairs == (
+    assert canon_q1.pairs == (
         ("x1", "y1"), ("x2", "y2"), ("x3", "y3"), ("x4", "y4"), ("x5", "y1"),
     )
-    assert verify_simulation(canon_q1.left, canon_q1.right, Y, canon_q1.relation)
+    assert verify_simulation(canon_q1.left, canon_q1.right, Y, canon_q1)
 
-    report = control_compatibility(q, canon_10.right, canon_10.relation, Y)
+    report = control_compatibility(q, canon_10.right, canon_10, Y)
     assert not report.input_inclusion
     pair, abstract_enabled, concrete_enabled = report.input_violation
     assert pair == ("x2", "y1")
@@ -219,7 +219,7 @@ def _partition_fibers_divergences(machine, levels):
 def _quotient_backward_divergences(machine, levels):
     for l in levels:
         canon = canonical_relation(CanonicalKind.STATE_TO_QUOTIENT, machine, l=l)
-        holds = bool(verify_simulation(canon.right, canon.left, Y, inverse(canon.relation)))
+        holds = bool(verify_simulation(canon.right, canon.left, Y, inverse(canon)))
         fixed = bool(is_fixed_point(machine, partition_at(machine, l)))
         if holds == fixed:
             continue
@@ -236,7 +236,7 @@ def _anchor_shift_backward_divergences(machine, levels):
             for m in range(l):
                 canon = canonical_relation(CanonicalKind.M_STEP, machine, mode, l, m)
                 holds = bool(
-                    verify_simulation(canon.right, canon.left, mode, inverse(canon.relation))
+                    verify_simulation(canon.right, canon.left, mode, inverse(canon))
                 )
                 joint = joint_fu_sbalc(machine, mode, IntervalSpec(l, m))
                 if holds == joint:

@@ -50,14 +50,11 @@ def test_result_of_one_scope_never_returned_in_another(fig_machine):
     assert build_abstract_machine(fig_machine, Y, spec) is outside
 
 
-def test_only_the_plain_strings_map_is_memoised(fig_machine):
-    spec = IntervalSpec(2, 1)
+def test_strings_map_memoised_per_spec(fig_machine):
     with scope():
-        plain = external_strings_map(fig_machine, Y, spec)
-        assert external_strings_map(fig_machine, Y, spec) is plain
-        extended = external_strings_map(fig_machine, Y, spec, extended=True)
-        again = external_strings_map(fig_machine, Y, spec, extended=True)
-        assert extended == again and extended is not again
+        plain = external_strings_map(fig_machine, Y, IntervalSpec(2, 1))
+        assert external_strings_map(fig_machine, Y, IntervalSpec(2, 1)) is plain
+        assert external_strings_map(fig_machine, Y, IntervalSpec(2, 2)) is not plain
 
 
 def test_run_fuzz_releases_shrink_candidates(monkeypatch):

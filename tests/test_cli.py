@@ -239,6 +239,20 @@ def test_build_salca_requires_anchor(fig_path, tmp_path, capsys):
     assert "--m" in err
 
 
+def test_report_rejects_window_length_zero(fig_path, capsys):
+    code, out, err = run(capsys, "report", fig_path, "--l", "0")
+    assert code == 2
+    assert out == ""
+    assert "window length l must be >= 1, got 0" in err
+
+
+def test_fuzz_rejects_window_length_zero(capsys):
+    code, out, err = run(capsys, "fuzz", "--count", "1", "--l", "0")
+    assert code == 2
+    assert out == ""
+    assert "levels must be window lengths >= 1" in err
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "report", "/nonexistent.json", "--l", "1")
     assert code == 2

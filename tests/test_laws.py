@@ -90,7 +90,7 @@ def test_fiber_counterexample_is_genuine():
     assert is_fixed_point(machine, partition_at(machine, 2))
     assert not is_fixed_point(machine, fiber_partition(machine, 2))
     canon = canonical_relation(CanonicalKind.STATE_TO_QUOTIENT, machine, l=2)
-    assert not verify_simulation(canon.right, canon.left, Y, inverse(canon.relation))
+    assert not verify_simulation(canon.right, canon.left, Y, inverse(canon))
     failed = dict(check_laws(machine, levels=(2,)))
     assert set(failed) == {"quotient-backward", "partition-fibers"}
 

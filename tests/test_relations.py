@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from fsmabs import machine as machine_io
 from fsmabs.behavior import IntervalSpec
 from fsmabs.errors import DigestMismatch, IncompatibleAlphabets, MalformedRelation
 from fsmabs.fuzz import FuzzConfig, machine_stream
@@ -34,13 +35,13 @@ from .oracles import naive_greatest_bisimulation, naive_greatest_simulation
 def test_state_to_abstract_l1_relations_verify(fig_machine):
     for m in (0, 1):
         canon = canonical_relation(CanonicalKind.STATE_TO_ABSTRACT, fig_machine, Y, 1, m)
-        assert verify_simulation(canon.left, canon.right, Y, canon.relation)
-        assert verify_simulation(canon.left, canon.right, UY, canon.relation)
+        assert verify_simulation(canon.left, canon.right, Y, canon)
+        assert verify_simulation(canon.left, canon.right, UY, canon)
 
 
 def test_state_to_abstract_pairs(fig_machine):
     canon = canonical_relation(CanonicalKind.STATE_TO_ABSTRACT, fig_machine, Y, 1, 0)
-    assert canon.relation.pairs == (
+    assert canon.pairs == (
         ("x1", "<>"),
         ("x2", "y1"),
         ("x2", "y3"),
@@ -51,7 +52,7 @@ def test_state_to_abstract_pairs(fig_machine):
         ("x5", "<>"),
     )
     canon = canonical_relation(CanonicalKind.STATE_TO_ABSTRACT, fig_machine, Y, 1, 1)
-    assert canon.relation.pairs == (
+    assert canon.pairs == (
         ("x1", "y1"),
         ("x2", "y2"),
         ("x3", "y3"),
@@ -62,7 +63,7 @@ def test_state_to_abstract_pairs(fig_machine):
 
 def test_two_step_future_relation_fails_with_witness(fig_machine):
     canon = canonical_relation(CanonicalKind.STATE_TO_ABSTRACT, fig_machine, Y, 2, 2)
-    verdict = verify_simulation(canon.left, canon.right, Y, canon.relation)
+    verdict = verify_simulation(canon.left, canon.right, Y, canon)
     assert not verdict
     assert verdict.failed_pair == ("x3", "y3.y4")
     assert verdict.failed_transition == ("x3", "u3", "y3", "x2")
@@ -77,7 +78,7 @@ def test_inverse_direction_tracks_theorems(fig_machine):
     # exactly when the machine is state-based window complete.
     for l, m in [(1, 0), (1, 1), (2, 0), (2, 2)]:
         canon = canonical_relation(CanonicalKind.STATE_TO_ABSTRACT, fig_machine, Y, l, m)
-        back = verify_simulation(canon.right, canon.left, Y, inverse(canon.relation))
+        back = verify_simulation(canon.right, canon.left, Y, inverse(canon))
         assert bool(back) == bool(is_sbalc(fig_machine, Y, IntervalSpec(l, m))), (l, m)
 
 
@@ -92,9 +93,20 @@ def test_verify_checks_binding(fig_machine, loop_machine):
 def test_malformed_pairs_rejected(fig_machine):
     with pytest.raises(MalformedRelation):
         make_relation(fig_machine, fig_machine, [("x1", "nope")])
-    bogus = Relation(fig_machine.digest(), fig_machine.digest(), (("x1", "nope"),))
+    bogus = Relation(fig_machine, fig_machine, (("x1", "nope"),))
     with pytest.raises(MalformedRelation):
         verify_simulation(fig_machine, fig_machine, Y, bogus)
+
+
+def test_relation_binds_to_a_reloaded_equal_machine(fig_machine):
+    abstraction = build_abstract_machine(fig_machine, Y, IntervalSpec(1, 0))
+    reloaded = machine_io.loads(machine_io.dumps(abstraction))
+    assert reloaded is not abstraction
+    relation = greatest_simulation(abstraction, abstraction, Y)
+    assert verify_simulation(reloaded, reloaded, Y, relation, bisim=True)
+    assert verify_simulation(abstraction, reloaded, Y, identity_relation(abstraction))
+    with pytest.raises(MalformedRelation):
+        verify_simulation(reloaded, reloaded.with_external(UY), Y, relation)
 
 
 def test_initial_condition_failure_reported(fig_machine):
@@ -117,7 +129,7 @@ def test_greatest_contains_identity(fig_machine, loop_machine):
 def test_greatest_contains_canonical(fig_machine):
     canon = canonical_relation(CanonicalKind.STATE_TO_ABSTRACT, fig_machine, Y, 1, 0)
     greatest = greatest_simulation(canon.left, canon.right, Y)
-    assert set(canon.relation.pairs) <= set(greatest.pairs)
+    assert set(canon.pairs) <= set(greatest.pairs)
 
 
 def _step_closed(left, right, mode, pairs):
@@ -215,27 +227,27 @@ def test_simulates_both_window_machines(fig_machine):
 
 def test_state_to_quotient_pairs(fig_machine):
     canon = canonical_relation(CanonicalKind.STATE_TO_QUOTIENT, fig_machine, l=1)
-    assert canon.relation.pairs == (
+    assert canon.pairs == (
         ("x1", "y1"),
         ("x2", "y2"),
         ("x3", "y3"),
         ("x4", "y4"),
         ("x5", "y1"),
     )
-    assert verify_simulation(canon.left, canon.right, UY, canon.relation)
+    assert verify_simulation(canon.left, canon.right, UY, canon)
 
 
 def test_state_to_quotient_inverse_iff_fixed_point(fig_machine):
     for l in (1, 2):
         canon = canonical_relation(CanonicalKind.STATE_TO_QUOTIENT, fig_machine, l=l)
-        back = verify_simulation(canon.right, canon.left, Y, inverse(canon.relation))
+        back = verify_simulation(canon.right, canon.left, Y, inverse(canon))
         fixed = bool(is_fixed_point(fig_machine, partition_at(fig_machine, l)))
         assert bool(back) == fixed, l
 
 
 def test_renaming_relation(fig_machine):
     canon = canonical_relation(CanonicalKind.RENAMING, fig_machine, Y, 1)
-    assert canon.relation.pairs == (
+    assert canon.pairs == (
         ("y1", "y1"),
         ("y2", "y2"),
         ("y3", "y3"),
@@ -243,15 +255,15 @@ def test_renaming_relation(fig_machine):
     )
     # Future uniqueness at (1,1) makes it a bisimulation.
     assert is_future_unique(fig_machine, Y, IntervalSpec(1, 1))
-    assert verify_simulation(canon.left, canon.right, Y, canon.relation, bisim=True)
+    assert verify_simulation(canon.left, canon.right, Y, canon, bisim=True)
 
 
 def test_salca_to_quotient_l2(fig_machine):
     canon = canonical_relation(CanonicalKind.SALCA_TO_QUOTIENT, fig_machine, Y, 2)
-    assert ("y3.y2", "y3.y2|y3.y4") in canon.relation
-    assert ("y3.y4", "y3.y2|y3.y4") in canon.relation
-    assert verify_simulation(canon.left, canon.right, Y, canon.relation)
-    back = verify_simulation(canon.right, canon.left, Y, inverse(canon.relation))
+    assert ("y3.y2", "y3.y2|y3.y4") in canon
+    assert ("y3.y4", "y3.y2|y3.y4") in canon
+    assert verify_simulation(canon.left, canon.right, Y, canon)
+    back = verify_simulation(canon.right, canon.left, Y, inverse(canon))
     assert not back  # not future unique at (2,2)
 
 
@@ -260,25 +272,42 @@ def test_salca_to_quotient_l2(fig_machine):
 
 def test_inverse_swaps_pairs(fig_machine):
     canon = canonical_relation(CanonicalKind.STATE_TO_ABSTRACT, fig_machine, Y, 1, 1)
-    inv = inverse(canon.relation)
+    inv = inverse(canon)
     assert ("y1", "x1") in inv
     assert ("y1", "x5") in inv
-    assert inverse(inv).pairs == canon.relation.pairs
+    assert inverse(inv).pairs == canon.pairs
 
 
 def test_compose_with_identity(fig_machine):
     ident = identity_relation(fig_machine)
     canon = canonical_relation(CanonicalKind.STATE_TO_ABSTRACT, fig_machine, Y, 1, 1)
-    composed = compose(ident, canon.relation)
-    assert composed.pairs == canon.relation.pairs
+    composed = compose(ident, canon)
+    assert composed.pairs == canon.pairs
     right_ident = identity_relation(canon.right)
-    assert compose(canon.relation, right_ident).pairs == canon.relation.pairs
+    assert compose(canon, right_ident).pairs == canon.pairs
+
+
+def test_inverse_and_compose_order_pairs_by_declaration():
+    # States declared out of name order: "q" comes before "p".
+    m = StateMachine(
+        states=("q", "p"),
+        inputs=("u",),
+        outputs=("b", "a"),
+        initial=("q",),
+        transitions=(("q", "u", "b", "p"), ("p", "u", "a", "q"), ("p", "u", "a", "p")),
+    )
+    canon = canonical_relation(CanonicalKind.STATE_TO_ABSTRACT, m, Y, 1, 0)
+    assert canon.pairs == (("q", "<>"), ("q", "a"), ("p", "b"), ("p", "a"))
+    assert compose(identity_relation(m), canon).pairs == canon.pairs
+    assert compose(canon, identity_relation(canon.right)).pairs == canon.pairs
+    assert inverse(inverse(canon)).pairs == canon.pairs
+    assert inverse(canon).pairs == (("<>", "q"), ("b", "p"), ("a", "q"), ("a", "p"))
 
 
 def test_compose_requires_matching_middle(fig_machine):
     canon = canonical_relation(CanonicalKind.STATE_TO_ABSTRACT, fig_machine, Y, 1, 1)
     with pytest.raises(DigestMismatch):
-        compose(canon.relation, canon.relation)
+        compose(canon, canon)
 
 
 def test_relation_algebra_dispatcher(fig_machine):
@@ -286,9 +315,9 @@ def test_relation_algebra_dispatcher(fig_machine):
     from fsmabs.relations import relation_algebra
 
     canon = canonical_relation(CanonicalKind.STATE_TO_ABSTRACT, fig_machine, Y, 1, 1)
-    assert relation_algebra("inverse", canon.relation) == inverse(canon.relation)
+    assert relation_algebra("inverse", canon) == inverse(canon)
     ident = identity_relation(fig_machine)
-    assert relation_algebra("compose", ident, canon.relation).pairs == canon.relation.pairs
+    assert relation_algebra("compose", ident, canon).pairs == canon.pairs
     with pytest.raises(InvalidSpec):
         relation_algebra("compose", ident)
     with pytest.raises(InvalidSpec):
@@ -301,13 +330,13 @@ def test_composition_identity_under_future_uniqueness(fig_machine):
     abstract = canonical_relation(CanonicalKind.STATE_TO_ABSTRACT, fig_machine, Y, 1, 1)
     renaming = canonical_relation(CanonicalKind.RENAMING, fig_machine, Y, 1)
     quotient = canonical_relation(CanonicalKind.STATE_TO_QUOTIENT, fig_machine, l=1)
-    composed = compose(abstract.relation, renaming.relation)
-    assert set(composed.pairs) == set(quotient.relation.pairs)
+    composed = compose(abstract, renaming)
+    assert set(composed.pairs) == set(quotient.pairs)
 
 
 def test_relation_render(fig_machine):
     canon = canonical_relation(CanonicalKind.STATE_TO_ABSTRACT, fig_machine, Y, 1, 1)
-    assert canon.relation.render().splitlines()[0] == "x1 -> y1"
+    assert canon.render().splitlines()[0] == "x1 -> y1"
 
 
 # -- control compatibility ----------------------------------------------------------------
@@ -315,7 +344,7 @@ def test_relation_render(fig_machine):
 
 def test_input_inclusion_violation(fig_machine):
     canon = canonical_relation(CanonicalKind.STATE_TO_ABSTRACT, fig_machine, Y, 1, 0)
-    report = control_compatibility(fig_machine, canon.right, canon.relation, Y)
+    report = control_compatibility(fig_machine, canon.right, canon, Y)
     assert not report.input_inclusion
     pair, abstract_enabled, concrete_enabled = report.input_violation
     assert pair == ("x2", "y1")
@@ -327,7 +356,7 @@ def test_input_inclusion_violation(fig_machine):
 
 def test_free_input_witness(fig_machine):
     canon = canonical_relation(CanonicalKind.STATE_TO_ABSTRACT, fig_machine, Y, 1, 0)
-    report = control_compatibility(fig_machine, canon.right, canon.relation, Y)
+    report = control_compatibility(fig_machine, canon.right, canon, Y)
     assert not report.free_input
     assert report.free_input_witness == "x1"
 
@@ -346,7 +375,7 @@ def test_free_input_machine_is_alternating_ok():
         ),
     )
     canon = canonical_relation(CanonicalKind.STATE_TO_ABSTRACT, m, UY, 1, 0)
-    report = control_compatibility(m, canon.right, canon.relation, UY)
+    report = control_compatibility(m, canon.right, canon, UY)
     assert report.free_input
     assert report.input_inclusion
     assert report.alternating_ok
