@@ -19,7 +19,7 @@ from .behavior import (
     dominoes,
     saturation_check,
 )
-from .machine import DIAMOND, ExternalAlphabet, StateMachine
+from .machine import DIAMOND, ExternalAlphabet, StateMachine, is_deterministic
 from .qba import (
     Partition,
     build_quotient_machine,
@@ -422,12 +422,9 @@ def law_ordering_under_uniqueness(machine: StateMachine, levels) -> str | None:
 def law_strict_past_deterministic(machine: StateMachine, levels) -> str | None:
     for mode in _BOTH:
         for l in levels:
-            built = build_abstract_machine(machine, mode, IntervalSpec(l, 0))
-            for x in built.states:
-                seen: dict = {}
-                for _, u, y, x2 in built.outgoing(x):
-                    if seen.setdefault(mode.project(u, y), x2) != x2:
-                        return f"strict past nondeterministic at mode={mode.value} l={l}"
+            strict_past = build_abstract_machine(machine, mode, IntervalSpec(l, 0))
+            if not is_deterministic(strict_past, mode):
+                return f"strict past nondeterministic at mode={mode.value} l={l}"
     return None
 
 

@@ -109,13 +109,18 @@ class ValidationReport:
         return self.separable and self.reachable and self.live
 
     def rejection(self, flags: Sequence[str] = ("separable", "reachable", "live")) -> str | None:
-        """``"machine is not <flag>, ..."`` over the failing ``flags``, or None.
+        """``"machine is not <flag>, ..."`` over the failing ``flags``, or None."""
+        return _rejection(name for name in flags if not getattr(self, name))
 
-        The one source of the validation messages of ``require_accepted``,
-        ``require_live_reachable`` and the command line.
-        """
-        failing = [name for name in flags if not getattr(self, name)]
-        return f"machine is not {', '.join(failing)}" if failing else None
+
+def _rejection(failing) -> str | None:
+    """``"machine is not <flag>, ..."`` over the ``failing`` flag names, or None.
+
+    The one source of the validation messages of ``require_accepted``,
+    ``require_live_reachable`` and the command line.
+    """
+    failing = list(failing)
+    return f"machine is not {', '.join(failing)}" if failing else None
 
 
 @dataclass(frozen=True)
@@ -252,6 +257,30 @@ def successors(machine: StateMachine, mode: ExternalAlphabet) -> dict:
 
 
 @derived
+def is_deterministic(machine: StateMachine, mode: ExternalAlphabet) -> bool:
+    """One initial state, and at most one successor per (state, external
+    symbol): every external word then leads to at most one state."""
+    if len(machine.initial) != 1:
+        return False
+    seen: dict = {}
+    for x, u, y, x2 in machine.transitions:
+        if seen.setdefault((x, mode.project(u, y)), x2) != x2:
+            return False
+    return True
+
+
+@derived
+def _unreachable_and_dead(machine: StateMachine) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The states no run reaches and the states with no outgoing
+    transition, in declaration order: the check ``validate`` and the
+    comparison gate share."""
+    reachable_set = set(machine.reachable_states())
+    unreachable = tuple(s for s in machine.states if s not in reachable_set)
+    dead = tuple(s for s in machine.states if not machine.outgoing(s))
+    return unreachable, dead
+
+
+@derived
 def validate(machine: StateMachine) -> ValidationReport:
     """Check the standing structural assumptions; reports, never raises.
 
@@ -273,9 +302,7 @@ def validate(machine: StateMachine) -> ValidationReport:
         for (x, u), count in per_pair.items()
     )
 
-    reachable_set = set(machine.reachable_states())
-    unreachable = tuple(s for s in machine.states if s not in reachable_set)
-    dead = tuple(s for s in machine.states if not machine.outgoing(s))
+    unreachable, dead = _unreachable_and_dead(machine)
     return ValidationReport(
         output_deterministic=out_det,
         separable=separable,
@@ -298,8 +325,13 @@ def require_live_reachable(machine: StateMachine, operation: str) -> None:
 
     Built abstractions are typically not separable, yet behavior and
     simulation checks remain well defined for any live, reachable machine.
+    Reads only the reachability and liveness scan, not the separability
+    check of :func:`validate`.
     """
-    problem = validate(machine).rejection(("reachable", "live"))
+    unreachable, dead = _unreachable_and_dead(machine)
+    problem = _rejection(
+        name for name, bad in (("reachable", unreachable), ("live", dead)) if bad
+    )
     if problem:
         raise NotAccepted(f"{operation}: {problem}")
 

@@ -6,6 +6,27 @@ it binds to a machine that is that endpoint or has the same content.
 ``verify_simulation`` checks the step condition transition by transition
 so the counterexample it reports is the first unmatched (pair,
 transition) in canonical order.
+
+``simulates`` and ``bisimilar`` first try to settle their verdict with
+the breadth-first walk over the product of the two prefix DFAs that
+decides behavioural inclusion and equality (``behavior``), and run the
+greatest fixpoint only when the walk cannot.  The walk determinizes
+both sides by the subset construction, exponential in the worst case,
+as ``behavior_included`` documents.  It rests on three facts:
+
+- a simulation carries every run of ``left`` to a run of ``right`` with
+  the same external word, so a prefix of ``left`` that ``right`` lacks
+  refutes simulation (and bisimulation);
+- when ``right`` has one initial state and at most one successor per
+  (state, external symbol), prefix inclusion implies simulation: relate
+  each left state to the one right state that a word reaching it leads
+  to;
+- bisimilar machines have equal behaviours, so unequal behaviours
+  refute bisimilarity.
+
+Equal behaviours do not imply bisimilarity, and prefix inclusion into a
+nondeterministic machine does not imply simulation; those verdicts come
+from the fixpoint.
 """
 
 from __future__ import annotations
@@ -14,11 +35,12 @@ import enum
 from dataclasses import dataclass, field
 
 from .analysis import derived
-from .behavior import IntervalSpec, external_strings_map
+from .behavior import IntervalSpec, behavior_equal, behavior_included, external_strings_map
 from .errors import DigestMismatch, InvalidSpec, MalformedRelation
 from .machine import (
     ExternalAlphabet,
     StateMachine,
+    is_deterministic,
     require_comparable,
     require_live_reachable,
     successors,
@@ -250,7 +272,21 @@ def greatest_simulation(
 
 
 def simulates(left: StateMachine, right: StateMachine, mode: ExternalAlphabet) -> bool:
-    """Decide the simulation preorder via the greatest step-closed relation."""
+    """Decide whether ``left`` is simulated by ``right``.
+
+    In order: False when ``left`` has a prefix that ``right`` lacks (found
+    by the prefix-DFA walk of ``behavior_included``); else True when
+    ``right`` is deterministic (:func:`is_deterministic`), since prefix
+    inclusion then implies simulation; else whether the greatest
+    step-closed relation relates every initial left state to an initial
+    right state.  The gate and its messages are those of
+    :func:`greatest_simulation`.
+    """
+    require_comparable(left, right, mode, "greatest_simulation")
+    if not behavior_included(left, right, mode):
+        return False
+    if is_deterministic(right, mode):
+        return True
     relation = greatest_simulation(left, right, mode)
     pairs = frozenset(relation.pairs)
     return bool(_check_initial(left, right, pairs))
@@ -265,7 +301,16 @@ def greatest_bisimulation(
 
 def bisimilar(left: StateMachine, right: StateMachine, mode: ExternalAlphabet) -> bool:
     """Whether one relation is a simulation in both directions and covers
-    both initial-state conditions; decided on the greatest such relation."""
+    both initial-state conditions.
+
+    In order: False when the behaviours differ (found by the prefix-DFA
+    walk of ``behavior_equal``); else decided on the greatest
+    bisimulation, since equal behaviours do not imply bisimilarity.  The
+    gate and its messages are those of :func:`greatest_bisimulation`.
+    """
+    require_comparable(left, right, mode, "greatest_bisimulation")
+    if not behavior_equal(left, right, mode):
+        return False
     pairs = frozenset(greatest_bisimulation(left, right, mode).pairs)
     return bool(
         _check_initial(left, right, pairs)

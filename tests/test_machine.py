@@ -357,3 +357,43 @@ def test_comparison_names_itself_when_alphabets_differ(module, operation):
     with pytest.raises(IncompatibleAlphabets) as raised:
         compare(left, right, UY, *extra)
     assert str(raised.value) == f"{operation}: external alphabets differ"
+
+
+@pytest.mark.parametrize(
+    "verdict, operation",
+    [(relations.simulates, "greatest_simulation"), (relations.bisimilar, "greatest_bisimulation")],
+)
+def test_verdicts_raise_under_their_fixpoint_names(verdict, operation):
+    # The prefix-DFA walk that may settle the verdict gates under its own
+    # name (behavior_included/behavior_equal); it must never surface.
+    left, right = _loop(("u1",), ("y1",)), _loop(("u2",), ("y1",))
+    assert verdict(left, right, Y)
+    with pytest.raises(IncompatibleAlphabets) as raised:
+        verdict(left, right, UY)
+    assert str(raised.value) == f"{operation}: external alphabets differ"
+    broken = StateMachine(
+        ("s", "t", "d"), ("u1",), ("y1",), ("s",), (("s", "u1", "y1", "s"), ("t", "u1", "y1", "d"))
+    )
+    for pair in ((broken, left), (left, broken)):
+        with pytest.raises(NotAccepted) as raised:
+            verdict(*pair, Y)
+        assert str(raised.value) == f"{operation}: machine is not reachable, live"
+
+
+def test_is_deterministic_per_external_symbol():
+    # Two inputs with the same output and different successors: one
+    # successor per (state, input/output pair), two per output.
+    m = StateMachine(
+        states=("s", "t"),
+        inputs=("u1", "u2"),
+        outputs=("y",),
+        initial=("s",),
+        transitions=(("s", "u1", "y", "s"), ("s", "u2", "y", "t"), ("t", "u1", "y", "s")),
+    )
+    assert mod.is_deterministic(m, UY)
+    assert not mod.is_deterministic(m, Y)
+    assert mod.is_deterministic(_loop(("u",), ("y",)), Y)
+    two_starts = StateMachine(
+        ("s", "t"), ("u",), ("y",), ("s", "t"), (("s", "u", "y", "t"), ("t", "u", "y", "s"))
+    )
+    assert not mod.is_deterministic(two_starts, Y)

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from fsmabs import machine as machine_io
-from fsmabs.behavior import IntervalSpec
+from fsmabs.behavior import IntervalSpec, behavior_equal, behavior_included
 from fsmabs.errors import DigestMismatch, IncompatibleAlphabets, MalformedRelation
 from fsmabs.fuzz import FuzzConfig, machine_stream
 from fsmabs.machine import StateMachine, machines_compatible
@@ -188,9 +188,18 @@ DIFFERENTIAL_CONFIG = FuzzConfig(
 )
 
 
+def _covers_initial(left: StateMachine, right: StateMachine, pairs) -> bool:
+    """Whether every initial left state is related to an initial right one."""
+    return all(any((x0, z) in pairs for z in right.initial) for x0 in left.initial)
+
+
 @pytest.mark.parametrize("mode", [Y, UY])
 def test_greatest_relations_match_naive_loops_on_fuzz_corpus(mode):
+    # Also checks the verdicts of simulates/bisimilar, which the prefix-DFA
+    # walk may settle without a fixpoint, against the initial conditions
+    # read off the naive relations.
     pairs = proper = 0
+    verdicts = {"sim": 0, "not sim": 0, "bisim": 0, "not bisim": 0}
     for machine in machine_stream(DIFFERENTIAL_CONFIG):
         family = [machine]
         for l in DIFFERENTIAL_CONFIG.levels:
@@ -203,12 +212,62 @@ def test_greatest_relations_match_naive_loops_on_fuzz_corpus(mode):
                 continue
             pairs += 1
             sim = set(greatest_simulation(left, right, mode).pairs)
-            assert sim == naive_greatest_simulation(left, right, mode), (machine, left, right)
+            naive_sim = naive_greatest_simulation(left, right, mode)
+            assert sim == naive_sim, (machine, left, right)
             bisim = set(greatest_bisimulation(left, right, mode).pairs)
-            assert bisim == naive_greatest_bisimulation(left, right, mode), (machine, left, right)
+            naive_bisim = naive_greatest_bisimulation(left, right, mode)
+            assert bisim == naive_bisim, (machine, left, right)
             proper += bool(bisim) and bisim < sim
+            expected = _covers_initial(left, right, naive_sim)
+            assert simulates(left, right, mode) is expected, (machine, left, right)
+            verdicts["sim" if expected else "not sim"] += 1
+            expected = _covers_initial(left, right, naive_bisim) and _covers_initial(
+                right, left, {(b, a) for a, b in naive_bisim}
+            )
+            assert bisimilar(left, right, mode) is expected, (machine, left, right)
+            verdicts["bisim" if expected else "not bisim"] += 1
     assert pairs > 1000
     assert proper > 0
+    assert min(verdicts.values()) > 0, verdicts
+
+
+def _chain(initial, transitions) -> StateMachine:
+    """Outputs-only machine on input ``u``; ``transitions`` are (x, y, x')."""
+    states = tuple(dict.fromkeys([initial] + [x for t in transitions for x in (t[0], t[2])]))
+    return StateMachine(
+        states=states,
+        inputs=("u",),
+        outputs=("a", "b", "c", "d"),
+        initial=(initial,),
+        transitions=tuple((x, "u", y, x2) for x, y, x2 in transitions),
+    )
+
+
+#: a·(b + c), then d forever: one a-successor that may go either way.
+LATE_CHOICE = _chain("p0", [("p0", "a", "p1"), ("p1", "b", "p2"), ("p1", "c", "p2"),
+                             ("p2", "d", "p2")])
+#: a·b + a·c, then d forever: the choice is made on the a-step.
+EARLY_CHOICE = _chain("q0", [("q0", "a", "q1"), ("q0", "a", "q2"), ("q1", "b", "q3"),
+                              ("q2", "c", "q3"), ("q3", "d", "q3")])
+#: a·(b + c) + a·b: the late choice plus a branch that has committed to b.
+LATE_OR_B = _chain("r0", [("r0", "a", "r1"), ("r0", "a", "r2"), ("r1", "b", "r3"),
+                           ("r1", "c", "r3"), ("r2", "b", "r3"), ("r3", "d", "r3")])
+
+
+def test_prefix_inclusion_into_nondeterministic_machine_needs_the_fixpoint():
+    assert behavior_included(LATE_CHOICE, EARLY_CHOICE, Y)
+    assert not simulates(LATE_CHOICE, EARLY_CHOICE, Y)
+    assert simulates(EARLY_CHOICE, LATE_CHOICE, Y)  # deterministic right side
+    assert behavior_equal(LATE_CHOICE, EARLY_CHOICE, Y)
+    assert not bisimilar(LATE_CHOICE, EARLY_CHOICE, Y)
+
+
+def test_mutually_simulating_trace_equal_machines_need_not_be_bisimilar():
+    assert behavior_equal(LATE_OR_B, LATE_CHOICE, Y)
+    assert simulates(LATE_OR_B, LATE_CHOICE, Y)
+    assert simulates(LATE_CHOICE, LATE_OR_B, Y)
+    assert not bisimilar(LATE_OR_B, LATE_CHOICE, Y)
+    assert not bisimilar(LATE_CHOICE, LATE_OR_B, Y)
 
 
 def test_simulates_both_window_machines(fig_machine):
