@@ -11,6 +11,19 @@ this is exact for live, finitely branching machines because their
 infinite behavior is the safety closure of the prefix language.  The walk
 visits at most |DFA(left)| * |DFA(right)| pairs; the subset construction
 is exponential in the worst case.
+
+Windows are integer codes.  Each (machine, mode) has one
+:class:`WindowCodec` (:func:`window_codec`): the external symbols get
+codes 1..n in ``mode.alphabet`` order, the diamond is 0, and a k-window is
+the radix-(n + 1) number whose digits are its symbols, oldest first.
+Shifting, restricting and joining windows are integer arithmetic, and
+integer order is the canonical window order (diamond first, then
+declaration order, position by position).  The radix arithmetic lives
+here; other modules call the codec.  Every memoised result holds codes
+only.  ``Window`` objects are decoded where the API hands one out
+(``past_windows``, ``future_windows``, ``external_strings``,
+``DominoSet``, ``AbstractMachine.windows_of`` and predicate witnesses),
+and the codec renders each (code, length) name once.
 """
 
 from __future__ import annotations
@@ -76,21 +89,10 @@ class Window:
     def concat(self, other: "Window") -> "Window":
         return Window(self.symbols + other.symbols)
 
-    def append(self, symbol) -> "Window":
-        return Window(self.symbols + (symbol,))
-
-    def shift(self, symbol) -> "Window":
-        """Drop the first symbol and append one: the next history window."""
-        return Window(self.symbols[1:] + (symbol,))
-
     @property
     def name(self) -> str:
         """Dot-joined rendering used for abstract state tokens."""
-        cached = self.__dict__.get("_name_memo")
-        if cached is None:
-            cached = ".".join(symbol_token(s) for s in self.symbols)
-            object.__setattr__(self, "_name_memo", cached)
-        return cached
+        return ".".join(symbol_token(s) for s in self.symbols)
 
     @property
     def line(self) -> str:
@@ -103,6 +105,83 @@ class Window:
 
 def diamond_window(length: int) -> Window:
     return Window((DIAMOND,) * length)
+
+
+class WindowCodec:
+    """Integer codes of the windows over one external alphabet.
+
+    Symbol ``alphabet[i]`` has code i + 1 and the diamond 0; the n-window
+    w has code sum(code(w[i]) * base**(n - 1 - i)) with base = |alphabet|
+    + 1.  Leading zero digits are the diamond padding, so a code means a
+    window only together with its length, which callers carry beside it.
+    """
+
+    __slots__ = ("alphabet", "base", "_codes", "_tokens", "_names")
+
+    def __init__(self, alphabet):
+        self.alphabet = tuple(alphabet)
+        self.base = len(self.alphabet) + 1
+        self._codes = {symbol: i for i, symbol in enumerate(self.alphabet, 1)}
+        self._tokens = (DIAMOND, *(symbol_token(s) for s in self.alphabet))
+        self._names: dict = {}
+
+    def code(self, symbol) -> int:
+        """The digit of one symbol; KeyError outside the alphabet."""
+        return 0 if symbol == DIAMOND else self._codes[symbol]
+
+    def symbol(self, digit: int):
+        """The symbol of one digit (0 is the diamond)."""
+        return self.alphabet[digit - 1] if digit else DIAMOND
+
+    def digits(self, code: int, n: int) -> list:
+        """The n digits of ``code``, oldest symbol first."""
+        out = [0] * n
+        for i in range(n - 1, -1, -1):
+            code, out[i] = divmod(code, self.base)
+        return out
+
+    def encode(self, window: Window) -> int:
+        code = 0
+        for symbol in window:
+            code = code * self.base + self.code(symbol)
+        return code
+
+    def decode(self, code: int, n: int) -> Window:
+        return Window(tuple(map(self.symbol, self.digits(code, n))))
+
+    def name(self, code: int, n: int) -> str:
+        """Dot-joined state token of the n-window ``code``, rendered once."""
+        key = (code, n)
+        name = self._names.get(key)
+        if name is None:
+            name = self._names[key] = ".".join(self._tokens[d] for d in self.digits(code, n))
+        return name
+
+    def line(self, code: int, n: int) -> str:
+        """Space-joined rendering used in domino-set listings."""
+        return " ".join(self._tokens[d] for d in self.digits(code, n))
+
+    def restrict(self, code: int, n: int, a: int, b: int) -> int:
+        """The code of positions [a, b] (inclusive) of the n-window ``code``;
+        a = b + 1 gives the empty window, code 0."""
+        return code // self.base ** (n - 1 - b) % self.base ** (b - a + 1)
+
+    def concat(self, head: int, tail: int, k: int) -> int:
+        """The code of ``head`` followed by the k-window ``tail``."""
+        return head * self.base**k + tail
+
+    def diamonds(self, code: int, n: int) -> int:
+        """How many diamonds pad the n-window ``code``."""
+        while code:
+            code //= self.base
+            n -= 1
+        return n
+
+
+@derived
+def window_codec(machine: StateMachine, mode: ExternalAlphabet) -> WindowCodec:
+    """The one codec of the machine's windows under ``mode``."""
+    return WindowCodec(mode.alphabet(machine.inputs, machine.outputs))
 
 
 @dataclass(frozen=True)
@@ -119,122 +198,126 @@ class IntervalSpec:
             raise InvalidSpec(f"future length m must satisfy 0 <= m <= l, got m={self.m}")
 
 
-def symbol_sort_key(machine: StateMachine):
-    """Canonical symbol order: diamond first, then declaration order."""
-    out_ix = {y: i for i, y in enumerate(machine.outputs)}
-    in_ix = {u: i for i, u in enumerate(machine.inputs)}
-
-    def key(symbol):
-        if symbol == DIAMOND:
-            return (-1, -1)
-        if isinstance(symbol, tuple):
-            return (in_ix[symbol[0]], out_ix[symbol[1]])
-        return (0, out_ix[symbol])
-
-    return key
-
-
-def window_sort_key(machine: StateMachine):
-    sym_key = symbol_sort_key(machine)
-
-    def key(window: Window):
-        return tuple(sym_key(s) for s in window.symbols)
-
-    return key
-
-
-@dataclass(frozen=True)
 class DominoSet:
-    """All windows of one fixed length, kept in canonical order."""
+    """All windows of one fixed length, kept in canonical order.
 
-    length: int
-    windows: tuple[Window, ...]
-    _members: frozenset = field(init=False, repr=False, compare=False, hash=False)
+    Held as the codes of one codec (``codes``, ``code_set``); ``windows``,
+    iteration, membership, ``as_set`` and ``render`` decode or encode.
+    Built from ``Window`` objects, the set codes them over their own
+    symbols in order of appearance and keeps the given order.
+    """
 
-    def __post_init__(self):
-        for w in self.windows:
-            if len(w) != self.length:
-                raise InvalidSpec(f"window {w} has length {len(w)}, expected {self.length}")
-        object.__setattr__(self, "_members", frozenset(self.windows))
+    __slots__ = ("length", "codes", "code_set", "codec")
+
+    def __init__(self, length: int, windows, codec: WindowCodec | None = None):
+        """``windows`` are ``Window`` objects, or with ``codec`` their codes."""
+        if codec is None:
+            for w in windows:
+                if len(w) != length:
+                    raise InvalidSpec(f"window {w} has length {len(w)}, expected {length}")
+            codec = WindowCodec(dict.fromkeys(s for w in windows for s in w if s != DIAMOND))
+            windows = [codec.encode(w) for w in windows]
+        self.length = length
+        self.codes = tuple(windows)
+        self.code_set = frozenset(self.codes)
+        self.codec = codec
+
+    @property
+    def windows(self) -> tuple[Window, ...]:
+        return tuple(self)
 
     def __contains__(self, window: Window) -> bool:
-        return window in self._members
+        try:
+            code = self.codec.encode(window)
+        except KeyError:
+            return False
+        return len(window) == self.length and code in self.code_set
 
     def __iter__(self):
-        return iter(self.windows)
+        return (self.codec.decode(w, self.length) for w in self.codes)
 
     def __len__(self) -> int:
-        return len(self.windows)
+        return len(self.codes)
 
     def as_set(self) -> frozenset:
-        return self._members
+        return frozenset(self)
 
     def render(self) -> str:
-        return "\n".join(w.line for w in self.windows) + ("\n" if self.windows else "")
+        return "".join(self.codec.line(w, self.length) + "\n" for w in self.codes)
 
 
 # -- forward fixpoints -------------------------------------------------------
 
 
+def _coded_successors(machine: StateMachine, mode: ExternalAlphabet, codec: WindowCodec):
+    """state -> ((symbol code, successor states), ...)."""
+    return {
+        x: tuple((codec.code(symbol), targets) for symbol, targets in row.items())
+        for x, row in successors(machine, mode).items()
+    }
+
+
 @derived
-def _past_map(machine: StateMachine, mode: ExternalAlphabet, k: int):
-    """For every state, the k-long external histories of runs reaching it.
+def past_map(machine: StateMachine, mode: ExternalAlphabet, k: int) -> dict:
+    """For every state, the codes of the k-long external histories of runs
+    reaching it.
 
     Breadth-first closure of (state, last-k-window) pairs seeded with
     (x0, diamond^k); exact because the machine is finite and live.
     """
-    table = successors(machine, mode)
+    codec = window_codec(machine, mode)
+    moves = _coded_successors(machine, mode, codec)
+    base, span = codec.base, codec.base**k
     past: dict[str, set] = {x: set() for x in machine.states}
-    seed = diamond_window(k)
     queue = deque()
-    seen = set()
     for x0 in machine.initial:
-        pair = (x0, seed)
-        seen.add(pair)
-        past[x0].add(seed)
-        queue.append(pair)
+        past[x0].add(0)
+        queue.append((x0, 0))
     while queue:
         x, hist = queue.popleft()
-        for symbol, targets in table[x].items():
-            nxt = hist.shift(symbol) if k else hist
+        for symbol, targets in moves[x]:
+            nxt = (hist * base + symbol) % span
             for x2 in targets:
-                pair = (x2, nxt)
-                if pair not in seen:
-                    seen.add(pair)
-                    past[x2].add(nxt)
-                    queue.append(pair)
+                seen = past[x2]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append((x2, nxt))
     return {x: frozenset(ws) for x, ws in past.items()}
 
 
 @derived
-def _future_map(machine: StateMachine, mode: ExternalAlphabet, k: int):
-    """For every state, the set of k-long label sequences of paths from it."""
-    table = successors(machine, mode)
-    fut = {x: frozenset([Window(())]) for x in machine.states}
-    for _ in range(k):
-        nxt = {}
-        for x in machine.states:
-            acc = set()
-            for symbol, targets in table[x].items():
-                head = Window((symbol,))
-                for x2 in targets:
-                    for tail in fut[x2]:
-                        acc.add(head.concat(tail))
-            nxt[x] = frozenset(acc)
-        fut = nxt
-    return fut
+def future_map(machine: StateMachine, mode: ExternalAlphabet, k: int) -> dict:
+    """For every state, the codes of the k-long label sequences of paths
+    from it: each (k - 1)-future of a successor behind the step's label."""
+    if k == 0:
+        empty = frozenset((0,))
+        return {x: empty for x in machine.states}
+    codec = window_codec(machine, mode)
+    shorter = future_map(machine, mode, k - 1)
+    lead = codec.base ** (k - 1)
+    return {
+        x: frozenset(
+            symbol * lead + tail
+            for symbol, targets in row
+            for x2 in targets
+            for tail in shorter[x2]
+        )
+        for x, row in _coded_successors(machine, mode, codec).items()
+    }
 
 
 def past_windows(machine: StateMachine, mode: ExternalAlphabet, x: str, k: int) -> frozenset:
     if x not in machine.states:
         raise UnknownState(f"state {x!r} not declared")
-    return _past_map(machine, mode, k)[x]
+    codec = window_codec(machine, mode)
+    return frozenset(codec.decode(w, k) for w in past_map(machine, mode, k)[x])
 
 
 def future_windows(machine: StateMachine, mode: ExternalAlphabet, x: str, k: int) -> frozenset:
     if x not in machine.states:
         raise UnknownState(f"state {x!r} not declared")
-    return _future_map(machine, mode, k)[x]
+    codec = window_codec(machine, mode)
+    return frozenset(codec.decode(w, k) for w in future_map(machine, mode, k)[x])
 
 
 @derived
@@ -246,15 +329,19 @@ def dominoes(machine: StateMachine, mode: ExternalAlphabet, n: int) -> DominoSet
     if n < 1:
         raise InvalidSpec(f"domino length must be >= 1, got {n}")
     require_accepted(machine, "dominoes")
-    past = _past_map(machine, mode, n - 1)
-    fut = _future_map(machine, mode, 1)
-    found = set()
-    for x in machine.states:
-        for hist in past[x]:
-            for step in fut[x]:
-                found.add(hist.concat(step))
-    ordered = tuple(sorted(found, key=window_sort_key(machine)))
-    return DominoSet(n, ordered)
+    codec = window_codec(machine, mode)
+    past = past_map(machine, mode, n - 1)
+    steps = future_map(machine, mode, 1)
+    base = codec.base
+    found = {h * base + s for x in machine.states for h in past[x] for s in steps[x]}
+    return DominoSet(n, sorted(found), codec)
+
+
+def _joined(past: frozenset, futures: frozenset, future_len: int, base: int) -> tuple:
+    """The sorted codes of each history in ``past`` followed by each
+    future_len-long future in ``futures``."""
+    lead = base**future_len
+    return tuple(sorted({p * lead + f for p in past for f in futures}))
 
 
 def external_strings(
@@ -264,7 +351,8 @@ def external_strings(
     spec: IntervalSpec,
     extended: bool = False,
 ) -> tuple[Window, ...]:
-    """Windows a run can exhibit around a visit to state ``x``.
+    """Windows a run can exhibit around a visit to state ``x``, in
+    canonical order.
 
     The window covers l - m past symbols and m future ones (m + 1 with
     ``extended``).  Computed as the product of the past-history and
@@ -274,28 +362,26 @@ def external_strings(
     require_accepted(machine, "external_strings")
     if x not in machine.states:
         raise UnknownState(f"state {x!r} not declared")
-    past = past_windows(machine, mode, x, spec.l - spec.m)
-    fut = future_windows(machine, mode, x, spec.m + 1 if extended else spec.m)
-    combined = {p.concat(f) for p in past for f in fut}
-    return tuple(sorted(combined, key=window_sort_key(machine)))
+    past_len = spec.l - spec.m
+    future_len = spec.m + 1 if extended else spec.m
+    codec = window_codec(machine, mode)
+    past = past_map(machine, mode, past_len)[x]
+    futures = future_map(machine, mode, future_len)[x]
+    codes = _joined(past, futures, future_len, codec.base)
+    return tuple(codec.decode(w, past_len + future_len) for w in codes)
 
 
 @derived
 def external_strings_map(
     machine: StateMachine, mode: ExternalAlphabet, spec: IntervalSpec
 ) -> dict:
-    """``external_strings`` for every state at once (single fixpoint),
-    memoised per machine."""
+    """For every state, the codes of its ``external_strings`` (l-long, in
+    canonical order), from one pair of fixpoints."""
     require_accepted(machine, "external_strings")
-    past = _past_map(machine, mode, spec.l - spec.m)
-    fut = _future_map(machine, mode, spec.m)
-    key = window_sort_key(machine)
-    shared: dict = {}  # one object per distinct window, whichever states exhibit it
-    result = {}
-    for x in machine.states:
-        combined = {p.concat(f) for p in past[x] for f in fut[x]}
-        result[x] = tuple(sorted((shared.setdefault(w, w) for w in combined), key=key))
-    return result
+    past = past_map(machine, mode, spec.l - spec.m)
+    fut = future_map(machine, mode, spec.m)
+    base = window_codec(machine, mode).base
+    return {x: _joined(past[x], fut[x], spec.m, base) for x in machine.states}
 
 
 # -- prefix acceptor and behavioral inclusion --------------------------------
@@ -487,16 +573,15 @@ def saturation_check(machine: StateMachine, mode: ExternalAlphabet, l: int) -> b
     if l < 1:
         raise InvalidSpec(f"saturation_check requires l >= 1, got {l}")
     require_accepted(machine, "saturation_check")
-    d_next = dominoes(machine, mode, l + 1)
-    d_join = dominoes(machine, mode, l + 2)
-    heads = set(d_next) | {diamond_window(l + 1)}
-    tails = {}
+    base = window_codec(machine, mode).base
+    span = base**l
+    d_next = dominoes(machine, mode, l + 1).codes
+    d_join = dominoes(machine, mode, l + 2).code_set
+    tails: dict = {}
     for w in d_next:
-        tails.setdefault(w.restrict(0, l - 1), []).append(w)
-    for head in heads:
-        overlap = head.restrict(1, l)
-        for tail in tails.get(overlap, ()):
-            joined = head.append(tail.symbols[-1])
-            if joined not in d_join:
+        tails.setdefault(w // base, []).append(w % base)
+    for head in {0, *d_next}:
+        for last in tails.get(head % span, ()):
+            if head * base + last not in d_join:
                 return False
     return True

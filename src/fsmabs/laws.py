@@ -15,11 +15,11 @@ from .behavior import (
     IntervalSpec,
     behavior_equal,
     behavior_included,
-    diamond_window,
     dominoes,
     saturation_check,
+    window_codec,
 )
-from .machine import DIAMOND, ExternalAlphabet, StateMachine, is_deterministic
+from .machine import ExternalAlphabet, StateMachine, is_deterministic
 from .qba import (
     Partition,
     build_quotient_machine,
@@ -182,11 +182,12 @@ def anchored_unique_extension(
     the shifted interval.  Restricted this way, unique extension is exactly
     what the inverse anchor-shift simulation requires.
     """
+    codec = window_codec(machine, mode)
+    n = spec.l + 1
     by_prefix: dict = {}
-    for domino in dominoes(machine, mode, spec.l + 1):
-        prefix = domino.restrict(0, spec.l - 1)
-        diamonds = sum(1 for s in prefix.symbols if s == DIAMOND)
-        if diamonds > spec.l - spec.m:
+    for domino in dominoes(machine, mode, n).codes:
+        prefix = codec.restrict(domino, n, 0, spec.l - 1)
+        if codec.diamonds(prefix, spec.l) > spec.l - spec.m:
             continue
         if by_prefix.setdefault(prefix, domino) != domino:
             return False
@@ -291,14 +292,15 @@ def law_domino_transition_triples(machine: StateMachine, levels) -> str | None:
             for m in _anchors(l):
                 built = build_abstract_machine(machine, mode, IntervalSpec(l, m))
                 triples = {(x, mode.project(u, y), x2) for x, u, y, x2 in built.transitions}
-                states = {tok: built.single_window_of(tok) for tok in built.states}
-                names = set(states)
+                codec = built.codec
+                names = {w: token for token, (w,) in built.window_map}
                 expected = set()
-                for domino in dominoes(machine, mode, l + 1):
-                    head = domino.restrict(0, l - 1)
-                    tail = domino.restrict(1, l)
-                    if head.name in names and tail.name in names:
-                        expected.add((head.name, domino.symbols[l - m], tail.name))
+                for domino in dominoes(machine, mode, l + 1).codes:
+                    head = names.get(codec.restrict(domino, l + 1, 0, l - 1))
+                    tail = names.get(codec.restrict(domino, l + 1, 1, l))
+                    if head is not None and tail is not None:
+                        label = codec.symbol(codec.restrict(domino, l + 1, l - m, l - m))
+                        expected.add((head, label, tail))
                 if triples != expected:
                     return f"domino triples differ at mode={mode.value} l={l} m={m}"
     return None
@@ -430,14 +432,15 @@ def law_strict_past_deterministic(machine: StateMachine, levels) -> str | None:
 
 def law_domino_monotone(machine: StateMachine, levels) -> str | None:
     for mode in _BOTH:
+        codec = window_codec(machine, mode)
         for n in levels:
-            smaller = dominoes(machine, mode, n)
-            for w in dominoes(machine, mode, n + 1):
-                head = w.restrict(0, n - 1)
-                if head != diamond_window(n) and head not in smaller:
-                    return f"head {head} escapes at mode={mode.value} n={n}"
-                if w.restrict(1, n) not in smaller:
-                    return f"tail of {w} escapes at mode={mode.value} n={n}"
+            smaller = dominoes(machine, mode, n).code_set
+            for w in dominoes(machine, mode, n + 1).codes:
+                head = codec.restrict(w, n + 1, 0, n - 1)
+                if head != 0 and head not in smaller:  # 0: the all-diamond window
+                    return f"head {codec.name(head, n)} escapes at mode={mode.value} n={n}"
+                if codec.restrict(w, n + 1, 1, n) not in smaller:
+                    return f"tail of {codec.name(w, n + 1)} escapes at mode={mode.value} n={n}"
     return None
 
 
@@ -471,14 +474,15 @@ def law_refinement_chain(machine: StateMachine, levels) -> str | None:
 def law_quotient_transition_containments(machine: StateMachine, levels) -> str | None:
     for l in levels:
         quotient = build_quotient_machine(machine, l)
+        codec = quotient.codec
         for x, u, y, x2 in quotient.transitions:
-            src = quotient.windows_of(x)
-            dst = quotient.windows_of(x2)
-            if y not in {w.symbols[0] for w in src}:
+            src = quotient.codes_of(x)
+            dst = quotient.codes_of(x2)
+            if codec.code(y) not in {codec.restrict(w, l, 0, 0) for w in src}:
                 return f"output {y} not heading source cell at l={l}"
             if l >= 2:
-                tails = {w.restrict(1, l - 1) for w in src}
-                if not {w.restrict(0, l - 2) for w in dst} <= tails:
+                tails = {codec.restrict(w, l, 1, l - 1) for w in src}
+                if not {codec.restrict(w, l, 0, l - 2) for w in dst} <= tails:
                     return f"target truncations escape source tail at l={l}"
     return None
 

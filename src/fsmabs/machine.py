@@ -245,15 +245,22 @@ class StateMachine:
 
 
 def successors(machine: StateMachine, mode: ExternalAlphabet) -> dict:
-    """state -> {external symbol -> frozenset of successor states}.
+    """state -> {external symbol -> set of successor states}.
 
     Symbols appear in the order of their first transition.  Built afresh
-    on each call, not memoised, so no table outlives its caller.
+    on each call, not memoised, so no table outlives its caller, and the
+    caller owns its sets.
     """
     table: dict[str, dict] = {x: {} for x in machine.states}
+    project = mode.project
     for x, u, y, x2 in machine.transitions:
-        table[x].setdefault(mode.project(u, y), set()).add(x2)
-    return {x: {s: frozenset(t) for s, t in row.items()} for x, row in table.items()}
+        row = table[x]
+        symbol = project(u, y)
+        if symbol in row:
+            row[symbol].add(x2)
+        else:
+            row[symbol] = {x2}
+    return table
 
 
 @derived

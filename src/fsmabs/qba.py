@@ -4,6 +4,8 @@ The refinement chain starts from the output-preimage partition and
 repeatedly splits every cell by the predecessor set of every cell; the
 quotient machine collapses each state to the set of l-step future windows
 it can exhibit, which names exactly the cells of the l-th partition.
+Cells of windows are held as window codes (``behavior.window_codec``);
+quotient state tokens are the codec's rendered names joined by '|'.
 """
 
 from __future__ import annotations
@@ -11,13 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import derived
-from .behavior import (
-    IntervalSpec,
-    dominoes,
-    external_strings_map,
-    future_windows,
-    window_sort_key,
-)
+from .behavior import IntervalSpec, dominoes, external_strings_map, future_map, window_codec
 from .errors import InvalidPartition, InvalidSpec
 from .machine import ExternalAlphabet, StateMachine, require_accepted
 from .salca import AbstractMachine, PredicateResult, cell_token
@@ -72,9 +68,17 @@ def initial_partition(machine: StateMachine) -> Partition:
     return _canonical(groups.values(), machine, level=1)
 
 
-def _predecessors(machine: StateMachine, cell) -> frozenset:
-    targets = set(cell)
-    return frozenset(t[0] for t in machine.transitions if t[3] in targets)
+def _predecessor_index(machine: StateMachine) -> dict:
+    """state -> the set of states with a transition into it."""
+    index: dict[str, set] = {x: set() for x in machine.states}
+    for x, _, _, x2 in machine.transitions:
+        index[x2].add(x)
+    return index
+
+
+def _predecessors(index: dict, cell) -> frozenset:
+    """T^-1(cell), from a ``_predecessor_index``."""
+    return frozenset().union(*(index[x] for x in cell))
 
 
 def refine(machine: StateMachine, partition: Partition) -> Partition:
@@ -86,9 +90,10 @@ def refine(machine: StateMachine, partition: Partition) -> Partition:
     """
     require_accepted(machine, "refine")
     check_partition(machine, partition)
+    index = _predecessor_index(machine)
     current = [set(cell) for cell in partition.cells]
     for splitter_cell in partition.cells:
-        pred = _predecessors(machine, splitter_cell)
+        pred = _predecessors(index, splitter_cell)
         nxt = []
         for cell in current:
             inside = cell & pred
@@ -107,8 +112,9 @@ def is_fixed_point(machine: StateMachine, partition: Partition) -> PredicateResu
     Witness on failure: (cell, splitter cell, member left outside)."""
     require_accepted(machine, "is_fixed_point")
     check_partition(machine, partition)
+    index = _predecessor_index(machine)
     for splitter in partition.cells:
-        pred = _predecessors(machine, splitter)
+        pred = _predecessors(index, splitter)
         for cell in partition.cells:
             hits = [x for x in cell if x in pred]
             misses = [x for x in cell if x not in pred]
@@ -153,21 +159,15 @@ def partition_at(machine: StateMachine, l: int) -> Partition:
 def fibers(machine: StateMachine, l: int) -> tuple:
     """States grouped by their (l, l) window sets, the l-step futures.
 
-    Returns ``(windows, members)`` pairs: ``windows`` is a fiber's window
-    tuple, the pairs come in canonical window order (the quotient's state
-    order) and ``members`` in declaration order.
+    Returns ``(codes, members)`` pairs: ``codes`` is a fiber's sorted
+    window codes, the pairs come in canonical window order (the quotient's
+    state order) and ``members`` in declaration order.
     """
     emap = external_strings_map(machine, _Y, IntervalSpec(l, l))
     groups: dict[tuple, list] = {}
     for x in machine.states:
         groups.setdefault(emap[x], []).append(x)
-    wkey = window_sort_key(machine)
-    return tuple(
-        sorted(
-            ((windows, tuple(members)) for windows, members in groups.items()),
-            key=lambda item: tuple(wkey(w) for w in item[0]),
-        )
-    )
+    return tuple(sorted((codes, tuple(members)) for codes, members in groups.items()))
 
 
 @derived
@@ -181,8 +181,9 @@ def build_quotient_machine(machine: StateMachine, l: int) -> AbstractMachine:
     if l < 1:
         raise InvalidSpec(f"build_quotient_machine requires l >= 1, got {l}")
     require_accepted(machine, "build_quotient_machine")
+    codec = window_codec(machine, _Y)
     cells = fibers(machine, l)
-    tokens = tuple(cell_token(windows) for windows, _ in cells)
+    tokens = tuple(cell_token(codec, codes, l) for codes, _ in cells)
     token_of = {x: tok for tok, (_, members) in zip(tokens, cells) for x in members}
     token_pos = {tok: i for i, tok in enumerate(tokens)}
     initial = sorted({token_of[x0] for x0 in machine.initial}, key=token_pos.__getitem__)
@@ -196,7 +197,9 @@ def build_quotient_machine(machine: StateMachine, l: int) -> AbstractMachine:
         initial=tuple(initial),
         transitions=tuple(transitions),
         external=_Y,
-        window_map=tuple((tok, windows) for tok, (windows, _) in zip(tokens, cells)),
+        window_map=tuple((tok, codes) for tok, (codes, _) in zip(tokens, cells)),
+        codec=codec,
+        window_length=l,
     )
 
 
@@ -207,17 +210,16 @@ def is_domino_consistent(machine: StateMachine, l: int) -> PredicateResult:
     if l < 1:
         raise InvalidSpec(f"is_domino_consistent requires l >= 1, got {l}")
     require_accepted(machine, "is_domino_consistent")
-    long_futures = {
-        x: future_windows(machine, _Y, x, l + 1) for x in machine.states
-    }
-    ordered_cells = [
-        (windows, frozenset(windows), members) for windows, members in fibers(machine, l)
-    ]
-    for domino in dominoes(machine, _Y, l + 1):
-        prefix = domino.restrict(0, l - 1)
-        for windows, window_set, members in ordered_cells:
-            if prefix not in window_set:
+    codec = window_codec(machine, _Y)
+    long_futures = future_map(machine, _Y, l + 1)
+    ordered_cells = [(codes, frozenset(codes), members) for codes, members in fibers(machine, l)]
+    for domino in dominoes(machine, _Y, l + 1).codes:
+        prefix = codec.restrict(domino, l + 1, 0, l - 1)
+        for codes, code_set, members in ordered_cells:
+            if prefix not in code_set:
                 continue
             if not any(domino in long_futures[x] for x in members):
-                return PredicateResult(False, (domino, cell_token(windows)))
+                return PredicateResult(
+                    False, (codec.decode(domino, l + 1), cell_token(codec, codes, l))
+                )
     return PredicateResult(True)

@@ -5,7 +5,10 @@ A relation is a set of state pairs that holds its two endpoint machines;
 it binds to a machine that is that endpoint or has the same content.
 ``verify_simulation`` checks the step condition transition by transition
 so the counterexample it reports is the first unmatched (pair,
-transition) in canonical order.
+transition): transitions in canonical order, each state's partners in
+the relation's stored order (declaration order for ``make_relation``).
+The canonical relations name windows by the codec of
+``behavior.window_codec``.
 
 ``simulates`` and ``bisimilar`` first try to settle their verdict with
 the breadth-first walk over the product of the two prefix DFAs that
@@ -35,7 +38,13 @@ import enum
 from dataclasses import dataclass, field
 
 from .analysis import derived
-from .behavior import IntervalSpec, behavior_equal, behavior_included, external_strings_map
+from .behavior import (
+    IntervalSpec,
+    behavior_equal,
+    behavior_included,
+    external_strings_map,
+    window_codec,
+)
 from .errors import DigestMismatch, InvalidSpec, MalformedRelation
 from .machine import (
     ExternalAlphabet,
@@ -147,23 +156,25 @@ class SimulationVerdict:
         return self.valid
 
 
+def _partners(pairs) -> dict:
+    """state -> the states it is paired with, in the order of ``pairs``."""
+    partners: dict[str, list] = {}
+    for a, b in pairs:
+        partners.setdefault(a, []).append(b)
+    return partners
+
+
 def _check_step(
-    left: StateMachine, right: StateMachine, mode: ExternalAlphabet, pairs: frozenset
+    left: StateMachine, right: StateMachine, mode: ExternalAlphabet, partners: dict
 ) -> SimulationVerdict:
     """Step condition only: every left transition from a related state is
-    matched by a related right transition with equal external label."""
+    matched by a related right transition with equal external label.
+    Each left state's partners are tried in their ``partners`` order."""
     right_succ = successors(right, mode)
-    partners: dict[str, list] = {}
-    right_order = {x: i for i, x in enumerate(right.states)}
-    for a, b in sorted(pairs, key=lambda p: right_order[p[1]]):
-        partners.setdefault(a, []).append(b)
-    related_to: dict[str, set] = {}
-    for a, b in pairs:
-        related_to.setdefault(a, set()).add(b)
     for t in left.transitions:
         x1, u1, y1, x1_next = t
         symbol = mode.project(u1, y1)
-        targets = related_to.get(x1_next, frozenset())
+        targets = partners.get(x1_next, ())
         for x2 in partners.get(x1, ()):
             succs = right_succ[x2].get(symbol)
             if not succs or succs.isdisjoint(targets):
@@ -171,14 +182,21 @@ def _check_step(
     return SimulationVerdict(True)
 
 
-def _check_initial(
-    left: StateMachine, right: StateMachine, pairs: frozenset
-) -> SimulationVerdict:
+def _check_initial(left: StateMachine, right: StateMachine, partners: dict) -> SimulationVerdict:
     right_initial = set(right.initial)
     for x0 in left.initial:
-        if not any((x0, z) in pairs for z in right_initial):
+        if right_initial.isdisjoint(partners.get(x0, ())):
             return SimulationVerdict(False, failed_initial=x0)
     return SimulationVerdict(True)
+
+
+def _check(
+    left: StateMachine, right: StateMachine, mode: ExternalAlphabet, pairs
+) -> SimulationVerdict:
+    """Initial and step condition, with ``pairs`` in a relation's stored order."""
+    partners = _partners(pairs)
+    verdict = _check_initial(left, right, partners)
+    return _check_step(left, right, mode, partners) if verdict else verdict
 
 
 def verify_simulation(
@@ -192,20 +210,15 @@ def verify_simulation(
 
     With ``bisim`` the inverse must additionally be a simulation from
     ``right`` to ``left``; the verdict's ``direction`` names the side
-    that failed.
+    that failed.  The first failing (pair, transition) is reported, with
+    pairs in the stored order of the relation (of its inverse, backward).
     """
     require_comparable(left, right, mode, "verify_simulation")
     _check_binding(relation, left, right)
-    pairs = frozenset(relation.pairs)
-    verdict = _check_initial(left, right, pairs)
-    if verdict:
-        verdict = _check_step(left, right, mode, pairs)
+    verdict = _check(left, right, mode, relation.pairs)
     if not verdict or not bisim:
         return verdict
-    swapped = frozenset((b, a) for a, b in pairs)
-    back = _check_initial(right, left, swapped)
-    if back:
-        back = _check_step(right, left, mode, swapped)
+    back = _check(right, left, mode, inverse(relation).pairs)
     if not back:
         return SimulationVerdict(
             False,
@@ -288,8 +301,7 @@ def simulates(left: StateMachine, right: StateMachine, mode: ExternalAlphabet) -
     if is_deterministic(right, mode):
         return True
     relation = greatest_simulation(left, right, mode)
-    pairs = frozenset(relation.pairs)
-    return bool(_check_initial(left, right, pairs))
+    return bool(_check_initial(left, right, _partners(relation.pairs)))
 
 
 def greatest_bisimulation(
@@ -311,10 +323,10 @@ def bisimilar(left: StateMachine, right: StateMachine, mode: ExternalAlphabet) -
     require_comparable(left, right, mode, "greatest_bisimulation")
     if not behavior_equal(left, right, mode):
         return False
-    pairs = frozenset(greatest_bisimulation(left, right, mode).pairs)
+    pairs = greatest_bisimulation(left, right, mode).pairs
     return bool(
-        _check_initial(left, right, pairs)
-        and _check_initial(right, left, frozenset((b, a) for a, b in pairs))
+        _check_initial(left, right, _partners(pairs))
+        and _check_initial(right, left, _partners((b, a) for a, b in pairs))
     )
 
 
@@ -344,24 +356,25 @@ def canonical_relation(
 def _canonical_relation(
     machine: StateMachine, kind: CanonicalKind, mode: ExternalAlphabet, l: int, m: int
 ) -> Relation:
+    codec = window_codec(machine, mode)
+
     if kind is CanonicalKind.STATE_TO_ABSTRACT:
         spec = IntervalSpec(l, m)
         right = build_abstract_machine(machine, mode, spec)
         emap = external_strings_map(machine, mode, spec)
-        pairs = [(x, w.name) for x in machine.states for w in emap[x]]
+        pairs = [(x, codec.name(w, l)) for x in machine.states for w in emap[x]]
         return make_relation(machine, right, pairs)
 
     if kind is CanonicalKind.L_STEP:
         spec = IntervalSpec(l, m)
         left = build_abstract_machine(machine, mode, IntervalSpec(l + 1, m))
         right = build_abstract_machine(machine, mode, spec)
-        right_states = set(right.states)
+        token_of = {w: token for token, (w,) in right.window_map}
         pairs = []
-        for token in left.states:
-            window = left.single_window_of(token)
-            shrunk = window.restrict(1, l)
-            if shrunk.name in right_states:
-                pairs.append((token, shrunk.name))
+        for token, (window,) in left.window_map:
+            shrunk = token_of.get(codec.restrict(window, l + 1, 1, l))
+            if shrunk is not None:
+                pairs.append((token, shrunk))
         return make_relation(left, right, pairs)
 
     if kind is CanonicalKind.M_STEP:
@@ -373,28 +386,32 @@ def _canonical_relation(
         down = external_strings_map(machine, mode, IntervalSpec(l, m))
         pairs = set()
         for x in machine.states:
+            # a is related to b when a's first l - 1 symbols are b's last.
+            by_suffix: dict[int, list] = {}
+            for b in down[x]:
+                by_suffix.setdefault(codec.restrict(b, l, 1, l - 1), []).append(b)
             for a in up[x]:
-                for b in down[x]:
-                    if a.symbols[: l - 1] == b.symbols[1:]:
-                        pairs.add((a.name, b.name))
+                for b in by_suffix.get(codec.restrict(a, l, 0, l - 2), ()):
+                    pairs.add((codec.name(a, l), codec.name(b, l)))
         return make_relation(left, right, pairs)
 
     if kind is CanonicalKind.STATE_TO_QUOTIENT:
         right = build_quotient_machine(machine, l)
         emap = external_strings_map(machine, _Y, IntervalSpec(l, l))
-        token_of = {frozenset(ws): tok for tok, ws in right.window_map}
-        pairs = [(x, token_of[frozenset(emap[x])]) for x in machine.states]
+        token_of = {codes: token for token, codes in right.window_map}
+        pairs = [(x, token_of[emap[x]]) for x in machine.states]
         return make_relation(machine, right, pairs)
 
     if kind in (CanonicalKind.SALCA_TO_QUOTIENT, CanonicalKind.RENAMING):
         left = build_abstract_machine(machine, _Y, IntervalSpec(l, l))
         right = build_quotient_machine(machine, l)
+        name = window_codec(machine, _Y).name
         pairs = []
-        for token, windows in right.window_map:
-            if kind is CanonicalKind.RENAMING and len(windows) != 1:
+        for token, codes in right.window_map:
+            if kind is CanonicalKind.RENAMING and len(codes) != 1:
                 continue
-            for window in windows:
-                pairs.append((window.name, token))
+            for w in codes:
+                pairs.append((name(w, l), token))
         return make_relation(left, right, pairs)
 
     raise InvalidSpec(f"unknown canonical relation kind {kind!r}")

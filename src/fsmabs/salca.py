@@ -7,6 +7,11 @@ input/output pairs coincides with the classical domino-game realization
 (``standard_realization``); the predicates below (future uniqueness,
 state-based window completeness and their joint form) govern when these
 machines simulate, or are simulated by, the original.
+
+The builders and predicates work on the window codes of
+``behavior.window_codec``.  State tokens are the codec's rendered names;
+``AbstractMachine.windows_of`` and the predicate witnesses decode codes
+into ``Window`` objects.
 """
 
 from __future__ import annotations
@@ -17,13 +22,13 @@ from .analysis import derived
 from .behavior import (
     IntervalSpec,
     Window,
+    WindowCodec,
     behavior_equal,
-    diamond_window,
     dominoes,
     external_strings_map,
-    future_windows,
-    past_windows,
-    window_sort_key,
+    future_map,
+    past_map,
+    window_codec,
 )
 from .errors import InvalidSpec
 from .machine import ExternalAlphabet, StateMachine, require_accepted
@@ -33,32 +38,43 @@ from .machine import ExternalAlphabet, StateMachine, require_accepted
 class AbstractMachine(StateMachine):
     """A state machine whose states stand for window sets of a source machine.
 
-    ``window_map`` pairs each state token with the windows it denotes: a
-    single window for window-state machines, a whole cell of windows for
-    quotient machines.
+    ``window_map`` pairs each state token with the codes (under ``codec``)
+    of the ``window_length``-long windows it denotes: a single window for
+    window-state machines, a whole cell of windows for quotient machines.
     """
 
-    window_map: tuple = ()  # ordered (token, tuple-of-Window) pairs
+    window_map: tuple = ()  # ordered (token, tuple-of-window-code) pairs
+    codec: WindowCodec | None = field(default=None, repr=False, compare=False)
+    window_length: int = 0
 
-    _windows_by_token: dict = field(init=False, repr=False, compare=False, hash=False)
+    _codes_by_token: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(
-            self, "_windows_by_token", {tok: ws for tok, ws in self.window_map}
-        )
+        object.__setattr__(self, "_codes_by_token", dict(self.window_map))
+
+    def codes_of(self, token: str) -> tuple[int, ...]:
+        return self._codes_by_token[token]
 
     def windows_of(self, token: str) -> tuple[Window, ...]:
-        return self._windows_by_token[token]
+        return tuple(self.codec.decode(w, self.window_length) for w in self.codes_of(token))
 
     def single_window_of(self, token: str) -> Window:
-        (only,) = self._windows_by_token[token]
+        (only,) = self.windows_of(token)
         return only
 
 
-def cell_token(windows) -> str:
-    """Render a set of windows as a state token ('y3.y2|y3.y4')."""
-    return "|".join(w.name for w in windows)
+def cell_token(codec: WindowCodec, codes, length: int) -> str:
+    """Render a set of window codes as a state token ('y3.y2|y3.y4')."""
+    return "|".join(codec.name(w, length) for w in codes)
+
+
+def _initial_codes(machine: StateMachine, mode: ExternalAlphabet, spec: IntervalSpec) -> list:
+    """Sorted codes of the windows anchored at a run's time zero: an
+    all-diamond past (code 0) before an m-step future of an initial state,
+    so each code is that of the future."""
+    futures = future_map(machine, mode, spec.m)
+    return sorted(set().union(*(futures[x0] for x0 in machine.initial)))
 
 
 def initial_windows(
@@ -69,12 +85,33 @@ def initial_windows(
     The past part is all diamonds (nothing before time zero) and the
     future part ranges over the m-step futures of the initial states.
     """
-    pad = diamond_window(spec.l - spec.m)
-    found = set()
-    for x0 in machine.initial:
-        for fut in future_windows(machine, mode, x0, spec.m):
-            found.add(pad.concat(fut))
-    return tuple(sorted(found, key=window_sort_key(machine)))
+    codec = window_codec(machine, mode)
+    return tuple(codec.decode(w, spec.l) for w in _initial_codes(machine, mode, spec))
+
+
+def _window_machine(
+    machine: StateMachine,
+    mode: ExternalAlphabet,
+    length: int,
+    windows,
+    initial,
+    transitions,
+) -> AbstractMachine:
+    """The abstraction whose states are the given ``length``-window codes,
+    in order, named by the codec; ``transitions`` are over those names."""
+    codec = window_codec(machine, mode)
+    names = [codec.name(w, length) for w in windows]
+    return AbstractMachine(
+        states=tuple(names),
+        inputs=machine.inputs,
+        outputs=machine.outputs,
+        initial=tuple(codec.name(w, length) for w in initial),
+        transitions=tuple(transitions),
+        external=mode,
+        window_map=tuple((name, (w,)) for name, w in zip(names, windows)),
+        codec=codec,
+        window_length=length,
+    )
 
 
 @derived
@@ -91,31 +128,37 @@ def build_abstract_machine(
     though in general not separable.
     """
     require_accepted(machine, "build_abstract_machine")
+    codec = window_codec(machine, mode)
     emap = external_strings_map(machine, mode, spec)
-    key = window_sort_key(machine)
-
-    all_windows = sorted({w for ws in emap.values() for w in ws}, key=key)
-    initial = initial_windows(machine, mode, spec)
-    # Index target windows by their overlap prefix so each source window
-    # meets only the genuinely overlapping targets.
-    by_prefix: dict[str, dict] = {}
+    l, m = spec.l, spec.m
+    # The source window and the target's last symbol form an (l+1)-window
+    # whose symbol at position l - m is the transition's label: in the
+    # source when m > 0, else the target's last.  Index source names by
+    # that label and their last l - 1 symbols, and target names by their
+    # first l - 1 symbols (and, for m = 0, their last), so each source
+    # meets only the matching targets.
+    sources: dict[str, dict] = {}
+    targets: dict[str, dict] = {}
     for x, windows in emap.items():
-        buckets: dict = {}
+        by_label = sources[x] = {}
+        by_overlap = targets[x] = {}
         for w in windows:
-            buckets.setdefault(w.symbols[:-1], []).append(w)
-        by_prefix[x] = buckets
+            name = codec.name(w, l)
+            label = codec.restrict(w, l, l - m, l - m) if m else None
+            overlap = codec.restrict(w, l, 1, l - 1)
+            by_label.setdefault(label, {}).setdefault(overlap, []).append(name)
+            last = None if m else codec.restrict(w, l, l - 1, l - 1)
+            by_overlap.setdefault((codec.restrict(w, l, 0, l - 2), last), []).append(name)
     transitions = set()
     for x, u, y, x2 in machine.transitions:
-        symbol = mode.project(u, y)
-        for src in emap[x]:
-            if spec.m > 0 and src.symbols[spec.l - spec.m] != symbol:
-                continue
-            for dst in by_prefix[x2].get(src.symbols[1:], ()):
-                if spec.m == 0 and dst.symbols[-1] != symbol:
-                    continue
-                transitions.add((src.name, u, y, dst.name))
+        symbol = codec.code(mode.project(u, y))
+        into = targets[x2]
+        for overlap, srcs in sources[x].get(symbol if m else None, {}).items():
+            for dst in into.get((overlap, None if m else symbol), ()):
+                transitions.update((src, u, y, dst) for src in srcs)
 
-    reachable = {w.name for w in initial}
+    initial = _initial_codes(machine, mode, spec)
+    reachable = {codec.name(w, l) for w in initial}
     frontier = list(reachable)
     adjacency: dict[str, list] = {}
     for t in transitions:
@@ -127,15 +170,14 @@ def build_abstract_machine(
                 reachable.add(nxt)
                 frontier.append(nxt)
 
-    kept = [w for w in all_windows if w.name in reachable]
-    return AbstractMachine(
-        states=tuple(w.name for w in kept),
-        inputs=machine.inputs,
-        outputs=machine.outputs,
-        initial=tuple(w.name for w in initial),
-        transitions=tuple(t for t in transitions if t[0] in reachable and t[3] in reachable),
-        external=mode,
-        window_map=tuple((w.name, (w,)) for w in kept),
+    realized = sorted(set().union(*emap.values()))
+    return _window_machine(
+        machine,
+        mode,
+        l,
+        [w for w in realized if codec.name(w, l) in reachable],
+        initial,
+        (t for t in transitions if t[0] in reachable),
     )
 
 
@@ -150,23 +192,14 @@ def standard_realization(machine: StateMachine, l: int) -> AbstractMachine:
         raise InvalidSpec(f"standard_realization requires l >= 1, got {l}")
     require_accepted(machine, "standard_realization")
     mode = ExternalAlphabet.INPUT_OUTPUT_PAIRS
-    key = window_sort_key(machine)
-    states = sorted(
-        {diamond_window(l)} | dominoes(machine, mode, l).as_set(), key=key
-    )
+    codec = window_codec(machine, mode)
     transitions = []
-    for domino in dominoes(machine, mode, l + 1):
-        u, y = domino.symbols[-1]
-        transitions.append((domino.restrict(0, l - 1).name, u, y, domino.restrict(1, l).name))
-    return AbstractMachine(
-        states=tuple(w.name for w in states),
-        inputs=machine.inputs,
-        outputs=machine.outputs,
-        initial=(diamond_window(l).name,),
-        transitions=tuple(transitions),
-        external=mode,
-        window_map=tuple((w.name, (w,)) for w in states),
-    )
+    for domino in dominoes(machine, mode, l + 1).codes:
+        u, y = codec.symbol(codec.restrict(domino, l + 1, l, l))
+        head = codec.name(codec.restrict(domino, l + 1, 0, l - 1), l)
+        transitions.append((head, u, y, codec.name(codec.restrict(domino, l + 1, 1, l), l)))
+    states = sorted({0, *dominoes(machine, mode, l).codes})
+    return _window_machine(machine, mode, l, states, (0,), transitions)
 
 
 @dataclass(frozen=True)
@@ -188,14 +221,15 @@ def is_future_unique(
     windows around the same state that disagree on the future part.
     """
     require_accepted(machine, "is_future_unique")
-    key = window_sort_key(machine)
+    codec = window_codec(machine, mode)
+    futures = future_map(machine, mode, spec.m)
     for x in machine.states:
-        futures = sorted(future_windows(machine, mode, x, spec.m), key=key)
-        if len(futures) > 1:
-            past = min(past_windows(machine, mode, x, spec.l - spec.m), key=key)
-            return PredicateResult(
-                False, (x, past.concat(futures[0]), past.concat(futures[1]))
+        if len(futures[x]) > 1:
+            past = min(past_map(machine, mode, spec.l - spec.m)[x])
+            first, second = (
+                codec.decode(codec.concat(past, f, spec.m), spec.l) for f in sorted(futures[x])[:2]
             )
+            return PredicateResult(False, (x, first, second))
     return PredicateResult(True)
 
 
@@ -207,16 +241,21 @@ def is_sbalc(
     extension of a window compatible with a state is realizable through
     that state.  Witness on failure: (state, blocked window)."""
     require_accepted(machine, "is_sbalc")
+    codec = window_codec(machine, mode)
     emap = external_strings_map(machine, mode, spec)
     l, m = spec.l, spec.m
+    futures = future_map(machine, mode, m + 1)
+    # A window of x extends through x iff its last m + 1 symbols are a
+    # future of x: its past part is already a history of x.
+    split = [
+        (domino, codec.restrict(domino, l + 1, 0, l - 1), codec.restrict(domino, l + 1, l - m, l))
+        for domino in dominoes(machine, mode, l + 1).codes
+    ]
     for x in machine.states:
-        # A window of x extends through x iff its last m + 1 symbols are a
-        # future of x: its past part is already a history of x.
         windows = frozenset(emap[x])
-        futures = future_windows(machine, mode, x, m + 1)
-        for domino in dominoes(machine, mode, l + 1):
-            if domino.restrict(0, l - 1) in windows and domino.restrict(l - m, l) not in futures:
-                return PredicateResult(False, (x, domino))
+        for domino, head, tail in split:
+            if head in windows and tail not in futures[x]:
+                return PredicateResult(False, (x, codec.decode(domino, l + 1)))
     return PredicateResult(True)
 
 
@@ -240,9 +279,10 @@ def joint_fu_sbalc(machine: StateMachine, mode: ExternalAlphabet, spec: Interval
     if spec.m >= spec.l:
         raise InvalidSpec("joint_fu_sbalc requires m < l")
     require_accepted(machine, "joint_fu_sbalc")
+    codec = window_codec(machine, mode)
     by_prefix: dict = {}
-    for domino in dominoes(machine, mode, spec.l + 1):
-        prefix = domino.restrict(0, spec.l - 1)
+    for domino in dominoes(machine, mode, spec.l + 1).codes:
+        prefix = codec.restrict(domino, spec.l + 1, 0, spec.l - 1)
         if by_prefix.setdefault(prefix, domino) != domino:
             return False
     return True

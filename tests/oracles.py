@@ -6,13 +6,16 @@ The one exception is ``naive_behavior_included``, the reference search
 for behavioral inclusion, which reads the right machine's prefix DFA.
 ``naive_greatest_simulation`` and ``naive_greatest_bisimulation`` are
 plain removal loops over per-transition moves, with their own label
-projection.
+projection.  The ``naive_*`` window fixpoints are the tuple-based
+``Window`` forms of the integer-coded ones in ``fsmabs.behavior``, sorted
+by ``window_sort_key``, the reference canonical order; the
+``naive_*`` refinement helpers scan all of delta once per splitter cell.
 """
 
 import random
 from collections import deque
 
-from fsmabs.behavior import InclusionVerdict, Window, prefix_automaton
+from fsmabs.behavior import InclusionVerdict, IntervalSpec, Window, prefix_automaton
 from fsmabs.machine import DIAMOND, ExternalAlphabet, StateMachine, validate
 
 
@@ -245,3 +248,142 @@ def naive_greatest_bisimulation(
                 alive.discard(pair)
                 changed = True
     return alive
+
+
+# -- window fixpoints over Window tuples -----------------------------------------
+
+
+def symbol_sort_key(machine: StateMachine):
+    """Canonical symbol order: diamond first, then declaration order."""
+    out_ix = {y: i for i, y in enumerate(machine.outputs)}
+    in_ix = {u: i for i, u in enumerate(machine.inputs)}
+
+    def key(symbol):
+        if symbol == DIAMOND:
+            return (-1, -1)
+        if isinstance(symbol, tuple):
+            return (in_ix[symbol[0]], out_ix[symbol[1]])
+        return (0, out_ix[symbol])
+
+    return key
+
+
+def window_sort_key(machine: StateMachine):
+    """Canonical window order: position by position, by symbol order."""
+    sym_key = symbol_sort_key(machine)
+
+    def key(window: Window):
+        return tuple(sym_key(s) for s in window.symbols)
+
+    return key
+
+
+def naive_past_map(machine: StateMachine, mode: ExternalAlphabet, k: int) -> dict:
+    """state -> the k-long histories (Windows) of runs reaching it, by
+    closure of (state, window) pairs seeded with (x0, diamond^k)."""
+    table = _succ_by_symbol(machine, mode)
+    seed = Window((DIAMOND,) * k)
+    past = {x: set() for x in machine.states}
+    queue = deque()
+    for x0 in machine.initial:
+        past[x0].add(seed)
+        queue.append((x0, seed))
+    while queue:
+        x, hist = queue.popleft()
+        for symbol, targets in table[x].items():
+            nxt = Window((hist.symbols + (symbol,))[1:]) if k else hist
+            for x2 in targets:
+                if nxt not in past[x2]:
+                    past[x2].add(nxt)
+                    queue.append((x2, nxt))
+    return {x: frozenset(ws) for x, ws in past.items()}
+
+
+def naive_future_map(machine: StateMachine, mode: ExternalAlphabet, k: int) -> dict:
+    """state -> the k-long label sequences (Windows) of paths from it."""
+    table = _succ_by_symbol(machine, mode)
+    fut = {x: frozenset([Window(())]) for x in machine.states}
+    for _ in range(k):
+        fut = {
+            x: frozenset(
+                Window((symbol,)).concat(tail)
+                for symbol, targets in table[x].items()
+                for x2 in targets
+                for tail in fut[x2]
+            )
+            for x in machine.states
+        }
+    return fut
+
+
+def naive_external_strings_map(
+    machine: StateMachine, mode: ExternalAlphabet, spec: IntervalSpec, extended: bool = False
+) -> dict:
+    """state -> its windows (l - m past, m future symbols; m + 1 with
+    ``extended``) in the reference order."""
+    past = naive_past_map(machine, mode, spec.l - spec.m)
+    fut = naive_future_map(machine, mode, spec.m + 1 if extended else spec.m)
+    key = window_sort_key(machine)
+    return {
+        x: tuple(sorted({p.concat(f) for p in past[x] for f in fut[x]}, key=key))
+        for x in machine.states
+    }
+
+
+def naive_dominoes(machine: StateMachine, mode: ExternalAlphabet, n: int) -> tuple:
+    """Every n-long window of the machine, in the reference order."""
+    past = naive_past_map(machine, mode, n - 1)
+    steps = naive_future_map(machine, mode, 1)
+    found = {h.concat(s) for x in machine.states for h in past[x] for s in steps[x]}
+    return tuple(sorted(found, key=window_sort_key(machine)))
+
+
+def naive_m_step_pairs(machine: StateMachine, mode: ExternalAlphabet, l: int, m: int) -> set:
+    """Token pairs of the m-step relation: windows around one state at
+    anchors m + 1 and m whose first l - 1 and last l - 1 symbols agree."""
+    up = naive_external_strings_map(machine, mode, IntervalSpec(l, m + 1))
+    down = naive_external_strings_map(machine, mode, IntervalSpec(l, m))
+    return {
+        (a.name, b.name)
+        for x in machine.states
+        for a in up[x]
+        for b in down[x]
+        if a.symbols[: l - 1] == b.symbols[1:]
+    }
+
+
+# -- refinement by scanning delta per splitter --------------------------------------
+
+
+def naive_predecessors(machine: StateMachine, cell) -> frozenset:
+    targets = set(cell)
+    return frozenset(t[0] for t in machine.transitions if t[3] in targets)
+
+
+def naive_refine(machine: StateMachine, cells) -> set:
+    """The cells (as frozensets) of one refinement round."""
+    current = [set(cell) for cell in cells]
+    for splitter in cells:
+        pred = naive_predecessors(machine, splitter)
+        nxt = []
+        for cell in current:
+            inside = cell & pred
+            outside = cell - pred
+            if inside:
+                nxt.append(inside)
+            if outside:
+                nxt.append(outside)
+        current = nxt
+    return {frozenset(cell) for cell in current}
+
+
+def naive_is_fixed_point(machine: StateMachine, cells) -> tuple:
+    """(holds, witness) with the witness (cell, splitter, member left out)."""
+    for splitter in cells:
+        pred = naive_predecessors(machine, splitter)
+        for cell in cells:
+            hits = [x for x in cell if x in pred]
+            misses = [x for x in cell if x not in pred]
+            if hits and misses:
+                return False, (cell, splitter, misses[0])
+    return True, None

@@ -53,6 +53,7 @@ def test_result_of_one_scope_never_returned_in_another(fig_machine):
 def test_strings_map_memoised_per_spec(fig_machine):
     with scope():
         plain = external_strings_map(fig_machine, Y, IntervalSpec(2, 1))
+        assert all(type(w) is int for ws in plain.values() for w in ws)  # window codes
         assert external_strings_map(fig_machine, Y, IntervalSpec(2, 1)) is plain
         assert external_strings_map(fig_machine, Y, IntervalSpec(2, 2)) is not plain
 

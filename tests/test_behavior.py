@@ -13,14 +13,18 @@ from fsmabs.behavior import (
     diamond_window,
     dominoes,
     external_strings,
+    external_strings_map,
+    future_windows,
+    past_windows,
     prefix_automaton,
     saturation_check,
-    window_sort_key,
+    window_codec,
 )
 from fsmabs.errors import IncompatibleAlphabets, InvalidSpec, NotAccepted
 from fsmabs.fuzz import FuzzConfig, machine_stream
 from fsmabs.machine import DIAMOND, StateMachine
 from fsmabs.qba import build_quotient_machine
+from fsmabs.relations import CanonicalKind, canonical_relation
 from fsmabs.salca import build_abstract_machine
 
 from .conftest import UY, Y
@@ -28,7 +32,13 @@ from .oracles import (
     enumerate_prefixes,
     enumerate_visit_windows,
     naive_behavior_included,
+    naive_dominoes,
+    naive_external_strings_map,
+    naive_future_map,
+    naive_m_step_pairs,
+    naive_past_map,
     window,
+    window_sort_key,
     windows,
 )
 
@@ -408,3 +418,59 @@ def test_saturation_requires_positive_length(fig_machine):
 def test_domino_set_validates_length():
     with pytest.raises(InvalidSpec):
         DominoSet(2, (window("y1"),))
+
+
+# -- window codes against the tuple-based oracles --------------------------------
+
+
+@pytest.mark.parametrize("mode", [Y, UY])
+def test_window_codes_match_tuple_oracles_on_fuzz_corpus(mode):
+    # Decoded sets, canonical order and rendered names of the coded
+    # fixpoints, strings maps, dominoes, window-state builds and m-step
+    # relations equal those of the Window-tuple oracles.
+    padded_names = 0
+    for machine in machine_stream(DIFFERENTIAL_CONFIG):
+        key = window_sort_key(machine)
+        codec = window_codec(machine, mode)
+        for k in range(5):
+            past = naive_past_map(machine, mode, k)
+            fut = naive_future_map(machine, mode, k)
+            for x in machine.states:
+                assert past_windows(machine, mode, x, k) == past[x]
+                assert future_windows(machine, mode, x, k) == fut[x]
+        for n in range(1, 5):
+            expected = naive_dominoes(machine, mode, n)
+            got = dominoes(machine, mode, n)
+            assert got.windows == expected
+            assert got.render() == "".join(w.line + "\n" for w in expected)
+        for l in (1, 2, 3):
+            for m in range(l + 1):
+                spec = IntervalSpec(l, m)
+                expected = naive_external_strings_map(machine, mode, spec)
+                extended = naive_external_strings_map(machine, mode, spec, extended=True)
+                emap = external_strings_map(machine, mode, spec)
+                for x in machine.states:
+                    assert external_strings(machine, mode, x, spec) == expected[x]
+                    assert external_strings(machine, mode, x, spec, extended=True) == extended[x]
+                    names = [codec.name(w, l) for w in emap[x]]
+                    assert names == [w.name for w in expected[x]]
+                    padded_names += sum(name.startswith("<>.") for name in names)
+                realized = sorted({w for ws in expected.values() for w in ws}, key=key)
+                built = build_abstract_machine(machine, mode, spec)
+                assert built.states == tuple(w.name for w in realized)
+                assert tuple(built.single_window_of(tok) for tok in built.states) == tuple(realized)
+                if m < l:
+                    canon = canonical_relation(CanonicalKind.M_STEP, machine, mode, l, m)
+                    assert set(canon.pairs) == naive_m_step_pairs(machine, mode, l, m)
+    assert padded_names > 0
+
+
+def test_pair_window_names(fig_machine):
+    codec = window_codec(fig_machine, UY)
+    w = codec.encode(window("<> u1/y1"))
+    assert codec.name(w, 2) == "<>.u1/y1"
+    assert codec.decode(w, 2) == window("<> u1/y1")
+    assert build_abstract_machine(fig_machine, UY, IntervalSpec(2, 0)).states[:2] == (
+        "<>.<>",
+        "<>.u1/y1",
+    )

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -282,3 +284,107 @@ def test_not_accepted_machine(tmp_path, capsys):
     code, _, err = run(capsys, "report", bad, "--l", "1")
     assert code == 2
     assert "not" in err
+
+
+# -- byte identity ----------------------------------------------------------------
+
+MACHINES_DIR = Path(__file__).resolve().parent.parent / "machines"
+
+
+def _cli_outputs(tmp_path):
+    """(key, bytes) for every pinned command on ``machines/*.json``: the
+    written JSON and DOT files of each ``build`` (with its first stdout
+    line, which carries no path), and the stdout of ``report`` and
+    ``compare``."""
+    for path in sorted(MACHINES_DIR.glob("*.json")):
+        name = path.stem
+        builds = [
+            (f"salca {mode} l={l} m={m}", ["--kind", "salca", "--external", mode,
+                                           "--l", l, "--m", m])
+            for mode in ("y", "uy") for l in (1, 2, 3) for m in range(l + 1)
+        ]
+        builds += [(f"qba l={l}", ["--kind", "qba", "--l", l]) for l in (1, 2, 3)]
+        for key, flags in builds:
+            out = tmp_path / "built.json"
+            stdout = _stdout(["build", path, *flags, "--out", out])
+            written = out.read_bytes() + out.with_suffix(".dot").read_bytes()
+            yield f"{name} build {key}", stdout.splitlines()[0].encode() + written
+        for mode in ("y", "uy"):
+            argv = ["report", path, "--l", 3, "--external", mode, "--format", "json"]
+            yield f"{name} report {mode} l=3", _stdout(argv).encode()
+        for l in (1, 2, 3):
+            argv = ["compare", path, "--l", l, "--format", "json"]
+            yield f"{name} compare l={l}", _stdout(argv).encode()
+
+
+def _stdout(argv) -> str:
+    import contextlib
+    import io
+
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert main([str(a) for a in argv]) == 0
+    return buffer.getvalue()
+
+
+#: sha256 of each output in ``_cli_outputs``, recorded before the window
+#: codes replaced ``Window`` tuples in the derived-data core.
+CLI_DIGESTS = {
+    "five_state build salca y l=1 m=0": "6eaef7f44f3d3e1f3bb79f482ba86605b2e018d29a5a0a2b22b809fc1864812a",
+    "five_state build salca y l=1 m=1": "b6886fa21615792823c48cbd4727218e2cdb00d0f4a09d9ecfee2a651fc39225",
+    "five_state build salca y l=2 m=0": "69236494653d5efde08e7f92db2390fc73337a6d18b0dad1feba9b14841fcb60",
+    "five_state build salca y l=2 m=1": "ddbca3ea74475f394b93fd6cbb605707884a6d9f887e1f6801ee9e975079101f",
+    "five_state build salca y l=2 m=2": "846da7882b831c89dc13428802c2df31705fef2cfe94a22e6f2324082c93985c",
+    "five_state build salca y l=3 m=0": "5388db28d956070e92853c4f44cd4a0684238f4a640de5b49e6c7994ef0f0540",
+    "five_state build salca y l=3 m=1": "128f6a59ad466d025a0a5c1d5a48e34f5f03077ab3b9221914677d91b1cad99d",
+    "five_state build salca y l=3 m=2": "7fa70bbfebd594f2b2f6967ded7c7b696bbe36d081ca85ad99f6bf9d9fbdab12",
+    "five_state build salca y l=3 m=3": "64f582bc16280f58678125328b50bf4220da756aa7e23d807006a7589f13bf11",
+    "five_state build salca uy l=1 m=0": "5c3439d51cc71323759bcca37f10fc97246793af7b30e8cbafaf9d69e5282b69",
+    "five_state build salca uy l=1 m=1": "291087be187c3738ac43e34e04d6667bf95460412923015174dd2487360a905a",
+    "five_state build salca uy l=2 m=0": "17e6171441a880b0735451f25534409c8620cd3e860e75a935f2603244aeced1",
+    "five_state build salca uy l=2 m=1": "2c0aebf0fd162e8a075f16b13f55c0e14365950a51c06e227261c02a6cb00823",
+    "five_state build salca uy l=2 m=2": "62e66698afe8d72fad71025ab68dad3ef1163998efed64e96c5f161a16695949",
+    "five_state build salca uy l=3 m=0": "6f9a06921ec25ed9fb671fb9eacfa852819ca637579c91f3d688d5b16ca833c8",
+    "five_state build salca uy l=3 m=1": "7151ff923d9b048bacd6defb3aed5bb8fb43a207590c372e2bec23aa397d52e6",
+    "five_state build salca uy l=3 m=2": "5f49605d32c9642ac371729532ab2116c591bad20142e7402982f6db3b06aac9",
+    "five_state build salca uy l=3 m=3": "48a7fcbf2574f50b53de3bfbb3ee6f7412b2978f38e379fecb2f94c2e0ea971e",
+    "five_state build qba l=1": "1851d39a25971286f97dec0c6cbc680490e8afb5f909188bf2c53a977eb42d67",
+    "five_state build qba l=2": "644f56c79d4207110c5eb28c8ec00eaa2cfc0be5cb764fce636d26bb28ed66f9",
+    "five_state build qba l=3": "6e3f316810a699732eaba9eb4c0ab2e878f17463f70b85c9f4a1f656453d9cfc",
+    "five_state report y l=3": "2730e324e21eef1b1d9969f44b15249159e168b2cffcbe6fe2114b776e153a82",
+    "five_state report uy l=3": "ea82d1e27f7303efb0b11186eb368d95e5af891928f971af15699f4c345bcdd2",
+    "five_state compare l=1": "908dc9ab9c38d33cc27fa924c3381443fd08faaf45a84100b4ebd6e28dced9d6",
+    "five_state compare l=2": "f2ce282242d2934d723c113cb388c2f9c4d73a9fcc699b2fb861eb1ac61ebf2b",
+    "five_state compare l=3": "7bf8b32639b9151ad84ce8ab4e30ba40e76a2c18075bccc526ed98a499843beb",
+    "self_loop build salca y l=1 m=0": "671be918b0480f157189a468af950ac2bd502f0ed56c1a83e0be4f4eda42f76d",
+    "self_loop build salca y l=1 m=1": "84f46af61d9fd88536836c41d476c79f89280e0f4e608bf271a7821016613c5a",
+    "self_loop build salca y l=2 m=0": "ad4653582455f5dc25f7da24f2f96c673b1c175c4898346fefe6816951908da3",
+    "self_loop build salca y l=2 m=1": "c7f20b6568af7eb08adb36be00544731bf721ffc6f9fc0cdbb1352b57a1da0dd",
+    "self_loop build salca y l=2 m=2": "2c419890cdf47ce77cef956afb029fd24c9b09f7ff0a619df32618cb10c425c6",
+    "self_loop build salca y l=3 m=0": "4ecbca399735d130af55606b9723d47a49b08079565f11626fa8f4e305ddb610",
+    "self_loop build salca y l=3 m=1": "11e328b0ebcd9adf7545174c56313c8db6f32e987fa9ce9c2e7a5a78a281400f",
+    "self_loop build salca y l=3 m=2": "f128fcba62709578ec72676c975675ec87d66dfbb62d5f3249388145ca823626",
+    "self_loop build salca y l=3 m=3": "f4afdd0b41e88f7ec3b26821abb900913a94c44749409f8976d6f98260919849",
+    "self_loop build salca uy l=1 m=0": "b7a1a083d37ee59874c2cf0f3d0292c34d73449aa1ae8f2c05b164659a77a72f",
+    "self_loop build salca uy l=1 m=1": "b9688cd4851d5bc2cb368e73c551aa2793b436d88ed6f5a6bed78e405d63111b",
+    "self_loop build salca uy l=2 m=0": "68a0bf9dbee420f475425be8155fd054f98328e46c60f4f4df508f2feb617c3e",
+    "self_loop build salca uy l=2 m=1": "c4e6e049452e7f648175da5ed59f59e6999b5fe727d5c8034b8c4d9f41fc1404",
+    "self_loop build salca uy l=2 m=2": "548925499020129a897a7f70186d78abc062017c7f8a7515e83594d4349304e6",
+    "self_loop build salca uy l=3 m=0": "c358227e3f3c654395c75ab4769e9aca8b6b279fafefd2dbf5936509f47d3e40",
+    "self_loop build salca uy l=3 m=1": "3a3aabef39429849265890def135cb99923ac384f5a9a90886eb3514930fae9e",
+    "self_loop build salca uy l=3 m=2": "5173f8eb0f571bfc3ba1b1431775fd6fd75d24d69b3cc392617e199d47a55232",
+    "self_loop build salca uy l=3 m=3": "2d141a4b36edce7d232ee8d9458f383feaa70fa4f0f6bf938d133020fd3bfabb",
+    "self_loop build qba l=1": "129aeec07fb255780a3cff84cf2d9f1d3257127e1c3284e269ccb04d98a3e41d",
+    "self_loop build qba l=2": "942459a1d9ec14ac7e884e93710bf066d05a8a4f0b65cb38def08b57f8881350",
+    "self_loop build qba l=3": "5a53bba5f1b2c4e3e8939789254cfdfd63352edb76aeea52f35df31fabe3cd0f",
+    "self_loop report y l=3": "25e9e2c4d5638e65f9eafcf414c9b63ef33c16343914e8b9e70feca1b325fa54",
+    "self_loop report uy l=3": "64524e19d15fc5b22476bf61f77abc635472155e654be30b9fd9f4d3087d0e96",
+    "self_loop compare l=1": "b566c063badd91a6c90af7756736df7a1fa0943eaa024560bda135ca04d0f4cf",
+    "self_loop compare l=2": "3b5e4a8afeff6ec65b93699db250e25fb6bbe11caf5ed74590cb6f213662d190",
+    "self_loop compare l=3": "fad065d5c8324e1ec80d63b0c10a166873d2f1d9692a78d145b2150b63e2a1bf",
+}
+
+
+def test_cli_outputs_byte_identical(tmp_path):
+    got = {key: hashlib.sha256(data).hexdigest() for key, data in _cli_outputs(tmp_path)}
+    assert got == CLI_DIGESTS

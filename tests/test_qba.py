@@ -4,6 +4,8 @@ import pytest
 
 from fsmabs.behavior import IntervalSpec, behavior_included, external_strings
 from fsmabs.errors import InvalidPartition, InvalidSpec
+from fsmabs.fuzz import FuzzConfig, machine_stream
+from fsmabs.laws import fiber_partition
 from fsmabs.machine import StateMachine, validate
 from fsmabs.qba import (
     Partition,
@@ -18,7 +20,7 @@ from fsmabs.qba import (
 from fsmabs.salca import build_abstract_machine, is_future_unique
 
 from .conftest import Y
-from .oracles import window
+from .oracles import naive_is_fixed_point, naive_refine, window
 
 
 def singleton_partition(machine: StateMachine) -> Partition:
@@ -269,3 +271,23 @@ def test_domino_consistency_counterexample():
 def test_domino_consistency_requires_valid_l(fig_machine):
     with pytest.raises(InvalidSpec):
         is_domino_consistent(fig_machine, 0)
+
+
+def test_refinement_matches_delta_scan_on_fuzz_corpus():
+    # The predecessor index gives the partitions and witnesses of the
+    # scan of all of delta per splitter cell, on the first 20 machines of
+    # the acceptance stream: along the refinement chain and on the fibers.
+    verdicts = set()
+    for machine in machine_stream(FuzzConfig(seed=20260809, count=20, max_states=6)):
+        partitions = [fiber_partition(machine, l) for l in (1, 2, 3)]
+        partition = initial_partition(machine)
+        for _ in range(len(machine.states)):
+            partitions.append(partition)
+            refined = refine(machine, partition)
+            assert {frozenset(c) for c in refined.cells} == naive_refine(machine, partition.cells)
+            partition = refined
+        for partition in partitions:
+            result = is_fixed_point(machine, partition)
+            assert (result.holds, result.witness) == naive_is_fixed_point(machine, partition.cells)
+            verdicts.add(result.holds)
+    assert verdicts == {True, False}

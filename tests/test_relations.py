@@ -116,6 +116,38 @@ def test_initial_condition_failure_reported(fig_machine):
     assert verdict.failed_initial == "x5"
 
 
+def _loops(states, outputs):
+    """Every state initial, with a self loop on input u for each listed output."""
+    return StateMachine(
+        states=tuple(states),
+        inputs=("u",),
+        outputs=("y1", "y2"),
+        initial=tuple(states),
+        transitions=tuple((x, "u", y, x) for x in states for y in outputs[x]),
+    )
+
+
+def test_first_declared_failing_partner_reported_forward():
+    left = _loops(["p"], {"p": ["y1"]})
+    right = _loops(["s2", "s1"], {"s2": ["y2"], "s1": ["y2"]})
+    relation = make_relation(left, right, [("p", "s1"), ("p", "s2")])
+    verdict = verify_simulation(left, right, Y, relation)
+    assert not verdict and verdict.direction == "forward"
+    assert verdict.failed_pair == ("p", "s2")
+    assert verdict.failed_transition == ("p", "u", "y1", "p")
+
+
+def test_first_declared_failing_partner_reported_backward():
+    left = _loops(["p2", "p1"], {"p2": ["y1"], "p1": ["y1"]})
+    right = _loops(["r"], {"r": ["y1", "y2"]})
+    relation = make_relation(left, right, [("p1", "r"), ("p2", "r")])
+    assert verify_simulation(left, right, Y, relation)
+    verdict = verify_simulation(left, right, Y, relation, bisim=True)
+    assert not verdict and verdict.direction == "backward"
+    assert verdict.failed_pair == ("r", "p2")
+    assert verdict.failed_transition == ("r", "u", "y2", "r")
+
+
 # -- greatest simulation ------------------------------------------------------------
 
 
