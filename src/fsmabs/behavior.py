@@ -16,11 +16,12 @@ Windows are integer codes.  Each (machine, mode) has one
 :class:`WindowCodec` (:func:`window_codec`): the external symbols get
 codes 1..n in ``mode.alphabet`` order, the diamond is 0, and a k-window is
 the radix-(n + 1) number whose digits are its symbols, oldest first.
-Shifting, restricting and joining windows are integer arithmetic, and
-integer order is the canonical window order (diamond first, then
-declaration order, position by position).  The radix arithmetic lives
-here; other modules call the codec.  Every memoised result holds codes
-only.  ``Window`` objects are decoded where the API hands one out
+The same digits code the symbols of the machine's successor table
+(:func:`successors`), the one index of its transitions.  Shifting,
+restricting and joining windows are integer arithmetic, and integer
+order is the canonical window order (diamond first, then declaration
+order, position by position).  The radix arithmetic lives here; other
+modules call the codec.  Every memoised result holds codes only.  ``Window`` objects are decoded where the API hands one out
 (``past_windows``, ``future_windows``, ``external_strings``,
 ``DominoSet``, ``AbstractMachine.windows_of`` and predicate witnesses),
 and the codec renders each (code, length) name once.
@@ -39,7 +40,6 @@ from .machine import (
     StateMachine,
     require_accepted,
     require_comparable,
-    successors,
 )
 
 def symbol_token(symbol) -> str:
@@ -246,15 +246,43 @@ class DominoSet:
         return "".join(self.codec.line(w, self.length) + "\n" for w in self.codes)
 
 
+# -- the successor table ------------------------------------------------------
+
+
+@derived
+def successors(machine: StateMachine, mode: ExternalAlphabet) -> tuple:
+    """The machine's transitions indexed once per scope: for each state
+    index (declaration order), the pairs (symbol code, target state
+    indices), symbols and targets in the order of their first transition,
+    targets deduplicated.
+
+    Symbol codes are the digits of :func:`window_codec`.  The fixpoints,
+    the prefix acceptor, :func:`is_deterministic` and the simulation
+    checks of ``relations`` all read this one table.
+    """
+    code = window_codec(machine, mode).code
+    index = {x: i for i, x in enumerate(machine.states)}
+    rows = [{} for _ in machine.states]
+    for x, u, y, x2 in machine.transitions:
+        rows[index[x]].setdefault(code(mode.project(u, y)), {})[index[x2]] = None
+    return tuple(tuple((symbol, tuple(targets)) for symbol, targets in row.items()) for row in rows)
+
+
+def _initial_indices(machine: StateMachine) -> list:
+    """The state indices of the initial states, ascending."""
+    initial = set(machine.initial)
+    return [i for i, x in enumerate(machine.states) if x in initial]
+
+
+def is_deterministic(machine: StateMachine, mode: ExternalAlphabet) -> bool:
+    """One initial state, and at most one successor per (state, external
+    symbol): every external word then leads to at most one state."""
+    return len(machine.initial) == 1 and all(
+        len(targets) == 1 for row in successors(machine, mode) for _, targets in row
+    )
+
+
 # -- forward fixpoints -------------------------------------------------------
-
-
-def _coded_successors(machine: StateMachine, mode: ExternalAlphabet, codec: WindowCodec):
-    """state -> ((symbol code, successor states), ...)."""
-    return {
-        x: tuple((codec.code(symbol), targets) for symbol, targets in row.items())
-        for x, row in successors(machine, mode).items()
-    }
 
 
 @derived
@@ -265,12 +293,12 @@ def past_map(machine: StateMachine, mode: ExternalAlphabet, k: int) -> dict:
     Breadth-first closure of (state, last-k-window) pairs seeded with
     (x0, diamond^k); exact because the machine is finite and live.
     """
-    codec = window_codec(machine, mode)
-    moves = _coded_successors(machine, mode, codec)
-    base, span = codec.base, codec.base**k
-    past: dict[str, set] = {x: set() for x in machine.states}
+    moves = successors(machine, mode)
+    base = window_codec(machine, mode).base
+    span = base**k
+    past = [set() for _ in machine.states]
     queue = deque()
-    for x0 in machine.initial:
+    for x0 in _initial_indices(machine):
         past[x0].add(0)
         queue.append((x0, 0))
     while queue:
@@ -282,7 +310,7 @@ def past_map(machine: StateMachine, mode: ExternalAlphabet, k: int) -> dict:
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append((x2, nxt))
-    return {x: frozenset(ws) for x, ws in past.items()}
+    return {x: frozenset(ws) for x, ws in zip(machine.states, past)}
 
 
 @derived
@@ -292,9 +320,8 @@ def future_map(machine: StateMachine, mode: ExternalAlphabet, k: int) -> dict:
     if k == 0:
         empty = frozenset((0,))
         return {x: empty for x in machine.states}
-    codec = window_codec(machine, mode)
-    shorter = future_map(machine, mode, k - 1)
-    lead = codec.base ** (k - 1)
+    shorter = tuple(future_map(machine, mode, k - 1).values())
+    lead = window_codec(machine, mode).base ** (k - 1)
     return {
         x: frozenset(
             symbol * lead + tail
@@ -302,7 +329,7 @@ def future_map(machine: StateMachine, mode: ExternalAlphabet, k: int) -> dict:
             for x2 in targets
             for tail in shorter[x2]
         )
-        for x, row in _coded_successors(machine, mode, codec).items()
+        for x, row in zip(machine.states, successors(machine, mode))
     }
 
 
@@ -445,10 +472,9 @@ class PrefixAutomaton:
 
 @derived
 def prefix_automaton(machine: StateMachine, mode: ExternalAlphabet) -> PrefixAutomaton:
-    alphabet = mode.alphabet(machine.inputs, machine.outputs)
-    column = {symbol: i for i, symbol in enumerate(alphabet)}
+    alphabet = window_codec(machine, mode).alphabet
     moves = successors(machine, mode)
-    start = frozenset(machine.initial)
+    start = frozenset(_initial_indices(machine))
     subsets = [start]
     index = {start: 0}
     frontier = deque([start])
@@ -457,8 +483,8 @@ def prefix_automaton(machine: StateMachine, mode: ExternalAlphabet) -> PrefixAut
         subset = frontier.popleft()
         targets = [set() for _ in alphabet]
         for x in subset:
-            for symbol, succ in moves[x].items():
-                targets[column[symbol]] |= succ
+            for symbol, succ in moves[x]:
+                targets[symbol - 1].update(succ)
         row = []
         for succ in map(frozenset, targets):
             if succ not in index:
@@ -474,7 +500,8 @@ def prefix_automaton(machine: StateMachine, mode: ExternalAlphabet) -> PrefixAut
     sink = index[empty]
     rows[empty] = [sink] * len(alphabet)
     table = tuple(tuple(rows[s]) for s in subsets)
-    return PrefixAutomaton(alphabet, tuple(subsets), table, sink)
+    names = tuple(frozenset(map(machine.states.__getitem__, s)) for s in subsets)
+    return PrefixAutomaton(alphabet, names, table, sink)
 
 
 @dataclass(frozen=True)
@@ -484,11 +511,6 @@ class InclusionVerdict:
 
     def __bool__(self) -> bool:
         return self.included
-
-    def counterexample_tokens(self) -> tuple[str, ...]:
-        if self.counterexample is None:
-            return ()
-        return tuple(symbol_token(s) for s in self.counterexample)
 
 
 def _first_divergence(

@@ -16,14 +16,14 @@ from .behavior import (
     behavior_equal,
     behavior_included,
     dominoes,
+    is_deterministic,
     saturation_check,
     window_codec,
 )
-from .machine import ExternalAlphabet, StateMachine, is_deterministic
+from .machine import ExternalAlphabet, StateMachine
 from .qba import (
-    Partition,
     build_quotient_machine,
-    fibers,
+    fiber_partition,
     initial_partition,
     is_domino_consistent,
     is_fixed_point,
@@ -353,13 +353,6 @@ def law_joint_predicate_implications(machine: StateMachine, levels) -> str | Non
                 if conj and not anchored:
                     return f"conjunction without anchored form at mode={mode.value} l={l} m={m}"
     return None
-
-
-def fiber_partition(machine: StateMachine, l: int):
-    """States grouped by their l-step future-window sets, as a partition."""
-    order = {x: i for i, x in enumerate(machine.states)}
-    cells = sorted((members for _, members in fibers(machine, l)), key=lambda c: order[c[0]])
-    return Partition(tuple(cells), level=l)
 
 
 def law_partition_fibers(machine: StateMachine, levels) -> str | None:

@@ -108,9 +108,11 @@ class ValidationReport:
     def accepted(self) -> bool:
         return self.separable and self.reachable and self.live
 
-    def rejection(self, flags: Sequence[str] = ("separable", "reachable", "live")) -> str | None:
-        """``"machine is not <flag>, ..."`` over the failing ``flags``, or None."""
-        return _rejection(name for name in flags if not getattr(self, name))
+    def rejection(self) -> str | None:
+        """``"machine is not <flag>, ..."`` over the failing acceptance flags, or None."""
+        return _rejection(
+            name for name in ("separable", "reachable", "live") if not getattr(self, name)
+        )
 
 
 def _rejection(failing) -> str | None:
@@ -242,38 +244,6 @@ class StateMachine:
         return StateMachine(
             self.states, self.inputs, self.outputs, self.initial, self.transitions, external
         )
-
-
-def successors(machine: StateMachine, mode: ExternalAlphabet) -> dict:
-    """state -> {external symbol -> set of successor states}.
-
-    Symbols appear in the order of their first transition.  Built afresh
-    on each call, not memoised, so no table outlives its caller, and the
-    caller owns its sets.
-    """
-    table: dict[str, dict] = {x: {} for x in machine.states}
-    project = mode.project
-    for x, u, y, x2 in machine.transitions:
-        row = table[x]
-        symbol = project(u, y)
-        if symbol in row:
-            row[symbol].add(x2)
-        else:
-            row[symbol] = {x2}
-    return table
-
-
-@derived
-def is_deterministic(machine: StateMachine, mode: ExternalAlphabet) -> bool:
-    """One initial state, and at most one successor per (state, external
-    symbol): every external word then leads to at most one state."""
-    if len(machine.initial) != 1:
-        return False
-    seen: dict = {}
-    for x, u, y, x2 in machine.transitions:
-        if seen.setdefault((x, mode.project(u, y)), x2) != x2:
-            return False
-    return True
 
 
 @derived

@@ -170,6 +170,11 @@ def fibers(machine: StateMachine, l: int) -> tuple:
     return tuple(sorted((codes, tuple(members)) for codes, members in groups.items()))
 
 
+def fiber_partition(machine: StateMachine, l: int) -> Partition:
+    """States grouped by their l-step future-window sets, as a partition."""
+    return _canonical((members for _, members in fibers(machine, l)), machine, level=l)
+
+
 @derived
 def build_quotient_machine(machine: StateMachine, l: int) -> AbstractMachine:
     """Quotient machine over the cells named by l-step future window sets.

@@ -7,8 +7,11 @@ it binds to a machine that is that endpoint or has the same content.
 so the counterexample it reports is the first unmatched (pair,
 transition): transitions in canonical order, each state's partners in
 the relation's stored order (declaration order for ``make_relation``).
-The canonical relations name windows by the codec of
-``behavior.window_codec``.
+The checks and the greatest fixpoint read each machine's successor table
+``behavior.successors``, built once per (machine, mode) and memoised per
+scope like all derived data; its symbol codes are the digits of
+``behavior.window_codec``, by which the canonical relations also name
+windows.
 
 ``simulates`` and ``bisimilar`` first try to settle their verdict with
 the breadth-first walk over the product of the two prefix DFAs that
@@ -43,16 +46,16 @@ from .behavior import (
     behavior_equal,
     behavior_included,
     external_strings_map,
+    is_deterministic,
+    successors,
     window_codec,
 )
 from .errors import DigestMismatch, InvalidSpec, MalformedRelation
 from .machine import (
     ExternalAlphabet,
     StateMachine,
-    is_deterministic,
     require_comparable,
     require_live_reachable,
-    successors,
     to_dict,
 )
 from .qba import build_quotient_machine
@@ -85,17 +88,28 @@ class Relation:
 
 def make_relation(left: StateMachine, right: StateMachine, pairs) -> Relation:
     """Build a relation over two machines, validating and ordering pairs."""
-    left_order = {x: i for i, x in enumerate(left.states)}
-    right_order = {x: i for i, x in enumerate(right.states)}
+    left_order = _index(left)
+    right_order = _index(right)
+    indexed = set()
     for a, b in pairs:
         if a not in left_order:
             raise MalformedRelation(f"left state {a!r} not declared")
         if b not in right_order:
             raise MalformedRelation(f"right state {b!r} not declared")
-    ordered = tuple(
-        sorted(set(pairs), key=lambda p: (left_order[p[0]], right_order[p[1]]))
+        indexed.add((left_order[a], right_order[b]))
+    return _named(left, right, indexed)
+
+
+def _index(machine: StateMachine) -> dict:
+    """state -> its declaration index, the state index of ``successors``."""
+    return {x: i for i, x in enumerate(machine.states)}
+
+
+def _named(left: StateMachine, right: StateMachine, pairs) -> Relation:
+    """The relation of the state-index ``pairs``, in declaration order."""
+    return Relation(
+        left, right, tuple((left.states[a], right.states[b]) for a, b in sorted(pairs))
     )
-    return Relation(left, right, ordered)
 
 
 def _same_machine(bound: StateMachine, given: StateMachine) -> bool:
@@ -133,17 +147,6 @@ def identity_relation(machine: StateMachine) -> Relation:
     return make_relation(machine, machine, [(x, x) for x in machine.states])
 
 
-def relation_algebra(op: str, first: Relation, second: Relation | None = None) -> Relation:
-    """Dispatcher form of the set-theoretic relation operations."""
-    if op == "inverse":
-        return inverse(first)
-    if op == "compose":
-        if second is None:
-            raise InvalidSpec("compose requires a second relation")
-        return compose(first, second)
-    raise InvalidSpec(f"unknown relation operation {op!r}")
-
-
 @dataclass(frozen=True)
 class SimulationVerdict:
     valid: bool
@@ -170,14 +173,16 @@ def _check_step(
     """Step condition only: every left transition from a related state is
     matched by a related right transition with equal external label.
     Each left state's partners are tried in their ``partners`` order."""
-    right_succ = successors(right, mode)
+    rows = successors(right, mode)
+    code = window_codec(right, mode).code
+    index = _index(right)
+    landing = {a: {index[b] for b in bs} for a, bs in partners.items()}
     for t in left.transitions:
         x1, u1, y1, x1_next = t
-        symbol = mode.project(u1, y1)
-        targets = partners.get(x1_next, ())
+        symbol = code(mode.project(u1, y1))
+        targets = landing.get(x1_next, frozenset())
         for x2 in partners.get(x1, ()):
-            succs = right_succ[x2].get(symbol)
-            if not succs or succs.isdisjoint(targets):
+            if targets.isdisjoint(_replies(rows[index[x2]], symbol)):
                 return SimulationVerdict(False, failed_pair=(x1, x2), failed_transition=t)
     return SimulationVerdict(True)
 
@@ -230,12 +235,28 @@ def verify_simulation(
     return SimulationVerdict(True)
 
 
-def _matched(moves: dict, replies: dict, alive: set, backward: bool) -> bool:
-    """Whether every move in ``moves`` (symbol -> targets) has a reply on
-    the same symbol that lands in ``alive``: the pair is (target, reply),
-    or (reply, target) when the moves are the right machine's."""
-    for symbol, targets in moves.items():
-        options = replies.get(symbol)
+def _replies(row: tuple, symbol: int) -> tuple:
+    """The targets of ``symbol`` in a row of ``successors``, or ()."""
+    for code, targets in row:
+        if code == symbol:
+            return targets
+    return ()
+
+
+def _recode(source: StateMachine, target: StateMachine, mode: ExternalAlphabet) -> tuple:
+    """``source`` symbol code -> the same symbol's code for ``target``;
+    compatible machines may declare their alphabets in different orders."""
+    theirs, ours = window_codec(source, mode), window_codec(target, mode)
+    return tuple(ours.code(theirs.symbol(digit)) for digit in range(theirs.base))
+
+
+def _matched(moves: tuple, replies: tuple, recode: tuple, alive: set, backward: bool) -> bool:
+    """Whether every move in ``moves`` has a reply in ``replies`` (rows of
+    ``successors``; ``recode`` carries the moves' symbol codes to the
+    replies') that lands in ``alive``: the pair is (target, reply), or
+    (reply, target) when the moves are the right machine's."""
+    for symbol, targets in moves:
+        options = _replies(replies, recode[symbol])
         if not options:
             return False
         for t in targets:
@@ -258,21 +279,26 @@ def _greatest(
     """
     operation = "greatest_bisimulation" if both_ways else "greatest_simulation"
     require_comparable(left, right, mode, operation)
-    left_succ = successors(left, mode)
-    right_succ = successors(right, mode)
-    alive = {(a, b) for a in left.states for b in right.states}
+    left_rows = successors(left, mode)
+    right_rows = successors(right, mode)
+    to_right = _recode(left, right, mode)
+    to_left = _recode(right, left, mode)
+    alive = {(a, b) for a in range(len(left.states)) for b in range(len(right.states))}
     changed = True
     while changed:
         changed = False
         for pair in sorted(alive):
             a, b = pair
             if not (
-                _matched(left_succ[a], right_succ[b], alive, backward=False)
-                and (not both_ways or _matched(right_succ[b], left_succ[a], alive, backward=True))
+                _matched(left_rows[a], right_rows[b], to_right, alive, backward=False)
+                and (
+                    not both_ways
+                    or _matched(right_rows[b], left_rows[a], to_left, alive, backward=True)
+                )
             ):
                 alive.discard(pair)
                 changed = True
-    return make_relation(left, right, alive)
+    return _named(left, right, alive)
 
 
 def greatest_simulation(

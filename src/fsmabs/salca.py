@@ -123,9 +123,10 @@ def build_abstract_machine(
     States are the realized windows; a transition from one window to an
     overlapping one is included exactly when some concrete transition
     with the matching label connects states compatible with the two
-    windows.  The result is live and reachable (every realized window
-    occurs on some run; the defensive pruning below keeps that honest),
-    though in general not separable.
+    windows.  The result is live and reachable, though in general not
+    separable: every realized window is the window some run shows at a
+    visit, and the windows along that run form an abstract path from an
+    initial window.
     """
     require_accepted(machine, "build_abstract_machine")
     codec = window_codec(machine, mode)
@@ -157,28 +158,9 @@ def build_abstract_machine(
             for dst in into.get((overlap, None if m else symbol), ()):
                 transitions.update((src, u, y, dst) for src in srcs)
 
-    initial = _initial_codes(machine, mode, spec)
-    reachable = {codec.name(w, l) for w in initial}
-    frontier = list(reachable)
-    adjacency: dict[str, list] = {}
-    for t in transitions:
-        adjacency.setdefault(t[0], []).append(t[3])
-    while frontier:
-        token = frontier.pop()
-        for nxt in adjacency.get(token, ()):
-            if nxt not in reachable:
-                reachable.add(nxt)
-                frontier.append(nxt)
-
     realized = sorted(set().union(*emap.values()))
-    return _window_machine(
-        machine,
-        mode,
-        l,
-        [w for w in realized if codec.name(w, l) in reachable],
-        initial,
-        (t for t in transitions if t[0] in reachable),
-    )
+    initial = _initial_codes(machine, mode, spec)
+    return _window_machine(machine, mode, l, realized, initial, transitions)
 
 
 def standard_realization(machine: StateMachine, l: int) -> AbstractMachine:

@@ -1,9 +1,26 @@
 import pytest
 
+from fsmabs.fuzz import FuzzConfig
 from fsmabs.machine import ExternalAlphabet, StateMachine
 
 Y = ExternalAlphabet.OUTPUTS_ONLY
 UY = ExternalAlphabet.INPUT_OUTPUT_PAIRS
+
+#: The first 20 machines of the acceptance-battery stream.
+ACCEPTANCE_HEAD = FuzzConfig(seed=20260809, count=20, max_states=6, max_inputs=3, max_outputs=3)
+
+
+def reversed_labels(machine: StateMachine) -> StateMachine:
+    """The machine with its inputs and outputs declared in reverse order,
+    so every external symbol gets another code."""
+    return StateMachine(
+        machine.states,
+        tuple(reversed(machine.inputs)),
+        tuple(reversed(machine.outputs)),
+        machine.initial,
+        machine.transitions,
+        machine.external,
+    )
 
 
 def five_state_machine() -> StateMachine:

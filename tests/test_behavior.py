@@ -15,9 +15,11 @@ from fsmabs.behavior import (
     external_strings,
     external_strings_map,
     future_windows,
+    is_deterministic,
     past_windows,
     prefix_automaton,
     saturation_check,
+    successors,
     window_codec,
 )
 from fsmabs.errors import IncompatibleAlphabets, InvalidSpec, NotAccepted
@@ -27,8 +29,9 @@ from fsmabs.qba import build_quotient_machine
 from fsmabs.relations import CanonicalKind, canonical_relation
 from fsmabs.salca import build_abstract_machine
 
-from .conftest import UY, Y
+from .conftest import ACCEPTANCE_HEAD, UY, Y, reversed_labels
 from .oracles import (
+    _succ_by_symbol,
     enumerate_prefixes,
     enumerate_visit_windows,
     naive_behavior_included,
@@ -474,3 +477,42 @@ def test_pair_window_names(fig_machine):
         "<>.<>",
         "<>.u1/y1",
     )
+
+
+# -- the successor table against the string-level oracle --------------------------
+
+
+@pytest.mark.parametrize("mode", [Y, UY])
+def test_successor_table_matches_string_oracle_on_fuzz_corpus(mode):
+    # Decoded to names, each row lists the state's symbols in the order of
+    # their first transition, each with its targets once.  The copy with
+    # reversed labels codes every symbol differently.
+    verdicts = set()
+    for machine in machine_stream(ACCEPTANCE_HEAD):
+        family = [machine, reversed_labels(machine)]
+        for l in (1, 2):
+            family.extend(
+                build_abstract_machine(machine, mode, IntervalSpec(l, m)) for m in range(l + 1)
+            )
+            family.append(build_quotient_machine(machine, l))
+        for member in family:
+            oracle = _succ_by_symbol(member, mode)
+            codec = window_codec(member, mode)
+            table = successors(member, mode)
+            assert len(table) == len(member.states)
+            for x, row in zip(member.states, table):
+                decoded = [
+                    (codec.symbol(code), [member.states[i] for i in sorted(targets)])
+                    for code, targets in row
+                ]
+                expected = [
+                    (symbol, [z for z in member.states if z in targets])
+                    for symbol, targets in oracle[x].items()
+                ]
+                assert decoded == expected, (member, x)
+            deterministic = len(member.initial) == 1 and all(
+                len(targets) == 1 for row in oracle.values() for targets in row.values()
+            )
+            assert is_deterministic(member, mode) is deterministic, member
+            verdicts.add(deterministic)
+    assert verdicts == {True, False}

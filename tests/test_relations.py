@@ -25,7 +25,7 @@ from fsmabs.relations import (
 )
 from fsmabs.salca import build_abstract_machine, is_future_unique, is_sbalc
 
-from .conftest import UY, Y
+from .conftest import UY, Y, reversed_labels
 from .oracles import naive_greatest_bisimulation, naive_greatest_simulation
 
 
@@ -263,6 +263,23 @@ def test_greatest_relations_match_naive_loops_on_fuzz_corpus(mode):
     assert min(verdicts.values()) > 0, verdicts
 
 
+@pytest.mark.parametrize("mode", [Y, UY])
+def test_greatest_relations_match_naive_loops_across_declaration_orders(mode):
+    # The copy with reversed labels codes every symbol differently, so
+    # each move's symbol code is carried into the other machine's codes.
+    for machine in machine_stream(DIFFERENTIAL_CONFIG):
+        copy = reversed_labels(machine)
+        diagonal = {(x, x) for x in machine.states}
+        for left, right in ((machine, copy), (copy, machine)):
+            sim = set(greatest_simulation(left, right, mode).pairs)
+            assert sim == naive_greatest_simulation(left, right, mode), machine
+            bisim = set(greatest_bisimulation(left, right, mode).pairs)
+            assert bisim == naive_greatest_bisimulation(left, right, mode), machine
+            assert diagonal <= bisim
+            identity = make_relation(left, right, diagonal)
+            assert verify_simulation(left, right, mode, identity, bisim=True), machine
+
+
 def _chain(initial, transitions) -> StateMachine:
     """Outputs-only machine on input ``u``; ``transitions`` are (x, y, x')."""
     states = tuple(dict.fromkeys([initial] + [x for t in transitions for x in (t[0], t[2])]))
@@ -399,20 +416,6 @@ def test_compose_requires_matching_middle(fig_machine):
     canon = canonical_relation(CanonicalKind.STATE_TO_ABSTRACT, fig_machine, Y, 1, 1)
     with pytest.raises(DigestMismatch):
         compose(canon, canon)
-
-
-def test_relation_algebra_dispatcher(fig_machine):
-    from fsmabs.errors import InvalidSpec
-    from fsmabs.relations import relation_algebra
-
-    canon = canonical_relation(CanonicalKind.STATE_TO_ABSTRACT, fig_machine, Y, 1, 1)
-    assert relation_algebra("inverse", canon) == inverse(canon)
-    ident = identity_relation(fig_machine)
-    assert relation_algebra("compose", ident, canon).pairs == canon.pairs
-    with pytest.raises(InvalidSpec):
-        relation_algebra("compose", ident)
-    with pytest.raises(InvalidSpec):
-        relation_algebra("union", ident, ident)
 
 
 def test_composition_identity_under_future_uniqueness(fig_machine):

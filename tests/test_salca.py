@@ -2,6 +2,7 @@ import pytest
 
 from fsmabs.behavior import IntervalSpec, Window, behavior_equal
 from fsmabs.errors import InvalidSpec, NotAccepted
+from fsmabs.fuzz import machine_stream
 from fsmabs.machine import DIAMOND, StateMachine, validate
 from fsmabs.salca import (
     build_abstract_machine,
@@ -13,7 +14,7 @@ from fsmabs.salca import (
     standard_realization,
 )
 
-from .conftest import UY, Y
+from .conftest import ACCEPTANCE_HEAD, UY, Y
 from .oracles import enumerate_prefixes, window
 
 
@@ -62,12 +63,16 @@ def test_build_self_loop(loop_machine):
 def test_built_machines_are_live_and_reachable(fig_machine):
     # Abstractions are generally not separable (one window can gather
     # outputs of several concrete states), so full acceptance is not the
-    # contract; liveness and reachability are.
-    for l in (1, 2, 3):
-        for m in range(l + 1):
-            a = build_abstract_machine(fig_machine, Y, IntervalSpec(l, m))
-            report = validate(a)
-            assert report.live and report.reachable, (l, m)
+    # contract; liveness and reachability are.  The builder does not
+    # prune: every realized window lies on an abstract path from an
+    # initial window.
+    for machine in (fig_machine, *machine_stream(ACCEPTANCE_HEAD)):
+        for mode in (Y, UY):
+            for l in (1, 2, 3):
+                for m in range(l + 1):
+                    a = build_abstract_machine(machine, mode, IntervalSpec(l, m))
+                    report = validate(a)
+                    assert report.live and report.reachable, (machine, mode, l, m)
 
 
 def test_build_requires_accepted():
