@@ -250,6 +250,18 @@ class DominoSet:
 
 
 @derived
+def _label_codes(
+    target: StateMachine, mode: ExternalAlphabet, inputs: tuple, outputs: tuple
+) -> tuple:
+    """``codes[u][y]``: the code, in ``target``'s codec, of the external
+    symbol of the label (inputs[u], outputs[y]), so a row over these
+    alphabets finds its symbol by two indexings.  Compatible machines may
+    declare their alphabets in different orders."""
+    code = window_codec(target, mode).code
+    return tuple(tuple(code(mode.project(u, y)) for y in outputs) for u in inputs)
+
+
+@derived
 def successors(machine: StateMachine, mode: ExternalAlphabet) -> tuple:
     """The machine's transitions indexed once per scope: for each state
     index (declaration order), the pairs (symbol code, target state
@@ -260,18 +272,11 @@ def successors(machine: StateMachine, mode: ExternalAlphabet) -> tuple:
     the prefix acceptor, :func:`is_deterministic` and the simulation
     checks of ``relations`` all read this one table.
     """
-    code = window_codec(machine, mode).code
-    index = {x: i for i, x in enumerate(machine.states)}
+    codes = _label_codes(machine, mode, machine.inputs, machine.outputs)
     rows = [{} for _ in machine.states]
-    for x, u, y, x2 in machine.transitions:
-        rows[index[x]].setdefault(code(mode.project(u, y)), {})[index[x2]] = None
+    for x, u, y, x2 in machine._rows:
+        rows[x].setdefault(codes[u][y], {})[x2] = None
     return tuple(tuple((symbol, tuple(targets)) for symbol, targets in row.items()) for row in rows)
-
-
-def _initial_indices(machine: StateMachine) -> list:
-    """The state indices of the initial states, ascending."""
-    initial = set(machine.initial)
-    return [i for i, x in enumerate(machine.states) if x in initial]
 
 
 def is_deterministic(machine: StateMachine, mode: ExternalAlphabet) -> bool:
@@ -298,7 +303,7 @@ def past_map(machine: StateMachine, mode: ExternalAlphabet, k: int) -> dict:
     span = base**k
     past = [set() for _ in machine.states]
     queue = deque()
-    for x0 in _initial_indices(machine):
+    for x0 in machine._initial_indices():
         past[x0].add(0)
         queue.append((x0, 0))
     while queue:
@@ -420,18 +425,28 @@ class PrefixAutomaton:
 
     Built by the subset construction over the external alphabet; state 0
     is the start and ``sink`` is the unique reject state.  Every non-sink
-    state is accepting (prefix languages are prefix-closed).
+    state is accepting (prefix languages are prefix-closed).  Each DFA
+    state is held as the set of its machine state indexes (``_members``);
+    ``subsets`` and ``to_dot`` render them as the machine's state names
+    (``_state_names``) when read.
     """
 
     alphabet: tuple
-    subsets: tuple[frozenset, ...]
+    _members: tuple[frozenset, ...]
     table: tuple[tuple[int, ...], ...]
     sink: int
+    _state_names: tuple[str, ...] = field(repr=False)
 
     _columns: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_columns", {s: i for i, s in enumerate(self.alphabet)})
+
+    @property
+    def subsets(self) -> tuple[frozenset, ...]:
+        """Each DFA state's set of machine state names."""
+        names = self._state_names
+        return tuple(frozenset(names[i] for i in members) for members in self._members)
 
     @property
     def start(self) -> int:
@@ -455,11 +470,12 @@ class PrefixAutomaton:
         import json as _json
 
         lines = [f"digraph {_json.dumps(name)} {{", "  rankdir=LR;"]
-        for i in range(len(self.table)):
+        names = self._state_names
+        for i, members in enumerate(self._members):
             if i == self.sink:
                 label, shape = "sink", "box"
             else:
-                label = "{" + ",".join(sorted(self.subsets[i])) + "}"
+                label = "{" + ",".join(sorted(names[j] for j in members)) + "}"
                 shape = "doublecircle" if i == self.start else "circle"
             lines.append(f'  n{i} [label={_json.dumps(label)} shape={shape}];')
         for i, row in enumerate(self.table):
@@ -474,7 +490,7 @@ class PrefixAutomaton:
 def prefix_automaton(machine: StateMachine, mode: ExternalAlphabet) -> PrefixAutomaton:
     alphabet = window_codec(machine, mode).alphabet
     moves = successors(machine, mode)
-    start = frozenset(_initial_indices(machine))
+    start = frozenset(machine._initial_indices())
     subsets = [start]
     index = {start: 0}
     frontier = deque([start])
@@ -500,8 +516,7 @@ def prefix_automaton(machine: StateMachine, mode: ExternalAlphabet) -> PrefixAut
     sink = index[empty]
     rows[empty] = [sink] * len(alphabet)
     table = tuple(tuple(rows[s]) for s in subsets)
-    names = tuple(frozenset(map(machine.states.__getitem__, s)) for s in subsets)
-    return PrefixAutomaton(alphabet, names, table, sink)
+    return PrefixAutomaton(alphabet, tuple(subsets), table, sink, machine.states)
 
 
 @dataclass(frozen=True)

@@ -97,15 +97,15 @@ def build_report(machine: StateMachine, mode: ExternalAlphabet, l_max: int,
                 "abstractions": {
                     "strict-past": {
                         "states": len(strict_past.states),
-                        "transitions": len(strict_past.transitions),
+                        "transitions": len(strict_past._rows),
                     },
                     "full-future": {
                         "states": len(full_future.states),
-                        "transitions": len(full_future.transitions),
+                        "transitions": len(full_future._rows),
                     },
                     "quotient": {
                         "states": len(quotient.states),
-                        "transitions": len(quotient.transitions),
+                        "transitions": len(quotient._rows),
                     },
                 },
                 "ordering": _ordering_verdicts(machine, l),
@@ -255,7 +255,7 @@ def cmd_build(args) -> int:
     machine_io.dump(built, json_path)
     dot_path.write_text(to_dot(built, name=json_path.stem), encoding="utf-8")
     sys.stdout.write(
-        f"{args.kind}: {len(built.states)} states, {len(built.transitions)} transitions\n"
+        f"{args.kind}: {len(built.states)} states, {len(built._rows)} transitions\n"
         f"wrote {json_path} and {dot_path}\n"
     )
     return 0
@@ -338,7 +338,7 @@ def cmd_fuzz(args) -> int:
     for index, name, detail, small in report.failures:
         lines.append(
             f"violation: machine {index} law {name}: {detail} "
-            f"(shrunk to {len(small.states)} states, {len(small.transitions)} transitions)"
+            f"(shrunk to {len(small.states)} states, {len(small._rows)} transitions)"
         )
     sys.stdout.write("\n".join(lines) + "\n")
     return 1 if args.strict and report.failures else 0

@@ -41,5 +41,11 @@ class MalformedRelation(FsmabsError):
     """A relation references undeclared states or the wrong machines."""
 
 
-class DigestMismatch(FsmabsError):
-    """Relation algebra applied to relations over different machines."""
+class EndpointMismatch(FsmabsError):
+    """Relation algebra applied to relations whose shared endpoint machines
+    differ, such as ``compose`` over different middle machines."""
+
+
+#: The former name of :class:`EndpointMismatch`, from when relations were
+#: bound to machine digests.
+DigestMismatch = EndpointMismatch

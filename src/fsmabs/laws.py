@@ -13,6 +13,7 @@ from typing import Callable
 
 from .behavior import (
     IntervalSpec,
+    _label_codes,
     behavior_equal,
     behavior_included,
     dominoes,
@@ -32,6 +33,7 @@ from .qba import (
 )
 from .relations import (
     CanonicalKind,
+    _window_positions,
     bisimilar,
     canonical_relation,
     compose,
@@ -82,7 +84,7 @@ def law_standard_realization(machine: StateMachine, levels) -> str | None:
         if (
             std.states != built.states
             or std.initial != built.initial
-            or std.transitions != built.transitions
+            or std._rows != built._rows
         ):
             return f"standard realization differs at l={l}"
     return None
@@ -291,15 +293,16 @@ def law_domino_transition_triples(machine: StateMachine, levels) -> str | None:
         for l in levels:
             for m in _anchors(l):
                 built = build_abstract_machine(machine, mode, IntervalSpec(l, m))
-                triples = {(x, mode.project(u, y), x2) for x, u, y, x2 in built.transitions}
+                codes = _label_codes(machine, mode, built.inputs, built.outputs)
+                triples = {(x, codes[u][y], x2) for x, u, y, x2 in built._rows}
                 codec = built.codec
-                names = {w: token for token, (w,) in built.window_map}
+                at = _window_positions(built)
                 expected = set()
                 for domino in dominoes(machine, mode, l + 1).codes:
-                    head = names.get(codec.restrict(domino, l + 1, 0, l - 1))
-                    tail = names.get(codec.restrict(domino, l + 1, 1, l))
+                    head = at.get(codec.restrict(domino, l + 1, 0, l - 1))
+                    tail = at.get(codec.restrict(domino, l + 1, 1, l))
                     if head is not None and tail is not None:
-                        label = codec.symbol(codec.restrict(domino, l + 1, l - m, l - m))
+                        label = codec.restrict(domino, l + 1, l - m, l - m)
                         expected.add((head, label, tail))
                 if triples != expected:
                     return f"domino triples differ at mode={mode.value} l={l} m={m}"
@@ -393,7 +396,7 @@ def law_renaming_under_uniqueness(machine: StateMachine, levels) -> str | None:
         abstract = canonical_relation(CanonicalKind.STATE_TO_ABSTRACT, machine, _Y, l, l)
         quotient = canonical_relation(CanonicalKind.STATE_TO_QUOTIENT, machine, l=l)
         composed = compose(abstract, renaming)
-        if set(composed.pairs) != set(quotient.pairs):
+        if composed._indices != quotient._indices:
             return f"composition identity broken at l={l}"
     return None
 
@@ -468,11 +471,11 @@ def law_quotient_transition_containments(machine: StateMachine, levels) -> str |
     for l in levels:
         quotient = build_quotient_machine(machine, l)
         codec = quotient.codec
-        for x, u, y, x2 in quotient.transitions:
-            src = quotient.codes_of(x)
-            dst = quotient.codes_of(x2)
-            if codec.code(y) not in {codec.restrict(w, l, 0, 0) for w in src}:
-                return f"output {y} not heading source cell at l={l}"
+        for x, _, y, x2 in quotient._rows:
+            (_, src), (_, dst) = quotient.window_map[x], quotient.window_map[x2]
+            output = quotient.outputs[y]
+            if codec.code(output) not in {codec.restrict(w, l, 0, 0) for w in src}:
+                return f"output {output} not heading source cell at l={l}"
             if l >= 2:
                 tails = {codec.restrict(w, l, 1, l - 1) for w in src}
                 if not {codec.restrict(w, l, 0, l - 2) for w in dst} <= tails:

@@ -4,6 +4,17 @@ A machine is a tuple (X, U, Y, delta, X0) with delta a set of quadruples
 (x, u, y, x').  All alphabets carry a canonical order (declaration order)
 and every derived set is emitted in that order, so serialization and
 iteration are deterministic.
+
+A machine stores delta as *rows*: integer 4-tuples (src, u, y, dst) over
+the declaration indexes of its states, inputs and outputs, deduplicated
+and sorted as plain integers.  The public constructor validates its name
+arguments and turns them into rows.  The abstraction builders use the
+trusted path ``StateMachine._trusted`` instead: their alphabets come from
+an already-validated machine and their state names are rendered by the
+window codec, so no name is checked again.  The enabled-set operators,
+the reachability and liveness scan and :func:`validate` read the rows;
+``transitions``, the name 4-tuples in row order, is rendered on first
+read, by the file format, DOT output and callers that ask for it.
 """
 
 from __future__ import annotations
@@ -11,7 +22,9 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .analysis import derived
@@ -125,113 +138,161 @@ def _rejection(failing) -> str | None:
     return f"machine is not {', '.join(failing)}" if failing else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StateMachine:
     """Immutable finite I/O state machine.
 
-    Transitions are stored deduplicated and sorted by declaration-order
-    indices, so two machines with the same components compare equal.
+    The transitions are stored as ``_rows``: integer 4-tuples (src, u, y,
+    dst) over the declaration indexes of the states, inputs and outputs,
+    deduplicated and sorted, so two machines with the same components
+    compare equal.  ``transitions`` renders them as name 4-tuples, in the
+    same order, on first read.
     """
 
     states: tuple[str, ...]
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     initial: tuple[str, ...]
-    transitions: tuple[Transition, ...]
+    _rows: tuple[tuple[int, int, int, int], ...]
     external: ExternalAlphabet = ExternalAlphabet.OUTPUTS_ONLY
 
-    _by_source: dict = field(init=False, repr=False, compare=False, hash=False)
-    _state_ix: dict = field(init=False, repr=False, compare=False, hash=False)
-    _input_ix: dict = field(init=False, repr=False, compare=False, hash=False)
-    _output_ix: dict = field(init=False, repr=False, compare=False, hash=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", _check_alphabet(self.states, "state", reserved=False))
-        object.__setattr__(self, "inputs", _check_alphabet(self.inputs, "input"))
-        object.__setattr__(self, "outputs", _check_alphabet(self.outputs, "output"))
-        state_ix = {s: i for i, s in enumerate(self.states)}
-        input_ix = {u: i for i, u in enumerate(self.inputs)}
-        output_ix = {y: i for i, y in enumerate(self.outputs)}
-        if not self.initial:
+    def __init__(
+        self,
+        states: Sequence[str],
+        inputs: Sequence[str],
+        outputs: Sequence[str],
+        initial: Sequence[str],
+        transitions: Sequence[Transition],
+        external: ExternalAlphabet = ExternalAlphabet.OUTPUTS_ONLY,
+    ):
+        """Validate the name form and store it as rows."""
+        states = _check_alphabet(states, "state", reserved=False)
+        inputs = _check_alphabet(inputs, "input")
+        outputs = _check_alphabet(outputs, "output")
+        state_ix = {s: i for i, s in enumerate(states)}
+        input_ix = {u: i for i, u in enumerate(inputs)}
+        output_ix = {y: i for i, y in enumerate(outputs)}
+        if not initial:
             raise ParseError("initial state set is empty")
-        for x0 in self.initial:
+        for x0 in initial:
             if x0 not in state_ix:
                 raise UnknownState(f"initial state {x0!r} not declared")
-        if len(set(self.initial)) != len(self.initial):
+        if len(set(initial)) != len(initial):
             raise ParseError("duplicate initial state")
-        object.__setattr__(
-            self, "initial", tuple(sorted(self.initial, key=state_ix.__getitem__))
-        )
-        for x, u, y, x2 in self.transitions:
+        rows = set()
+        for x, u, y, x2 in transitions:
             if x not in state_ix or x2 not in state_ix:
                 raise UnknownState(f"transition ({x},{u},{y},{x2}) uses undeclared state")
             if u not in input_ix:
                 raise UnknownInput(f"transition input {u!r} not declared")
             if y not in output_ix:
                 raise UnknownOutput(f"transition output {y!r} not declared")
-        canon = sorted(
-            set(self.transitions),
-            key=lambda t: (state_ix[t[0]], input_ix[t[1]], output_ix[t[2]], state_ix[t[3]]),
+            rows.add((state_ix[x], input_ix[u], output_ix[y], state_ix[x2]))
+        initial = tuple(sorted(initial, key=state_ix.__getitem__))
+        _fill(self, states, inputs, outputs, initial, tuple(sorted(rows)), external)
+
+    @classmethod
+    def _trusted(cls, states, inputs, outputs, initial, rows, external, **extra):
+        """The machine of already-valid parts, without the name checks of
+        the constructor: ``inputs`` and ``outputs`` come from a validated
+        machine, ``states`` are distinct rendered names, ``initial`` are
+        states in declaration order and ``rows`` are index 4-tuples over
+        them, in any order and possibly repeated.  ``extra`` sets the
+        fields a subclass adds."""
+        machine = object.__new__(cls)
+        rows = tuple(sorted(set(rows)))
+        _fill(machine, states, inputs, outputs, initial, rows, external, **extra)
+        return machine
+
+    @cached_property
+    def transitions(self) -> tuple[Transition, ...]:
+        """The transitions as name 4-tuples, in row order."""
+        states, inputs, outputs = self.states, self.inputs, self.outputs
+        return tuple(
+            (states[x], inputs[u], outputs[y], states[x2]) for x, u, y, x2 in self._rows
         )
-        object.__setattr__(self, "transitions", tuple(canon))
-        by_source: dict[str, list] = {s: [] for s in self.states}
-        for t in self.transitions:
-            by_source[t[0]].append(t)
-        object.__setattr__(self, "_by_source", {s: tuple(ts) for s, ts in by_source.items()})
-        object.__setattr__(self, "_state_ix", state_ix)
-        object.__setattr__(self, "_input_ix", input_ix)
-        object.__setattr__(self, "_output_ix", output_ix)
+
+    def _transition(self, row) -> Transition:
+        """The name 4-tuple of one row."""
+        x, u, y, x2 = row
+        return (self.states[x], self.inputs[u], self.outputs[y], self.states[x2])
+
+    @cached_property
+    def _state_ix(self) -> dict:
+        """state -> its declaration index."""
+        return {s: i for i, s in enumerate(self.states)}
+
+    def _span(self, x: str) -> tuple[int, int]:
+        """The slice of ``_rows`` leaving state ``x``: rows sort by source."""
+        try:
+            i = self._state_ix[x]
+        except KeyError:
+            raise UnknownState(f"state {x!r} not declared") from None
+        return bisect_left(self._rows, (i,)), bisect_left(self._rows, (i + 1,))
 
     # -- enabled-set operators -------------------------------------------
 
     def outgoing(self, x: str) -> tuple[Transition, ...]:
         """All transitions leaving state ``x``, in canonical order."""
-        try:
-            return self._by_source[x]
-        except KeyError:
-            raise UnknownState(f"state {x!r} not declared") from None
+        lo, hi = self._span(x)
+        return self.transitions[lo:hi]
 
-    # Each operator reads only the transitions leaving ``x`` and orders
-    # what it found by declaration index, so its cost is independent of
-    # the alphabet and state-set sizes.
+    # Each operator reads only the rows leaving ``x`` and orders what it
+    # found by declaration index, so its cost is independent of the
+    # alphabet and state-set sizes.
 
     def admissible_outputs(self, x: str) -> tuple[str, ...]:
         """Outputs that can be emitted from ``x`` (over all inputs)."""
-        found = {t[2] for t in self.outgoing(x)}
-        return tuple(sorted(found, key=self._output_ix.__getitem__))
+        lo, hi = self._span(x)
+        return tuple(self.outputs[y] for y in sorted({r[2] for r in self._rows[lo:hi]}))
 
     def post_states(self, x: str, u: str | None = None) -> tuple[str, ...]:
         """Successor states of ``x``; restricted to input ``u`` if given."""
-        if u is not None and u not in self._input_ix:
+        if u is not None and u not in self.inputs:
             raise UnknownInput(f"input {u!r} not declared")
-        found = {t[3] for t in self.outgoing(x) if u is None or t[1] == u}
-        return tuple(sorted(found, key=self._state_ix.__getitem__))
+        ui = None if u is None else self.inputs.index(u)
+        lo, hi = self._span(x)
+        found = {r[3] for r in self._rows[lo:hi] if ui is None or r[1] == ui}
+        return tuple(self.states[x2] for x2 in sorted(found))
 
     def enabled_inputs(self, x: str) -> tuple[str, ...]:
         """Inputs with at least one transition from ``x``."""
-        found = {t[1] for t in self.outgoing(x)}
-        return tuple(sorted(found, key=self._input_ix.__getitem__))
+        lo, hi = self._span(x)
+        return tuple(self.inputs[u] for u in sorted({r[1] for r in self._rows[lo:hi]}))
 
     def project_external(self, u: str, y: str):
         """External symbol of a transition label under this machine's mode."""
-        if u not in self._input_ix:
+        if u not in self.inputs:
             raise UnknownInput(f"input {u!r} not declared")
-        if y not in self._output_ix:
+        if y not in self.outputs:
             raise UnknownOutput(f"output {y!r} not declared")
         return self.external.project(u, y)
 
     # -- derived structure -------------------------------------------------
 
-    def reachable_states(self) -> tuple[str, ...]:
-        seen = set(self.initial)
-        stack = list(self.initial)
+    def _initial_indices(self) -> list:
+        """The state indices of the initial states, ascending."""
+        initial = set(self.initial)
+        return [i for i, x in enumerate(self.states) if x in initial]
+
+    def _reachable(self) -> list:
+        """Per state index, whether some run reaches it."""
+        targets = [[] for _ in self.states]
+        for x, _, _, x2 in self._rows:
+            targets[x].append(x2)
+        seen = [False] * len(self.states)
+        stack = self._initial_indices()
+        for x0 in stack:
+            seen[x0] = True
         while stack:
-            x = stack.pop()
-            for _, _, _, x2 in self._by_source[x]:
-                if x2 not in seen:
-                    seen.add(x2)
+            for x2 in targets[stack.pop()]:
+                if not seen[x2]:
+                    seen[x2] = True
                     stack.append(x2)
-        return tuple(s for s in self.states if s in seen)
+        return seen
+
+    def reachable_states(self) -> tuple[str, ...]:
+        return tuple(s for s, hit in zip(self.states, self._reachable()) if hit)
 
     def digest(self) -> str:
         """Short hash of the machine's file form, printed by reports."""
@@ -241,9 +302,23 @@ class StateMachine:
         """This machine under another external mode."""
         if external is self.external:
             return self
-        return StateMachine(
-            self.states, self.inputs, self.outputs, self.initial, self.transitions, external
+        return StateMachine._trusted(
+            self.states, self.inputs, self.outputs, self.initial, self._rows, external
         )
+
+
+def _fill(machine, states, inputs, outputs, initial, rows, external, **extra) -> None:
+    """Set the fields of a new machine; ``rows`` are already distinct and
+    sorted, as plain integer tuples."""
+    machine.__dict__.update(
+        states=tuple(states),
+        inputs=tuple(inputs),
+        outputs=tuple(outputs),
+        initial=tuple(initial),
+        _rows=rows,
+        external=external,
+        **extra,
+    )
 
 
 @derived
@@ -251,9 +326,12 @@ def _unreachable_and_dead(machine: StateMachine) -> tuple[tuple[str, ...], tuple
     """The states no run reaches and the states with no outgoing
     transition, in declaration order: the check ``validate`` and the
     comparison gate share."""
-    reachable_set = set(machine.reachable_states())
-    unreachable = tuple(s for s in machine.states if s not in reachable_set)
-    dead = tuple(s for s in machine.states if not machine.outgoing(s))
+    reached = machine._reachable()
+    live = [False] * len(machine.states)
+    for x, _, _, _ in machine._rows:
+        live[x] = True
+    unreachable = tuple(s for s, hit in zip(machine.states, reached) if not hit)
+    dead = tuple(s for s, hit in zip(machine.states, live) if not hit)
     return unreachable, dead
 
 
@@ -267,16 +345,20 @@ def validate(machine: StateMachine) -> ValidationReport:
     finite-machine reading: every state has an outgoing transition, which
     together with ``reachable`` puts every state on an infinite run.
     """
-    out_det = all(len(machine.admissible_outputs(x)) <= 1 for x in machine.states)
-
-    # delta(x, u) is always inside H(x) x F(x, u), so the product equality
-    # reduces to a cardinality check per (state, input).
+    outputs = [set() for _ in machine.states]
+    posts: dict = {}
     per_pair: dict = {}
-    for x, u, _, _ in machine.transitions:
+    for x, u, y, x2 in machine._rows:
+        outputs[x].add(y)
+        posts.setdefault((x, u), set()).add(x2)
         per_pair[(x, u)] = per_pair.get((x, u), 0) + 1
+    out_det = all(len(found) <= 1 for found in outputs)
+
+    # delta(x, u) is always inside H(x) x F(x, u), and the rows are
+    # distinct, so the product equality reduces to a cardinality check per
+    # (state, input).
     separable = all(
-        count == len(machine.admissible_outputs(x)) * len(machine.post_states(x, u))
-        for (x, u), count in per_pair.items()
+        count == len(outputs[x]) * len(posts[(x, u)]) for (x, u), count in per_pair.items()
     )
 
     unreachable, dead = _unreachable_and_dead(machine)

@@ -70,9 +70,10 @@ def initial_partition(machine: StateMachine) -> Partition:
 
 def _predecessor_index(machine: StateMachine) -> dict:
     """state -> the set of states with a transition into it."""
-    index: dict[str, set] = {x: set() for x in machine.states}
-    for x, _, _, x2 in machine.transitions:
-        index[x2].add(x)
+    states = machine.states
+    index: dict[str, set] = {x: set() for x in states}
+    for x, _, _, x2 in machine._rows:
+        index[states[x2]].add(states[x])
     return index
 
 
@@ -189,19 +190,16 @@ def build_quotient_machine(machine: StateMachine, l: int) -> AbstractMachine:
     codec = window_codec(machine, _Y)
     cells = fibers(machine, l)
     tokens = tuple(cell_token(codec, codes, l) for codes, _ in cells)
-    token_of = {x: tok for tok, (_, members) in zip(tokens, cells) for x in members}
-    token_pos = {tok: i for i, tok in enumerate(tokens)}
-    initial = sorted({token_of[x0] for x0 in machine.initial}, key=token_pos.__getitem__)
-    transitions = {
-        (token_of[x], u, y, token_of[x2]) for x, u, y, x2 in machine.transitions
-    }
-    return AbstractMachine(
-        states=tokens,
-        inputs=machine.inputs,
-        outputs=machine.outputs,
-        initial=tuple(initial),
-        transitions=tuple(transitions),
-        external=_Y,
+    cell_of = {x: i for i, (_, members) in enumerate(cells) for x in members}
+    cell_at = [cell_of[x] for x in machine.states]
+    initial = sorted({cell_of[x0] for x0 in machine.initial})
+    return AbstractMachine._trusted(
+        tokens,
+        machine.inputs,
+        machine.outputs,
+        tuple(tokens[i] for i in initial),
+        ((cell_at[x], u, y, cell_at[x2]) for x, u, y, x2 in machine._rows),
+        _Y,
         window_map=tuple((tok, codes) for tok, (codes, _) in zip(tokens, cells)),
         codec=codec,
         window_length=l,

@@ -3,15 +3,22 @@ relations of the comparison results.
 
 A relation is a set of state pairs that holds its two endpoint machines;
 it binds to a machine that is that endpoint or has the same content.
-``verify_simulation`` checks the step condition transition by transition
-so the counterexample it reports is the first unmatched (pair,
-transition): transitions in canonical order, each state's partners in
-the relation's stored order (declaration order for ``make_relation``).
-The checks and the greatest fixpoint read each machine's successor table
+It is held as sorted pairs of state indexes (declaration order), and
+``Relation.pairs`` renders the state names when read.
+:func:`make_relation` is where name pairs become index pairs; the
+fixpoints, :func:`inverse` (a swap and an integer sort, built once per
+relation), :func:`compose` and the canonical relations, built from
+window codes, stay on indexes throughout.
+
+``verify_simulation`` checks the step condition row by row (the left
+machine's integer transitions, ``StateMachine._rows``), so the
+counterexample it reports is the first unmatched (pair, transition):
+transitions in canonical order, each state's partners in the relation's
+stored order; only that counterexample is rendered as names.  The checks
+and the greatest fixpoint read each machine's successor table
 ``behavior.successors``, built once per (machine, mode) and memoised per
 scope like all derived data; its symbol codes are the digits of
-``behavior.window_codec``, by which the canonical relations also name
-windows.
+``behavior.window_codec``.
 
 ``simulates`` and ``bisimilar`` first try to settle their verdict with
 the breadth-first walk over the product of the two prefix DFAs that
@@ -38,11 +45,13 @@ from the fixpoint.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
 
 from .analysis import derived
 from .behavior import (
     IntervalSpec,
+    _label_codes,
     behavior_equal,
     behavior_included,
     external_strings_map,
@@ -50,7 +59,7 @@ from .behavior import (
     successors,
     window_codec,
 )
-from .errors import DigestMismatch, InvalidSpec, MalformedRelation
+from .errors import EndpointMismatch, InvalidSpec, MalformedRelation
 from .machine import (
     ExternalAlphabet,
     StateMachine,
@@ -62,54 +71,90 @@ from .qba import build_quotient_machine
 from .salca import build_abstract_machine
 
 _Y = ExternalAlphabet.OUTPUTS_ONLY
+_NONE: frozenset = frozenset()
 
 
-@dataclass(frozen=True)
 class Relation:
-    """Ordered set of (left state, right state) pairs between two machines."""
+    """Ordered set of (left state, right state) pairs between two machines.
 
-    left: StateMachine = field(repr=False)
-    right: StateMachine = field(repr=False)
-    pairs: tuple[tuple[str, str], ...]
+    The library builds its relations from state-index pairs (``_indices``:
+    declaration indexes of the left and right states, sorted), and
+    ``pairs`` renders their names on first read.  ``Relation(left, right,
+    pairs)`` keeps name pairs in the given order and indexes them when a
+    check first reads them, reporting undeclared states then.  A relation
+    is immutable and caches its name set and its inverse.
+    """
+
+    def __init__(self, left: StateMachine, right: StateMachine, pairs):
+        self.__dict__.update(left=left, right=right, pairs=tuple(pairs))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[str, str], ...]:
+        left, right = self.left.states, self.right.states
+        return tuple((left[a], right[b]) for a, b in self._indices)
+
+    @cached_property
+    def _indices(self) -> tuple[tuple[int, int], ...]:
+        return tuple(_to_indices(self.left, self.right, self.pairs))
+
+    @cached_property
+    def _pair_set(self) -> frozenset:
+        return frozenset(self.pairs)
+
+    @cached_property
+    def _inverse(self) -> "Relation":
+        return _from_indices(self.right, self.left, [(b, a) for a, b in self._indices])
 
     def __contains__(self, pair) -> bool:
-        cached = self.__dict__.get("_pair_set")
-        if cached is None:
-            cached = frozenset(self.pairs)
-            object.__setattr__(self, "_pair_set", cached)
-        return pair in cached
+        return pair in self._pair_set
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self._indices)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Relation):
+            return NotImplemented
+        return (self.left, self.right, self.pairs) == (other.left, other.right, other.pairs)
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right, self.pairs))
+
+    def __repr__(self) -> str:
+        return f"Relation(pairs={self.pairs!r})"
 
     def render(self) -> str:
         return "\n".join(f"{a} -> {b}" for a, b in self.pairs) + ("\n" if self.pairs else "")
 
 
-def make_relation(left: StateMachine, right: StateMachine, pairs) -> Relation:
-    """Build a relation over two machines, validating and ordering pairs."""
-    left_order = _index(left)
-    right_order = _index(right)
-    indexed = set()
+def _from_indices(left: StateMachine, right: StateMachine, indices) -> Relation:
+    """The relation of the state-index pairs ``indices``, deduplicated and
+    sorted, so in declaration order."""
+    relation = object.__new__(Relation)
+    relation.__dict__.update(left=left, right=right, _indices=tuple(sorted(set(indices))))
+    return relation
+
+
+def _to_indices(left: StateMachine, right: StateMachine, pairs) -> list:
+    """The state-index pairs of the name ``pairs``, in their order: the
+    one place names become indices."""
+    left_order = left._state_ix
+    right_order = right._state_ix
+    indexed = []
     for a, b in pairs:
         if a not in left_order:
             raise MalformedRelation(f"left state {a!r} not declared")
         if b not in right_order:
             raise MalformedRelation(f"right state {b!r} not declared")
-        indexed.add((left_order[a], right_order[b]))
-    return _named(left, right, indexed)
+        indexed.append((left_order[a], right_order[b]))
+    return indexed
 
 
-def _index(machine: StateMachine) -> dict:
-    """state -> its declaration index, the state index of ``successors``."""
-    return {x: i for i, x in enumerate(machine.states)}
-
-
-def _named(left: StateMachine, right: StateMachine, pairs) -> Relation:
-    """The relation of the state-index ``pairs``, in declaration order."""
-    return Relation(
-        left, right, tuple((left.states[a], right.states[b]) for a, b in sorted(pairs))
-    )
+def make_relation(left: StateMachine, right: StateMachine, pairs) -> Relation:
+    """Build a relation over two machines, validating and ordering pairs."""
+    return _from_indices(left, right, _to_indices(left, right, pairs))
 
 
 def _same_machine(bound: StateMachine, given: StateMachine) -> bool:
@@ -119,32 +164,31 @@ def _same_machine(bound: StateMachine, given: StateMachine) -> bool:
 
 
 def _check_binding(relation: Relation, left: StateMachine, right: StateMachine) -> None:
+    """Both endpoints match, and every pair names declared states: reading
+    ``_indices`` indexes a relation built from names, or raises."""
     if not (_same_machine(relation.left, left) and _same_machine(relation.right, right)):
         raise MalformedRelation("relation is bound to different machines")
-    left_states = set(left.states)
-    right_states = set(right.states)
-    for a, b in relation.pairs:
-        if a not in left_states or b not in right_states:
-            raise MalformedRelation(f"pair ({a}, {b}) references undeclared states")
+    relation._indices
 
 
 def inverse(relation: Relation) -> Relation:
-    return make_relation(relation.right, relation.left, [(b, a) for a, b in relation.pairs])
+    """The swapped relation, in declaration order; built once per relation."""
+    return relation._inverse
 
 
 def compose(first: Relation, second: Relation) -> Relation:
     """Relational composition; the shared middle machine must match."""
     if not _same_machine(first.right, second.left):
-        raise DigestMismatch("compose: middle machines differ")
-    by_middle: dict[str, list] = {}
-    for b, c in second.pairs:
+        raise EndpointMismatch("compose: middle machines differ")
+    by_middle: dict[int, list] = {}
+    for b, c in second._indices:
         by_middle.setdefault(b, []).append(c)
-    combined = {(a, c) for a, b in first.pairs for c in by_middle.get(b, ())}
-    return make_relation(first.left, second.right, combined)
+    combined = [(a, c) for a, b in first._indices for c in by_middle.get(b, ())]
+    return _from_indices(first.left, second.right, combined)
 
 
 def identity_relation(machine: StateMachine) -> Relation:
-    return make_relation(machine, machine, [(x, x) for x in machine.states])
+    return _from_indices(machine, machine, [(i, i) for i in range(len(machine.states))])
 
 
 @dataclass(frozen=True)
@@ -160,8 +204,9 @@ class SimulationVerdict:
 
 
 def _partners(pairs) -> dict:
-    """state -> the states it is paired with, in the order of ``pairs``."""
-    partners: dict[str, list] = {}
+    """state index -> the state indices it is paired with, in the order
+    of the index ``pairs``."""
+    partners: dict[int, list] = {}
     for a, b in pairs:
         partners.setdefault(a, []).append(b)
     return partners
@@ -172,33 +217,50 @@ def _check_step(
 ) -> SimulationVerdict:
     """Step condition only: every left transition from a related state is
     matched by a related right transition with equal external label.
-    Each left state's partners are tried in their ``partners`` order."""
-    rows = successors(right, mode)
-    code = window_codec(right, mode).code
-    index = _index(right)
-    landing = {a: {index[b] for b in bs} for a, bs in partners.items()}
-    for t in left.transitions:
-        x1, u1, y1, x1_next = t
-        symbol = code(mode.project(u1, y1))
-        targets = landing.get(x1_next, frozenset())
-        for x2 in partners.get(x1, ()):
-            if targets.isdisjoint(_replies(rows[index[x2]], symbol)):
-                return SimulationVerdict(False, failed_pair=(x1, x2), failed_transition=t)
+
+    Walks ``left``'s rows, each left state's partners in their
+    ``partners`` order, so the first failing (pair, transition) is the
+    first in that order; names are rendered only for it.  Rows sort by
+    source, so each partner's replies to a symbol are looked up once per
+    source."""
+    replies = successors(right, mode)
+    codes = _label_codes(right, mode, left.inputs, left.outputs)
+    landing = {a: frozenset(bs) for a, bs in partners.items()}
+    source = mine = found = None
+    for row in left._rows:
+        x1, u, y, x1_next = row
+        if x1 != source:
+            source, mine, found = x1, partners.get(x1), {}
+        if mine is None:
+            continue
+        symbol = codes[u][y]
+        options = found.get(symbol)
+        if options is None:
+            options = found[symbol] = [_replies(replies[x2], symbol) for x2 in mine]
+        targets = landing.get(x1_next, _NONE)
+        for x2, reply in zip(mine, options):
+            if targets.isdisjoint(reply):
+                return SimulationVerdict(
+                    False,
+                    failed_pair=(left.states[x1], right.states[x2]),
+                    failed_transition=left._transition(row),
+                )
     return SimulationVerdict(True)
 
 
 def _check_initial(left: StateMachine, right: StateMachine, partners: dict) -> SimulationVerdict:
-    right_initial = set(right.initial)
-    for x0 in left.initial:
+    right_initial = set(right._initial_indices())
+    for x0 in left._initial_indices():
         if right_initial.isdisjoint(partners.get(x0, ())):
-            return SimulationVerdict(False, failed_initial=x0)
+            return SimulationVerdict(False, failed_initial=left.states[x0])
     return SimulationVerdict(True)
 
 
 def _check(
     left: StateMachine, right: StateMachine, mode: ExternalAlphabet, pairs
 ) -> SimulationVerdict:
-    """Initial and step condition, with ``pairs`` in a relation's stored order."""
+    """Initial and step condition, with the index ``pairs`` in a
+    relation's stored order."""
     partners = _partners(pairs)
     verdict = _check_initial(left, right, partners)
     return _check_step(left, right, mode, partners) if verdict else verdict
@@ -220,10 +282,10 @@ def verify_simulation(
     """
     require_comparable(left, right, mode, "verify_simulation")
     _check_binding(relation, left, right)
-    verdict = _check(left, right, mode, relation.pairs)
+    verdict = _check(left, right, mode, relation._indices)
     if not verdict or not bisim:
         return verdict
-    back = _check(right, left, mode, inverse(relation).pairs)
+    back = _check(right, left, mode, inverse(relation)._indices)
     if not back:
         return SimulationVerdict(
             False,
@@ -298,7 +360,7 @@ def _greatest(
             ):
                 alive.discard(pair)
                 changed = True
-    return _named(left, right, alive)
+    return _from_indices(left, right, alive)
 
 
 def greatest_simulation(
@@ -327,7 +389,7 @@ def simulates(left: StateMachine, right: StateMachine, mode: ExternalAlphabet) -
     if is_deterministic(right, mode):
         return True
     relation = greatest_simulation(left, right, mode)
-    return bool(_check_initial(left, right, _partners(relation.pairs)))
+    return bool(_check_initial(left, right, _partners(relation._indices)))
 
 
 def greatest_bisimulation(
@@ -349,7 +411,7 @@ def bisimilar(left: StateMachine, right: StateMachine, mode: ExternalAlphabet) -
     require_comparable(left, right, mode, "greatest_bisimulation")
     if not behavior_equal(left, right, mode):
         return False
-    pairs = greatest_bisimulation(left, right, mode).pairs
+    pairs = greatest_bisimulation(left, right, mode)._indices
     return bool(
         _check_initial(left, right, _partners(pairs))
         and _check_initial(right, left, _partners((b, a) for a, b in pairs))
@@ -388,20 +450,20 @@ def _canonical_relation(
         spec = IntervalSpec(l, m)
         right = build_abstract_machine(machine, mode, spec)
         emap = external_strings_map(machine, mode, spec)
-        pairs = [(x, codec.name(w, l)) for x in machine.states for w in emap[x]]
-        return make_relation(machine, right, pairs)
+        at = _window_positions(right)
+        pairs = [(x, at[w]) for x, state in enumerate(machine.states) for w in emap[state]]
+        return _from_indices(machine, right, pairs)
 
     if kind is CanonicalKind.L_STEP:
-        spec = IntervalSpec(l, m)
         left = build_abstract_machine(machine, mode, IntervalSpec(l + 1, m))
-        right = build_abstract_machine(machine, mode, spec)
-        token_of = {w: token for token, (w,) in right.window_map}
+        right = build_abstract_machine(machine, mode, IntervalSpec(l, m))
+        at = _window_positions(right)
         pairs = []
-        for token, (window,) in left.window_map:
-            shrunk = token_of.get(codec.restrict(window, l + 1, 1, l))
+        for a, (_, (window,)) in enumerate(left.window_map):
+            shrunk = at.get(codec.restrict(window, l + 1, 1, l))
             if shrunk is not None:
-                pairs.append((token, shrunk))
-        return make_relation(left, right, pairs)
+                pairs.append((a, shrunk))
+        return _from_indices(left, right, pairs)
 
     if kind is CanonicalKind.M_STEP:
         if m >= l:
@@ -410,37 +472,43 @@ def _canonical_relation(
         right = build_abstract_machine(machine, mode, IntervalSpec(l, m))
         up = external_strings_map(machine, mode, IntervalSpec(l, m + 1))
         down = external_strings_map(machine, mode, IntervalSpec(l, m))
-        pairs = set()
+        left_at = _window_positions(left)
+        right_at = _window_positions(right)
+        pairs = []
         for x in machine.states:
             # a is related to b when a's first l - 1 symbols are b's last.
             by_suffix: dict[int, list] = {}
             for b in down[x]:
-                by_suffix.setdefault(codec.restrict(b, l, 1, l - 1), []).append(b)
+                by_suffix.setdefault(codec.restrict(b, l, 1, l - 1), []).append(right_at[b])
             for a in up[x]:
                 for b in by_suffix.get(codec.restrict(a, l, 0, l - 2), ()):
-                    pairs.add((codec.name(a, l), codec.name(b, l)))
-        return make_relation(left, right, pairs)
+                    pairs.append((left_at[a], b))
+        return _from_indices(left, right, pairs)
 
     if kind is CanonicalKind.STATE_TO_QUOTIENT:
         right = build_quotient_machine(machine, l)
         emap = external_strings_map(machine, _Y, IntervalSpec(l, l))
-        token_of = {codes: token for token, codes in right.window_map}
-        pairs = [(x, token_of[emap[x]]) for x in machine.states]
-        return make_relation(machine, right, pairs)
+        cell_of = {codes: i for i, (_, codes) in enumerate(right.window_map)}
+        pairs = [(x, cell_of[emap[state]]) for x, state in enumerate(machine.states)]
+        return _from_indices(machine, right, pairs)
 
     if kind in (CanonicalKind.SALCA_TO_QUOTIENT, CanonicalKind.RENAMING):
         left = build_abstract_machine(machine, _Y, IntervalSpec(l, l))
         right = build_quotient_machine(machine, l)
-        name = window_codec(machine, _Y).name
+        at = _window_positions(left)
         pairs = []
-        for token, codes in right.window_map:
+        for cell, (_, codes) in enumerate(right.window_map):
             if kind is CanonicalKind.RENAMING and len(codes) != 1:
                 continue
-            for w in codes:
-                pairs.append((name(w, l), token))
-        return make_relation(left, right, pairs)
+            pairs.extend((at[w], cell) for w in codes)
+        return _from_indices(left, right, pairs)
 
     raise InvalidSpec(f"unknown canonical relation kind {kind!r}")
+
+
+def _window_positions(abstraction) -> dict:
+    """window code -> state index, for a window-state machine."""
+    return {w: i for i, (_, (w,)) in enumerate(abstraction.window_map)}
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,14 @@ into ``Window`` objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .analysis import derived
 from .behavior import (
     IntervalSpec,
     Window,
     WindowCodec,
+    _label_codes,
     behavior_equal,
     dominoes,
     external_strings_map,
@@ -34,24 +36,39 @@ from .errors import InvalidSpec
 from .machine import ExternalAlphabet, StateMachine, require_accepted
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AbstractMachine(StateMachine):
     """A state machine whose states stand for window sets of a source machine.
 
     ``window_map`` pairs each state token with the codes (under ``codec``)
     of the ``window_length``-long windows it denotes: a single window for
     window-state machines, a whole cell of windows for quotient machines.
+    The builders construct it through the trusted path
+    (``StateMachine._trusted``) from rows over state positions.
     """
 
     window_map: tuple = ()  # ordered (token, tuple-of-window-code) pairs
     codec: WindowCodec | None = field(default=None, repr=False, compare=False)
     window_length: int = 0
 
-    _codes_by_token: dict = field(init=False, repr=False, compare=False, hash=False)
+    def __init__(
+        self,
+        states,
+        inputs,
+        outputs,
+        initial,
+        transitions,
+        external: ExternalAlphabet = ExternalAlphabet.OUTPUTS_ONLY,
+        window_map: tuple = (),
+        codec: WindowCodec | None = None,
+        window_length: int = 0,
+    ):
+        super().__init__(states, inputs, outputs, initial, transitions, external)
+        self.__dict__.update(window_map=window_map, codec=codec, window_length=window_length)
 
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "_codes_by_token", dict(self.window_map))
+    @cached_property
+    def _codes_by_token(self) -> dict:
+        return dict(self.window_map)
 
     def codes_of(self, token: str) -> tuple[int, ...]:
         return self._codes_by_token[token]
@@ -95,19 +112,20 @@ def _window_machine(
     length: int,
     windows,
     initial,
-    transitions,
+    rows,
 ) -> AbstractMachine:
-    """The abstraction whose states are the given ``length``-window codes,
-    in order, named by the codec; ``transitions`` are over those names."""
+    """The abstraction whose states are the given ascending ``length``-window
+    codes, named by the codec; ``initial`` are ascending codes among them,
+    and ``rows`` are over the states' positions in ``windows``."""
     codec = window_codec(machine, mode)
-    names = [codec.name(w, length) for w in windows]
-    return AbstractMachine(
-        states=tuple(names),
-        inputs=machine.inputs,
-        outputs=machine.outputs,
-        initial=tuple(codec.name(w, length) for w in initial),
-        transitions=tuple(transitions),
-        external=mode,
+    names = tuple(codec.name(w, length) for w in windows)
+    return AbstractMachine._trusted(
+        names,
+        machine.inputs,
+        machine.outputs,
+        tuple(codec.name(w, length) for w in initial),
+        rows,
+        mode,
         window_map=tuple((name, (w,)) for name, w in zip(names, windows)),
         codec=codec,
         window_length=length,
@@ -132,35 +150,40 @@ def build_abstract_machine(
     codec = window_codec(machine, mode)
     emap = external_strings_map(machine, mode, spec)
     l, m = spec.l, spec.m
+    realized = sorted(set().union(*emap.values()))
+    position = {w: i for i, w in enumerate(realized)}
     # The source window and the target's last symbol form an (l+1)-window
     # whose symbol at position l - m is the transition's label: in the
-    # source when m > 0, else the target's last.  Index source names by
-    # that label and their last l - 1 symbols, and target names by their
+    # source when m > 0, else the target's last.  Index source windows by
+    # that label and their last l - 1 symbols, and target windows by their
     # first l - 1 symbols (and, for m = 0, their last), so each source
     # meets only the matching targets.
-    sources: dict[str, dict] = {}
-    targets: dict[str, dict] = {}
-    for x, windows in emap.items():
-        by_label = sources[x] = {}
-        by_overlap = targets[x] = {}
-        for w in windows:
-            name = codec.name(w, l)
+    sources = []
+    targets = []
+    for x in machine.states:
+        by_label: dict = {}
+        by_overlap: dict = {}
+        for w in emap[x]:
+            i = position[w]
             label = codec.restrict(w, l, l - m, l - m) if m else None
             overlap = codec.restrict(w, l, 1, l - 1)
-            by_label.setdefault(label, {}).setdefault(overlap, []).append(name)
+            by_label.setdefault(label, {}).setdefault(overlap, []).append(i)
             last = None if m else codec.restrict(w, l, l - 1, l - 1)
-            by_overlap.setdefault((codec.restrict(w, l, 0, l - 2), last), []).append(name)
-    transitions = set()
-    for x, u, y, x2 in machine.transitions:
-        symbol = codec.code(mode.project(u, y))
-        into = targets[x2]
-        for overlap, srcs in sources[x].get(symbol if m else None, {}).items():
-            for dst in into.get((overlap, None if m else symbol), ()):
-                transitions.update((src, u, y, dst) for src in srcs)
-
-    realized = sorted(set().union(*emap.values()))
+            by_overlap.setdefault((codec.restrict(w, l, 0, l - 2), last), []).append(i)
+        sources.append(by_label)
+        targets.append(by_overlap)
+    codes = _label_codes(machine, mode, machine.inputs, machine.outputs)
+    # A generator: the trusted path deduplicates as it consumes, so the
+    # repeats that several concrete transitions produce are never held.
+    rows = (
+        (src, u, y, dst)
+        for x, u, y, x2 in machine._rows
+        for overlap, srcs in sources[x].get(codes[u][y] if m else None, {}).items()
+        for dst in targets[x2].get((overlap, None if m else codes[u][y]), ())
+        for src in srcs
+    )
     initial = _initial_codes(machine, mode, spec)
-    return _window_machine(machine, mode, l, realized, initial, transitions)
+    return _window_machine(machine, mode, l, realized, initial, rows)
 
 
 def standard_realization(machine: StateMachine, l: int) -> AbstractMachine:
@@ -175,13 +198,19 @@ def standard_realization(machine: StateMachine, l: int) -> AbstractMachine:
     require_accepted(machine, "standard_realization")
     mode = ExternalAlphabet.INPUT_OUTPUT_PAIRS
     codec = window_codec(machine, mode)
-    transitions = []
-    for domino in dominoes(machine, mode, l + 1).codes:
-        u, y = codec.symbol(codec.restrict(domino, l + 1, l, l))
-        head = codec.name(codec.restrict(domino, l + 1, 0, l - 1), l)
-        transitions.append((head, u, y, codec.name(codec.restrict(domino, l + 1, 1, l), l)))
+    label_of = {
+        code: (u, y)
+        for u, row in enumerate(_label_codes(machine, mode, machine.inputs, machine.outputs))
+        for y, code in enumerate(row)
+    }
     states = sorted({0, *dominoes(machine, mode, l).codes})
-    return _window_machine(machine, mode, l, states, (0,), transitions)
+    position = {w: i for i, w in enumerate(states)}
+    rows = []
+    for domino in dominoes(machine, mode, l + 1).codes:
+        u, y = label_of[codec.restrict(domino, l + 1, l, l)]
+        head = position[codec.restrict(domino, l + 1, 0, l - 1)]
+        rows.append((head, u, y, position[codec.restrict(domino, l + 1, 1, l)]))
+    return _window_machine(machine, mode, l, states, (0,), rows)
 
 
 @dataclass(frozen=True)

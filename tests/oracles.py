@@ -6,10 +6,12 @@ The one exception is ``naive_behavior_included``, the reference search
 for behavioral inclusion, which reads the right machine's prefix DFA.
 ``naive_greatest_simulation`` and ``naive_greatest_bisimulation`` are
 plain removal loops over per-transition moves, with their own label
-projection.  The ``naive_*`` window fixpoints are the tuple-based
-``Window`` forms of the integer-coded ones in ``fsmabs.behavior``, sorted
-by ``window_sort_key``, the reference canonical order; the
-``naive_*`` refinement helpers scan all of delta once per splitter cell.
+projection; ``naive_verify_simulation`` checks a name relation
+transition by transition the same way.  The ``naive_*`` window
+fixpoints are the tuple-based ``Window`` forms of the integer-coded ones
+in ``fsmabs.behavior``, sorted by ``window_sort_key``, the reference
+canonical order; the ``naive_*`` refinement helpers scan all of delta
+once per splitter cell.
 """
 
 import random
@@ -17,6 +19,7 @@ from collections import deque
 
 from fsmabs.behavior import InclusionVerdict, IntervalSpec, Window, prefix_automaton
 from fsmabs.machine import DIAMOND, ExternalAlphabet, StateMachine, validate
+from fsmabs.relations import SimulationVerdict
 
 
 def window(text: str) -> Window:
@@ -248,6 +251,51 @@ def naive_greatest_bisimulation(
                 alive.discard(pair)
                 changed = True
     return alive
+
+
+def _naive_check(left: StateMachine, right: StateMachine, mode: ExternalAlphabet, pairs):
+    """Initial and step condition of the name ``pairs`` from ``left`` to
+    ``right``: (failed initial, failed pair, failed transition), all None
+    when both hold.  Left transitions in order, each state's partners in
+    the order of ``pairs``."""
+    partners: dict = {}
+    for a, b in pairs:
+        partners.setdefault(a, []).append(b)
+    for x0 in left.initial:
+        if not set(right.initial) & set(partners.get(x0, ())):
+            return x0, None, None
+    moves: dict = {x: set() for x in right.states}
+    for x, u, y, x2 in right.transitions:
+        moves[x].add((_project(mode, u, y), x2))
+    for t in left.transitions:
+        x1, u, y, x1_next = t
+        symbol = _project(mode, u, y)
+        for x2 in partners.get(x1, ()):
+            if not any((symbol, r2) in moves[x2] for r2 in partners.get(x1_next, ())):
+                return None, (x1, x2), t
+    return None, None, None
+
+
+def naive_verify_simulation(
+    left: StateMachine, right: StateMachine, mode: ExternalAlphabet, pairs, bisim: bool = False
+) -> SimulationVerdict:
+    """Reference ``verify_simulation`` over the name transitions and name pairs.
+
+    ``pairs`` are in the relation's stored order.  With ``bisim`` the
+    swapped pairs, ordered by the declaration indexes of (right state,
+    left state), must be a simulation from ``right`` to ``left`` too.
+    """
+    failed = _naive_check(left, right, mode, pairs)
+    if failed != (None, None, None) or not bisim:
+        return SimulationVerdict(failed == (None, None, None), *failed)
+    swapped = sorted(
+        ((b, a) for a, b in pairs),
+        key=lambda p: (right.states.index(p[0]), left.states.index(p[1])),
+    )
+    failed = _naive_check(right, left, mode, swapped)
+    if failed != (None, None, None):
+        return SimulationVerdict(False, *failed, direction="backward")
+    return SimulationVerdict(True)
 
 
 # -- window fixpoints over Window tuples -----------------------------------------

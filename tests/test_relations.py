@@ -3,8 +3,14 @@ import itertools
 import pytest
 
 from fsmabs import machine as machine_io
+from fsmabs.analysis import scope
 from fsmabs.behavior import IntervalSpec, behavior_equal, behavior_included
-from fsmabs.errors import DigestMismatch, IncompatibleAlphabets, MalformedRelation
+from fsmabs.errors import (
+    DigestMismatch,
+    EndpointMismatch,
+    IncompatibleAlphabets,
+    MalformedRelation,
+)
 from fsmabs.fuzz import FuzzConfig, machine_stream
 from fsmabs.machine import StateMachine, machines_compatible
 from fsmabs.qba import build_quotient_machine, is_fixed_point, partition_at
@@ -25,8 +31,12 @@ from fsmabs.relations import (
 )
 from fsmabs.salca import build_abstract_machine, is_future_unique, is_sbalc
 
-from .conftest import UY, Y, reversed_labels
-from .oracles import naive_greatest_bisimulation, naive_greatest_simulation
+from .conftest import ACCEPTANCE_HEAD, UY, Y, reversed_labels
+from .oracles import (
+    naive_greatest_bisimulation,
+    naive_greatest_simulation,
+    naive_verify_simulation,
+)
 
 
 # -- verify_simulation -----------------------------------------------------------
@@ -280,6 +290,50 @@ def test_greatest_relations_match_naive_loops_across_declaration_orders(mode):
             assert verify_simulation(left, right, mode, identity, bisim=True), machine
 
 
+def _canonical_family(machine: StateMachine):
+    """Every canonical relation of ``machine`` at l <= 2."""
+    for l in (1, 2):
+        for mode in (Y, UY):
+            for m in range(l + 1):
+                yield canonical_relation(CanonicalKind.STATE_TO_ABSTRACT, machine, mode, l, m)
+                yield canonical_relation(CanonicalKind.L_STEP, machine, mode, l, m)
+                if m < l:
+                    yield canonical_relation(CanonicalKind.M_STEP, machine, mode, l, m)
+        for kind in (
+            CanonicalKind.STATE_TO_QUOTIENT,
+            CanonicalKind.SALCA_TO_QUOTIENT,
+            CanonicalKind.RENAMING,
+        ):
+            yield canonical_relation(kind, machine, Y, l)
+
+
+def test_verify_simulation_matches_naive_check():
+    # Each relation is also carried onto a copy of its left machine that
+    # declares its labels in reverse order, so the left rows' labels get
+    # other codes in the right machine's codec; the whole verdict (first
+    # failing initial state, pair and transition, and its direction) must
+    # equal the transition-by-transition reference.
+    verdicts = dict.fromkeys(("holds", "initial", "step", "backward"), 0)
+    for machine in machine_stream(ACCEPTANCE_HEAD):
+        with scope():
+            for canon in _canonical_family(machine):
+                for relation in (canon, inverse(canon)):
+                    left, right = relation.left, relation.right
+                    for ends in ((left, right), (reversed_labels(left), right)):
+                        carried = make_relation(*ends, relation.pairs)
+                        for mode, bisim in itertools.product((Y, UY), (False, True)):
+                            got = verify_simulation(*ends, mode, carried, bisim=bisim)
+                            expected = naive_verify_simulation(*ends, mode, carried.pairs, bisim)
+                            assert got == expected, (machine, relation, ends, mode, bisim)
+                            if got.direction == "backward":
+                                verdicts["backward"] += 1
+                            elif got:
+                                verdicts["holds"] += 1
+                            else:
+                                verdicts["step" if got.failed_pair else "initial"] += 1
+    assert min(verdicts.values()) > 0, verdicts
+
+
 def _chain(initial, transitions) -> StateMachine:
     """Outputs-only machine on input ``u``; ``transitions`` are (x, y, x')."""
     states = tuple(dict.fromkeys([initial] + [x for t in transitions for x in (t[0], t[2])]))
@@ -414,8 +468,9 @@ def test_inverse_and_compose_order_pairs_by_declaration():
 
 def test_compose_requires_matching_middle(fig_machine):
     canon = canonical_relation(CanonicalKind.STATE_TO_ABSTRACT, fig_machine, Y, 1, 1)
-    with pytest.raises(DigestMismatch):
+    with pytest.raises(EndpointMismatch):
         compose(canon, canon)
+    assert DigestMismatch is EndpointMismatch
 
 
 def test_composition_identity_under_future_uniqueness(fig_machine):

@@ -1,10 +1,13 @@
 import pytest
 
+from fsmabs.analysis import scope
 from fsmabs.behavior import IntervalSpec, Window, behavior_equal
 from fsmabs.errors import InvalidSpec, NotAccepted
 from fsmabs.fuzz import machine_stream
-from fsmabs.machine import DIAMOND, StateMachine, validate
+from fsmabs.machine import DIAMOND, StateMachine, dumps, validate
+from fsmabs.qba import build_quotient_machine
 from fsmabs.salca import (
+    AbstractMachine,
     build_abstract_machine,
     initial_windows,
     is_async_l_complete,
@@ -117,6 +120,38 @@ def test_window_map_tracks_states(fig_machine):
     a = build_abstract_machine(fig_machine, Y, IntervalSpec(2, 2))
     assert a.single_window_of("y3.y4") == window("y3 y4")
     assert a.windows_of("y1.y2") == (window("y1 y2"),)
+
+
+def _builds(machine: StateMachine):
+    """Every abstraction the builders make of ``machine`` up to l = 3."""
+    for l in (1, 2, 3):
+        for mode in (Y, UY):
+            for m in range(l + 1):
+                yield build_abstract_machine(machine, mode, IntervalSpec(l, m))
+        yield build_quotient_machine(machine, l)
+        yield standard_realization(machine, l)
+
+
+def test_trusted_builds_equal_validating_constructor():
+    # The builders construct through the trusted path from integer rows;
+    # the validating constructor, given the rendered name fields, must
+    # give the same machine, file bytes, digest and outgoing transitions.
+    builds = 0
+    for machine in machine_stream(ACCEPTANCE_HEAD):
+        with scope():
+            for built in _builds(machine):
+                names = (built.states, built.inputs, built.outputs, built.initial,
+                         built.transitions, built.external)
+                rebuilt = AbstractMachine(*names, built.window_map, built.codec,
+                                          built.window_length)
+                assert rebuilt == built
+                plain = StateMachine(*names)
+                assert plain._rows == built._rows
+                assert dumps(plain) == dumps(built)
+                assert plain.digest() == built.digest()
+                assert all(plain.outgoing(x) == built.outgoing(x) for x in built.states)
+                builds += 1
+    assert builds == 20 * 24
 
 
 # -- standard realization -------------------------------------------------------
