@@ -21,7 +21,8 @@ The same digits code the symbols of the machine's successor table
 restricting and joining windows are integer arithmetic, and integer
 order is the canonical window order (diamond first, then declaration
 order, position by position).  The radix arithmetic lives here; other
-modules call the codec.  Every memoised result holds codes only.  ``Window`` objects are decoded where the API hands one out
+modules call the codec.  Every memoised result holds codes only.
+``Window`` objects are decoded where the API hands one out
 (``past_windows``, ``future_windows``, ``external_strings``,
 ``DominoSet``, ``AbstractMachine.windows_of`` and predicate witnesses),
 and the codec renders each (code, length) name once.
@@ -387,28 +388,26 @@ def external_strings(
     canonical order.
 
     The window covers l - m past symbols and m future ones (m + 1 with
-    ``extended``).  Computed as the product of the past-history and
-    future-label sets, which is exact because any history reaching ``x``
-    can be continued by any future leaving it.
+    ``extended``, i.e. the interval (l + 1, m + 1)).  Read from
+    :func:`external_strings_map`.
     """
-    require_accepted(machine, "external_strings")
-    if x not in machine.states:
+    if extended:
+        spec = IntervalSpec(spec.l + 1, spec.m + 1)
+    windows = external_strings_map(machine, mode, spec)
+    if x not in windows:
         raise UnknownState(f"state {x!r} not declared")
-    past_len = spec.l - spec.m
-    future_len = spec.m + 1 if extended else spec.m
     codec = window_codec(machine, mode)
-    past = past_map(machine, mode, past_len)[x]
-    futures = future_map(machine, mode, future_len)[x]
-    codes = _joined(past, futures, future_len, codec.base)
-    return tuple(codec.decode(w, past_len + future_len) for w in codes)
+    return tuple(codec.decode(w, spec.l) for w in windows[x])
 
 
 @derived
 def external_strings_map(
     machine: StateMachine, mode: ExternalAlphabet, spec: IntervalSpec
 ) -> dict:
-    """For every state, the codes of its ``external_strings`` (l-long, in
-    canonical order), from one pair of fixpoints."""
+    """For every state, the codes of the l-long windows a run can exhibit
+    around a visit to it, in canonical order.  The product of the
+    past-history and future-label sets, which is exact because any
+    history reaching a state can be continued by any future leaving it."""
     require_accepted(machine, "external_strings")
     past = past_map(machine, mode, spec.l - spec.m)
     fut = future_map(machine, mode, spec.m)

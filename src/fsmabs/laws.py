@@ -4,6 +4,13 @@ Each law takes an accepted machine and a list of window lengths and
 returns None on success or a short description of the first violation.
 The random-machine driver treats any violation as a defect in this
 package, never as an interesting finding about the machine.
+
+The twelve canonical-relation laws are rows of one table, read by one
+checker (:func:`_relation_law`): at each site (mode, l, m) of a site
+grid, the canonical relation of the row's kind, or its inverse, is a
+simulation exactly when the row's predicate holds (always, when the row
+has none); a violation reports the first site where verdict and
+predicate disagree.  The other laws are written out as functions.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from .relations import (
     verify_simulation,
 )
 from .salca import (
+    _unique_extensions,
     build_abstract_machine,
     is_future_unique,
     is_sbalc,
@@ -62,6 +70,26 @@ def _paired_levels(levels):
     """Levels l whose successor l + 1 is still within the level budget."""
     top = max(levels)
     return [l for l in levels if l + 1 <= top]
+
+
+# -- site grids: the (mode, l, m) sites a law visits, in report order ----------
+
+
+def _all_anchors(levels):
+    return ((mode, l, m) for mode in _BOTH for l in levels for m in _anchors(l))
+
+
+def _paired_anchors(levels):
+    return ((mode, l, m) for mode in _BOTH for l in _paired_levels(levels) for m in _anchors(l))
+
+
+def _shifted_anchors(levels):
+    """Anchors m < l, which can still shift one step into the future."""
+    return ((mode, l, m) for mode in _BOTH for l in levels for m in range(l))
+
+
+def _output_levels(levels):
+    return ((_Y, l, 0) for l in levels)
 
 
 def law_realization(machine: StateMachine, levels) -> str | None:
@@ -90,90 +118,6 @@ def law_standard_realization(machine: StateMachine, levels) -> str | None:
     return None
 
 
-def law_state_to_abstract_forward(machine: StateMachine, levels) -> str | None:
-    """Canonical relation verifies (over full labels) iff future unique."""
-    for mode in _BOTH:
-        for l in levels:
-            for m in _anchors(l):
-                canon = canonical_relation(
-                    CanonicalKind.STATE_TO_ABSTRACT, machine, mode, l, m
-                )
-                holds = bool(verify_simulation(canon.left, canon.right, _UY, canon))
-                expected = bool(is_future_unique(machine, mode, IntervalSpec(l, m)))
-                if holds != expected:
-                    return f"forward iff broken at mode={mode.value} l={l} m={m}"
-    return None
-
-
-def law_state_to_abstract_backward(machine: StateMachine, levels) -> str | None:
-    """Inverse canonical relation verifies iff state-based complete."""
-    for mode in _BOTH:
-        for l in levels:
-            for m in _anchors(l):
-                canon = canonical_relation(
-                    CanonicalKind.STATE_TO_ABSTRACT, machine, mode, l, m
-                )
-                holds = bool(verify_simulation(canon.right, canon.left, mode, inverse(canon)))
-                expected = bool(is_sbalc(machine, mode, IntervalSpec(l, m)))
-                if holds != expected:
-                    return f"backward iff broken at mode={mode.value} l={l} m={m}"
-    return None
-
-
-def law_longer_window_forward(machine: StateMachine, levels) -> str | None:
-    """Dropping the oldest symbol is always a simulation to the shorter window."""
-    for mode in _BOTH:
-        for l in _paired_levels(levels):
-            for m in _anchors(l):
-                canon = canonical_relation(CanonicalKind.L_STEP, machine, mode, l, m)
-                if not verify_simulation(canon.left, canon.right, mode, canon):
-                    return f"l-step forward failed at mode={mode.value} l={l} m={m}"
-    return None
-
-
-def law_longer_window_backward(machine: StateMachine, levels) -> str | None:
-    """Inverse verifies iff the window closure is already saturated."""
-    for mode in _BOTH:
-        for l in _paired_levels(levels):
-            saturated = saturation_check(machine, mode, l)
-            for m in _anchors(l):
-                canon = canonical_relation(CanonicalKind.L_STEP, machine, mode, l, m)
-                holds = bool(verify_simulation(canon.right, canon.left, mode, inverse(canon)))
-                if holds != saturated:
-                    return f"l-step backward iff broken at mode={mode.value} l={l} m={m}"
-    return None
-
-
-def law_anchor_shift_forward(machine: StateMachine, levels) -> str | None:
-    """Shifting the anchor one step into the future is always a simulation."""
-    for mode in _BOTH:
-        for l in levels:
-            for m in range(l):
-                canon = canonical_relation(CanonicalKind.M_STEP, machine, mode, l, m)
-                if not verify_simulation(canon.left, canon.right, mode, canon):
-                    return f"m-step forward failed at mode={mode.value} l={l} m={m}"
-    return None
-
-
-def law_anchor_shift_backward(machine: StateMachine, levels) -> str | None:
-    """Inverse verifies iff the joint uniqueness/completeness predicate holds.
-
-    Literal claim: the joint predicate quantifies over *all* windows,
-    including diamond-padded ones that no visit at the shifted anchor can
-    exhibit, so it can be strictly stronger than the simulation property
-    (``law_anchor_shift_backward_anchored`` is the exact form).
-    """
-    for mode in _BOTH:
-        for l in levels:
-            for m in range(l):
-                canon = canonical_relation(CanonicalKind.M_STEP, machine, mode, l, m)
-                holds = bool(verify_simulation(canon.right, canon.left, mode, inverse(canon)))
-                expected = joint_fu_sbalc(machine, mode, IntervalSpec(l, m))
-                if holds != expected:
-                    return f"m-step backward iff broken at mode={mode.value} l={l} m={m}"
-    return None
-
-
 def anchored_unique_extension(
     machine: StateMachine, mode: ExternalAlphabet, spec: IntervalSpec
 ) -> bool:
@@ -184,66 +128,7 @@ def anchored_unique_extension(
     the shifted interval.  Restricted this way, unique extension is exactly
     what the inverse anchor-shift simulation requires.
     """
-    codec = window_codec(machine, mode)
-    n = spec.l + 1
-    by_prefix: dict = {}
-    for domino in dominoes(machine, mode, n).codes:
-        prefix = codec.restrict(domino, n, 0, spec.l - 1)
-        if codec.diamonds(prefix, spec.l) > spec.l - spec.m:
-            continue
-        if by_prefix.setdefault(prefix, domino) != domino:
-            return False
-    return True
-
-
-def law_anchor_shift_backward_anchored(machine: StateMachine, levels) -> str | None:
-    """Inverse verifies iff every anchorable prefix extends uniquely."""
-    for mode in _BOTH:
-        for l in levels:
-            for m in range(l):
-                canon = canonical_relation(CanonicalKind.M_STEP, machine, mode, l, m)
-                holds = bool(verify_simulation(canon.right, canon.left, mode, inverse(canon)))
-                expected = anchored_unique_extension(machine, mode, IntervalSpec(l, m))
-                if holds != expected:
-                    return f"anchored m-step iff broken at mode={mode.value} l={l} m={m}"
-    return None
-
-
-def law_quotient_forward(machine: StateMachine, levels) -> str | None:
-    """The cell map is always a simulation into the quotient machine."""
-    for l in levels:
-        canon = canonical_relation(CanonicalKind.STATE_TO_QUOTIENT, machine, l=l)
-        if not verify_simulation(canon.left, canon.right, _UY, canon):
-            return f"quotient forward failed at l={l}"
-    return None
-
-
-def law_quotient_backward(machine: StateMachine, levels) -> str | None:
-    """Inverse cell map verifies iff the refinement partition is a fixed point.
-
-    This is the literal claim; it can fail on machines whose may-branching
-    makes the refinement strictly finer than the window fibers (see
-    ``law_quotient_backward_stability`` for the form that always holds).
-    """
-    for l in levels:
-        canon = canonical_relation(CanonicalKind.STATE_TO_QUOTIENT, machine, l=l)
-        holds = bool(verify_simulation(canon.right, canon.left, _Y, inverse(canon)))
-        expected = bool(is_fixed_point(machine, partition_at(machine, l)))
-        if holds != expected:
-            return f"quotient backward iff broken at l={l}"
-    return None
-
-
-def law_quotient_backward_stability(machine: StateMachine, levels) -> str | None:
-    """Inverse cell map verifies iff the fiber partition itself is stable
-    under predecessor splitting."""
-    for l in levels:
-        canon = canonical_relation(CanonicalKind.STATE_TO_QUOTIENT, machine, l=l)
-        holds = bool(verify_simulation(canon.right, canon.left, _Y, inverse(canon)))
-        expected = bool(is_fixed_point(machine, fiber_partition(machine, l)))
-        if holds != expected:
-            return f"quotient stability iff broken at l={l}"
-    return None
+    return _unique_extensions(machine, mode, spec.l, spec.l - spec.m)
 
 
 def law_quotient_behavior_included(machine: StateMachine, levels) -> str | None:
@@ -253,28 +138,6 @@ def law_quotient_behavior_included(machine: StateMachine, levels) -> str | None:
         closure = build_abstract_machine(machine, _Y, IntervalSpec(l, 0))
         if not behavior_included(quotient, closure, _Y):
             return f"quotient behavior escapes closure at l={l}"
-    return None
-
-
-def law_salca_quotient_forward(machine: StateMachine, levels) -> str | None:
-    """Window-to-cell membership verifies iff domino consistent."""
-    for l in levels:
-        canon = canonical_relation(CanonicalKind.SALCA_TO_QUOTIENT, machine, _Y, l)
-        holds = bool(verify_simulation(canon.left, canon.right, _Y, canon))
-        expected = bool(is_domino_consistent(machine, l))
-        if holds != expected:
-            return f"salca-to-quotient iff broken at l={l}"
-    return None
-
-
-def law_salca_quotient_backward(machine: StateMachine, levels) -> str | None:
-    """Inverse verifies iff future unique over the full future window."""
-    for l in levels:
-        canon = canonical_relation(CanonicalKind.SALCA_TO_QUOTIENT, machine, _Y, l)
-        holds = bool(verify_simulation(canon.right, canon.left, _Y, inverse(canon)))
-        expected = bool(is_future_unique(machine, _Y, IntervalSpec(l, l)))
-        if holds != expected:
-            return f"salca-to-quotient inverse iff broken at l={l}"
     return None
 
 
@@ -289,23 +152,21 @@ def law_uniqueness_implies_consistency(machine: StateMachine, levels) -> str | N
 
 def law_domino_transition_triples(machine: StateMachine, levels) -> str | None:
     """Projected abstract transitions match the overlapping-domino form."""
-    for mode in _BOTH:
-        for l in levels:
-            for m in _anchors(l):
-                built = build_abstract_machine(machine, mode, IntervalSpec(l, m))
-                codes = _label_codes(machine, mode, built.inputs, built.outputs)
-                triples = {(x, codes[u][y], x2) for x, u, y, x2 in built._rows}
-                codec = built.codec
-                at = _window_positions(built)
-                expected = set()
-                for domino in dominoes(machine, mode, l + 1).codes:
-                    head = at.get(codec.restrict(domino, l + 1, 0, l - 1))
-                    tail = at.get(codec.restrict(domino, l + 1, 1, l))
-                    if head is not None and tail is not None:
-                        label = codec.restrict(domino, l + 1, l - m, l - m)
-                        expected.add((head, label, tail))
-                if triples != expected:
-                    return f"domino triples differ at mode={mode.value} l={l} m={m}"
+    for mode, l, m in _all_anchors(levels):
+        built = build_abstract_machine(machine, mode, IntervalSpec(l, m))
+        codes = _label_codes(machine, mode, built.inputs, built.outputs)
+        triples = {(x, codes[u][y], x2) for x, u, y, x2 in built._rows}
+        codec = built.codec
+        at = _window_positions(built)
+        expected = set()
+        for domino in dominoes(machine, mode, l + 1).codes:
+            head = at.get(codec.restrict(domino, l + 1, 0, l - 1))
+            tail = at.get(codec.restrict(domino, l + 1, 1, l))
+            if head is not None and tail is not None:
+                label = codec.restrict(domino, l + 1, l - m, l - m)
+                expected.add((head, label, tail))
+        if triples != expected:
+            return f"domino triples differ at mode={mode.value} l={l} m={m}"
     return None
 
 
@@ -323,38 +184,35 @@ def law_saturation_equals_behavior_equality(machine: StateMachine, levels) -> st
     return None
 
 
+def _conjunction(machine: StateMachine, mode: ExternalAlphabet, l: int, m: int) -> bool:
+    """Future uniqueness at the next anchor and completeness at this one."""
+    return bool(is_future_unique(machine, mode, IntervalSpec(l, m + 1))) and bool(
+        is_sbalc(machine, mode, IntervalSpec(l, m))
+    )
+
+
 def law_joint_predicate_equals_conjunction(machine: StateMachine, levels) -> str | None:
     """Literal claim: the joint predicate equals future uniqueness at the
     next anchor together with window completeness at this one.  Distinct
     initial branches behind a shared diamond prefix break the forward
     direction; see ``law_joint_predicate_implications``."""
-    for mode in _BOTH:
-        for l in levels:
-            for m in range(l):
-                joint = joint_fu_sbalc(machine, mode, IntervalSpec(l, m))
-                conj = bool(is_future_unique(machine, mode, IntervalSpec(l, m + 1))) and bool(
-                    is_sbalc(machine, mode, IntervalSpec(l, m))
-                )
-                if joint != conj:
-                    return f"joint predicate mismatch at mode={mode.value} l={l} m={m}"
+    for mode, l, m in _shifted_anchors(levels):
+        if joint_fu_sbalc(machine, mode, IntervalSpec(l, m)) != _conjunction(machine, mode, l, m):
+            return f"joint predicate mismatch at mode={mode.value} l={l} m={m}"
     return None
 
 
 def law_joint_predicate_implications(machine: StateMachine, levels) -> str | None:
     """The implication chain that does hold: unrestricted unique extension
     implies the conjunction, which implies anchored unique extension."""
-    for mode in _BOTH:
-        for l in levels:
-            for m in range(l):
-                joint = joint_fu_sbalc(machine, mode, IntervalSpec(l, m))
-                conj = bool(is_future_unique(machine, mode, IntervalSpec(l, m + 1))) and bool(
-                    is_sbalc(machine, mode, IntervalSpec(l, m))
-                )
-                anchored = anchored_unique_extension(machine, mode, IntervalSpec(l, m))
-                if joint and not conj:
-                    return f"joint without conjunction at mode={mode.value} l={l} m={m}"
-                if conj and not anchored:
-                    return f"conjunction without anchored form at mode={mode.value} l={l} m={m}"
+    for mode, l, m in _shifted_anchors(levels):
+        joint = joint_fu_sbalc(machine, mode, IntervalSpec(l, m))
+        conj = _conjunction(machine, mode, l, m)
+        anchored = anchored_unique_extension(machine, mode, IntervalSpec(l, m))
+        if joint and not conj:
+            return f"joint without conjunction at mode={mode.value} l={l} m={m}"
+        if conj and not anchored:
+            return f"conjunction without anchored form at mode={mode.value} l={l} m={m}"
     return None
 
 
@@ -489,22 +347,101 @@ class Law:
     check: Callable
 
 
+# -- the canonical-relation laws -------------------------------------------------
+
+
+def _forward(canon):
+    return canon.left, canon.right, canon
+
+
+def _backward(canon):
+    return canon.right, canon.left, inverse(canon)
+
+
+def _relation_law(name, kind, sites, direction, expected, detail, label=None) -> Law:
+    """The law that at every site (mode, l, m) of ``sites(levels)`` the
+    ``kind`` relation, taken in ``direction``, verifies over ``label``
+    (the site's mode when None) iff ``expected(machine, mode,
+    IntervalSpec(l, m))`` holds (always, when None).  ``detail`` is
+    formatted with the first failing site's ``mode``, ``l`` and ``m``."""
+
+    def check(machine: StateMachine, levels) -> str | None:
+        for mode, l, m in sites(levels):
+            left, right, relation = direction(canonical_relation(kind, machine, mode, l, m))
+            holds = bool(verify_simulation(left, right, label or mode, relation))
+            if holds != (expected is None or bool(expected(machine, mode, IntervalSpec(l, m)))):
+                return detail.format(mode=mode.value, l=l, m=m)
+        return None
+
+    return Law(name, check)
+
+
+_TO_ABSTRACT = CanonicalKind.STATE_TO_ABSTRACT
+_TO_QUOTIENT = CanonicalKind.STATE_TO_QUOTIENT
+_SALCA_TO_QUOTIENT = CanonicalKind.SALCA_TO_QUOTIENT
+_AT_SITE = " at mode={mode} l={l} m={m}"
+_AT_LEVEL = " at l={l}"
+
+# Each relation row: name, canonical kind, site grid, direction, expected
+# predicate (None: always holds), detail template[, label mode].  The
+# predicates are lambdas so that, like ``verify_simulation``, they are
+# looked up as module globals when a law runs, not when the table is built.
 LAWS: tuple[Law, ...] = (
     Law("realization-all-anchors", law_realization),
     Law("standard-realization", law_standard_realization),
-    Law("state-to-abstract-forward", law_state_to_abstract_forward),
-    Law("state-to-abstract-backward", law_state_to_abstract_backward),
-    Law("longer-window-forward", law_longer_window_forward),
-    Law("longer-window-backward", law_longer_window_backward),
-    Law("anchor-shift-forward", law_anchor_shift_forward),
-    Law("anchor-shift-backward", law_anchor_shift_backward),
-    Law("anchor-shift-backward-anchored", law_anchor_shift_backward_anchored),
-    Law("quotient-forward", law_quotient_forward),
-    Law("quotient-backward", law_quotient_backward),
-    Law("quotient-backward-stability", law_quotient_backward_stability),
+    # A state relates to the windows around it; over full labels this is a
+    # simulation iff the machine is future unique.
+    _relation_law("state-to-abstract-forward", _TO_ABSTRACT, _all_anchors, _forward,
+                  lambda machine, mode, s: is_future_unique(machine, mode, s),
+                  "forward iff broken" + _AT_SITE, _UY),
+    # The inverse verifies iff the machine is state-based complete.
+    _relation_law("state-to-abstract-backward", _TO_ABSTRACT, _all_anchors, _backward,
+                  lambda machine, mode, s: is_sbalc(machine, mode, s),
+                  "backward iff broken" + _AT_SITE),
+    # Dropping the oldest symbol is always a simulation to the shorter window.
+    _relation_law("longer-window-forward", CanonicalKind.L_STEP, _paired_anchors, _forward,
+                  None, "l-step forward failed" + _AT_SITE),
+    # The inverse verifies iff the window closure is already saturated.
+    _relation_law("longer-window-backward", CanonicalKind.L_STEP, _paired_anchors, _backward,
+                  lambda machine, mode, s: saturation_check(machine, mode, s.l),
+                  "l-step backward iff broken" + _AT_SITE),
+    # Shifting the anchor one step into the future is always a simulation.
+    _relation_law("anchor-shift-forward", CanonicalKind.M_STEP, _shifted_anchors, _forward,
+                  None, "m-step forward failed" + _AT_SITE),
+    # Literal claim: the inverse verifies iff the joint uniqueness/completeness
+    # predicate holds.  That predicate quantifies over all windows, including
+    # diamond-padded ones no visit at the shifted anchor can exhibit, so it can
+    # be strictly stronger than the simulation (the anchored row is exact).
+    _relation_law("anchor-shift-backward", CanonicalKind.M_STEP, _shifted_anchors, _backward,
+                  lambda machine, mode, s: joint_fu_sbalc(machine, mode, s),
+                  "m-step backward iff broken" + _AT_SITE),
+    # The inverse verifies iff every anchorable prefix extends uniquely.
+    _relation_law("anchor-shift-backward-anchored", CanonicalKind.M_STEP, _shifted_anchors,
+                  _backward, lambda machine, mode, s: anchored_unique_extension(machine, mode, s),
+                  "anchored m-step iff broken" + _AT_SITE),
+    # The cell map is always a simulation into the quotient machine.
+    _relation_law("quotient-forward", _TO_QUOTIENT, _output_levels, _forward,
+                  None, "quotient forward failed" + _AT_LEVEL, _UY),
+    # Literal claim: the inverse cell map verifies iff the refinement
+    # partition is a fixed point.  May-branching can make the refinement
+    # strictly finer than the window fibers (the stability row always holds).
+    _relation_law("quotient-backward", _TO_QUOTIENT, _output_levels, _backward,
+                  lambda machine, _, s: is_fixed_point(machine, partition_at(machine, s.l)),
+                  "quotient backward iff broken" + _AT_LEVEL),
+    # The inverse cell map verifies iff the fiber partition itself is
+    # stable under predecessor splitting.
+    _relation_law("quotient-backward-stability", _TO_QUOTIENT, _output_levels, _backward,
+                  lambda machine, _, s: is_fixed_point(machine, fiber_partition(machine, s.l)),
+                  "quotient stability iff broken" + _AT_LEVEL),
     Law("quotient-behavior-included", law_quotient_behavior_included),
-    Law("salca-quotient-forward", law_salca_quotient_forward),
-    Law("salca-quotient-backward", law_salca_quotient_backward),
+    # Window-to-cell membership verifies iff the machine is domino consistent.
+    _relation_law("salca-quotient-forward", _SALCA_TO_QUOTIENT, _output_levels, _forward,
+                  lambda machine, _, s: is_domino_consistent(machine, s.l),
+                  "salca-to-quotient iff broken" + _AT_LEVEL),
+    # The inverse verifies iff future unique over the full future window.
+    _relation_law("salca-quotient-backward", _SALCA_TO_QUOTIENT, _output_levels, _backward,
+                  lambda machine, _, s: is_future_unique(machine, _Y, IntervalSpec(s.l, s.l)),
+                  "salca-to-quotient inverse iff broken" + _AT_LEVEL),
     Law("uniqueness-implies-consistency", law_uniqueness_implies_consistency),
     Law("domino-transition-triples", law_domino_transition_triples),
     Law("saturation-equals-behavior-equality", law_saturation_equals_behavior_equality),

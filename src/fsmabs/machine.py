@@ -175,12 +175,17 @@ class StateMachine:
         if not initial:
             raise ParseError("initial state set is empty")
         for x0 in initial:
+            if not isinstance(x0, str):
+                raise ParseError(f"initial state {x0!r} is not a string")
             if x0 not in state_ix:
                 raise UnknownState(f"initial state {x0!r} not declared")
         if len(set(initial)) != len(initial):
             raise ParseError("duplicate initial state")
         rows = set()
-        for x, u, y, x2 in transitions:
+        for transition in transitions:
+            if len(transition) != 4 or not all(isinstance(name, str) for name in transition):
+                raise ParseError(f"transition {transition!r} is not four string entries")
+            x, u, y, x2 = transition
             if x not in state_ix or x2 not in state_ix:
                 raise UnknownState(f"transition ({x},{u},{y},{x2}) uses undeclared state")
             if u not in input_ix:

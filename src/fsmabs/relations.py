@@ -67,7 +67,7 @@ from .machine import (
     require_live_reachable,
     to_dict,
 )
-from .qba import build_quotient_machine
+from .qba import build_quotient_machine, fibers
 from .salca import build_abstract_machine
 
 _Y = ExternalAlphabet.OUTPUTS_ONLY
@@ -486,11 +486,11 @@ def _canonical_relation(
         return _from_indices(left, right, pairs)
 
     if kind is CanonicalKind.STATE_TO_QUOTIENT:
-        right = build_quotient_machine(machine, l)
-        emap = external_strings_map(machine, _Y, IntervalSpec(l, l))
-        cell_of = {codes: i for i, (_, codes) in enumerate(right.window_map)}
-        pairs = [(x, cell_of[emap[state]]) for x, state in enumerate(machine.states)]
-        return _from_indices(machine, right, pairs)
+        # The quotient's cells are the fibers, in the same order.
+        at = machine._state_ix
+        cells = fibers(machine, l)
+        pairs = [(at[x], cell) for cell, (_, members) in enumerate(cells) for x in members]
+        return _from_indices(machine, build_quotient_machine(machine, l), pairs)
 
     if kind in (CanonicalKind.SALCA_TO_QUOTIENT, CanonicalKind.RENAMING):
         left = build_abstract_machine(machine, _Y, IntervalSpec(l, l))

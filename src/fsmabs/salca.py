@@ -290,10 +290,18 @@ def joint_fu_sbalc(machine: StateMachine, mode: ExternalAlphabet, spec: Interval
     if spec.m >= spec.l:
         raise InvalidSpec("joint_fu_sbalc requires m < l")
     require_accepted(machine, "joint_fu_sbalc")
+    return _unique_extensions(machine, mode, spec.l, spec.l)
+
+
+def _unique_extensions(machine: StateMachine, mode: ExternalAlphabet, l: int, bound: int) -> bool:
+    """Whether each l-window prefix with at most ``bound`` diamonds is
+    the first l symbols of at most one realizable (l+1)-window."""
     codec = window_codec(machine, mode)
     by_prefix: dict = {}
-    for domino in dominoes(machine, mode, spec.l + 1).codes:
-        prefix = codec.restrict(domino, spec.l + 1, 0, spec.l - 1)
+    for domino in dominoes(machine, mode, l + 1).codes:
+        prefix = codec.restrict(domino, l + 1, 0, l - 1)
+        if bound < l and codec.diamonds(prefix, l) > bound:
+            continue
         if by_prefix.setdefault(prefix, domino) != domino:
             return False
     return True

@@ -22,7 +22,7 @@ from fsmabs.behavior import (
     successors,
     window_codec,
 )
-from fsmabs.errors import IncompatibleAlphabets, InvalidSpec, NotAccepted
+from fsmabs.errors import IncompatibleAlphabets, InvalidSpec, NotAccepted, UnknownState
 from fsmabs.fuzz import FuzzConfig, machine_stream
 from fsmabs.machine import DIAMOND, StateMachine
 from fsmabs.qba import build_quotient_machine
@@ -203,6 +203,21 @@ def test_external_strings_extended(fig_machine):
     assert set(
         external_strings(fig_machine, Y, "x1", IntervalSpec(2, 2), extended=True)
     ) == windows("y1 y2 y3")
+
+
+def test_external_strings_extended_is_the_longer_interval(fig_machine):
+    for x in fig_machine.states:
+        for mode in (Y, UY):
+            for l in (1, 2, 3):
+                for m in range(l + 1):
+                    longer = external_strings(fig_machine, mode, x, IntervalSpec(l + 1, m + 1))
+                    spec = IntervalSpec(l, m)
+                    assert external_strings(fig_machine, mode, x, spec, extended=True) == longer
+
+
+def test_external_strings_unknown_state(fig_machine):
+    with pytest.raises(UnknownState):
+        external_strings(fig_machine, Y, "nowhere", IntervalSpec(1, 0))
 
 
 def test_external_strings_initial_diamond(fig_machine):

@@ -286,6 +286,28 @@ def test_not_accepted_machine(tmp_path, capsys):
     assert "not" in err
 
 
+@pytest.mark.parametrize(
+    "initial, transition",
+    [([["a"]], ["a", "u", "y", "a"]), (["a"], [["a"], "u", "y", "a"])],
+)
+def test_non_string_entry_is_a_parse_error(tmp_path, capsys, initial, transition):
+    bad = tmp_path / "nested.json"
+    bad.write_text(
+        json.dumps(
+            {
+                "states": ["a"],
+                "inputs": ["u"],
+                "outputs": ["y"],
+                "initial": initial,
+                "transitions": [transition],
+            }
+        )
+    )
+    code, _, err = run(capsys, "report", bad, "--l", "1")
+    assert code == 2
+    assert err.startswith("error:")
+
+
 # -- byte identity ----------------------------------------------------------------
 
 MACHINES_DIR = Path(__file__).resolve().parent.parent / "machines"

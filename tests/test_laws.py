@@ -1,9 +1,13 @@
 """Law battery on a seeded random corpus, plus the frozen counterexample
 documenting where the literal partition/fiber claims genuinely diverge."""
 
+import hashlib
+import json
+
 import pytest
 
-from fsmabs import fuzz
+from fsmabs import fuzz, laws
+from fsmabs.analysis import scope
 from fsmabs.behavior import IntervalSpec, external_strings
 from fsmabs.errors import NotAccepted
 from fsmabs.fuzz import FuzzConfig, machine_stream, run_fuzz, shrink_counterexample
@@ -181,3 +185,41 @@ def test_run_fuzz_reports_counts():
             assert report.passes[law.name] == total
     lines = report.summary_lines()
     assert any(line.startswith("realization-all-anchors: 6/6") for line in lines)
+
+
+# -- pinned battery ----------------------------------------------------------------
+
+#: sha256 of ``fsmabs fuzz --seed 20260809 --count 60 --l 3`` stdout,
+#: shrinking on.
+FUZZ_60_DIGEST = "51a88334bbeb911dda05121c66157f4996f56c9336470581a3c3c5c3e941921c"
+
+#: sha256 of the JSON list of ``check_laws(m, (1, 2, 3))`` over the first
+#: 20 battery machines with every odd-sized relation's verdict negated.
+FLIPPED_BATTERY_DIGEST = "e150b809a1a6d970e515992b21e4dcc167327c898a5d3703a4fa070f7f8e0a34"
+
+
+def test_fuzz_output_pinned(capsys):
+    from fsmabs.cli import main
+
+    assert main(["fuzz", "--seed", "20260809", "--count", "60", "--l", "3"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FUZZ_60_DIGEST
+
+
+def test_relation_law_failures_pinned(monkeypatch):
+    """Negating the verdict of every odd-sized relation makes the relation
+    laws fail on varied sites, which pins each law's site order and
+    detail text."""
+    real = laws.verify_simulation
+
+    def flipped(left, right, mode, relation, **kwargs):
+        verdict = bool(real(left, right, mode, relation, **kwargs))
+        return verdict != (len(relation) % 2 == 1)
+
+    monkeypatch.setattr(laws, "verify_simulation", flipped)
+    results = []
+    for machine in machine_stream(FuzzConfig(seed=20260809, count=20)):
+        with scope():
+            results.append(check_laws(machine, (1, 2, 3)))
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert digest == FLIPPED_BATTERY_DIGEST

@@ -245,6 +245,20 @@ def test_undeclared_transition_symbols_rejected():
         StateMachine(("a",), ("u",), ("y",), ("a",), (("a", "u", "y", "b"),))
 
 
+@pytest.mark.parametrize(
+    "initial, transitions",
+    [
+        ((["a"],), (("a", "u", "y", "a"),)),
+        (("a",), ((["a"], "u", "y", "a"),)),
+        (("a",), (("a", "u", 3, "a"),)),
+        (("a",), (("a", "u", "y"),)),
+    ],
+)
+def test_malformed_entries_rejected(initial, transitions):
+    with pytest.raises(ParseError, match="string"):
+        StateMachine(("a",), ("u",), ("y",), initial, transitions)
+
+
 def test_duplicate_transitions_collapse():
     m = StateMachine(
         ("a",), ("u",), ("y",), ("a",),
