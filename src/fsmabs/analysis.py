@@ -9,13 +9,18 @@ so no identity is reused while its entries live.
 Lifetimes:
 
 - library and command-line calls share one process-wide default scope,
-  which lives as long as the process;
+  which lives as long as the process and has no bound: it keeps every
+  machine it is handed and everything derived from them;
 - ``with scope():`` runs its block in a fresh, empty scope and drops it,
   with every machine and result it holds, when the block ends.
   ``fuzz.run_fuzz`` opens one per stream machine (its law checks and its
   shrinks) and ``fuzz.shrink_counterexample`` one per candidate.  The
   active scope is a context variable, so a block's scope applies to its
   own thread only.
+
+``with scope():`` is how a long-lived library process bounds its memory:
+wrapped around each unit of work, it holds at most that unit's derived
+data, which is freed when the block ends.
 
 A result computed in one scope is never returned in another: a scope
 does not read the entries of the scope around it.

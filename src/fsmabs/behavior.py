@@ -117,7 +117,7 @@ class WindowCodec:
     window only together with its length, which callers carry beside it.
     """
 
-    __slots__ = ("alphabet", "base", "_codes", "_tokens", "_names")
+    __slots__ = ("alphabet", "base", "_codes", "_tokens", "_names", "_restrictors")
 
     def __init__(self, alphabet):
         self.alphabet = tuple(alphabet)
@@ -125,6 +125,7 @@ class WindowCodec:
         self._codes = {symbol: i for i, symbol in enumerate(self.alphabet, 1)}
         self._tokens = (DIAMOND, *(symbol_token(s) for s in self.alphabet))
         self._names: dict = {}
+        self._restrictors: dict = {}
 
     def code(self, symbol) -> int:
         """The digit of one symbol; KeyError outside the alphabet."""
@@ -162,10 +163,16 @@ class WindowCodec:
         """Space-joined rendering used in domino-set listings."""
         return " ".join(self._tokens[d] for d in self.digits(code, n))
 
-    def restrict(self, code: int, n: int, a: int, b: int) -> int:
-        """The code of positions [a, b] (inclusive) of the n-window ``code``;
-        a = b + 1 gives the empty window, code 0."""
-        return code // self.base ** (n - 1 - b) % self.base ** (b - a + 1)
+    def restrictor(self, n: int, a: int, b: int):
+        """The function from an n-window's code to the code of its positions
+        [a, b] (inclusive); a = b + 1 gives the empty window, code 0.  Its
+        divisor and modulus are computed once per (n, a, b)."""
+        key = (n, a, b)
+        restrict = self._restrictors.get(key)
+        if restrict is None:
+            divisor, modulus = self.base ** (n - 1 - b), self.base ** (b - a + 1)
+            restrict = self._restrictors[key] = lambda code: code // divisor % modulus
+        return restrict
 
     def concat(self, head: int, tail: int, k: int) -> int:
         """The code of ``head`` followed by the k-window ``tail``."""

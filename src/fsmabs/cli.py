@@ -16,7 +16,6 @@ from pathlib import Path
 from . import machine as machine_io
 from .behavior import IntervalSpec, behavior_included
 from .errors import FsmabsError, InvalidSpec
-from .fuzz import FuzzConfig, run_fuzz
 from .machine import ExternalAlphabet, StateMachine, to_dot, validate
 from .qba import (
     build_quotient_machine,
@@ -318,6 +317,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    from .fuzz import FuzzConfig, run_fuzz  # only `fuzz` loads the law and fuzz modules
+
     config = FuzzConfig(
         seed=args.seed,
         count=args.count,

@@ -158,13 +158,15 @@ def law_domino_transition_triples(machine: StateMachine, levels) -> str | None:
         triples = {(x, codes[u][y], x2) for x, u, y, x2 in built._rows}
         codec = built.codec
         at = _window_positions(built)
+        head_of = codec.restrictor(l + 1, 0, l - 1)
+        tail_of = codec.restrictor(l + 1, 1, l)
+        label_of = codec.restrictor(l + 1, l - m, l - m)
         expected = set()
         for domino in dominoes(machine, mode, l + 1).codes:
-            head = at.get(codec.restrict(domino, l + 1, 0, l - 1))
-            tail = at.get(codec.restrict(domino, l + 1, 1, l))
+            head = at.get(head_of(domino))
+            tail = at.get(tail_of(domino))
             if head is not None and tail is not None:
-                label = codec.restrict(domino, l + 1, l - m, l - m)
-                expected.add((head, label, tail))
+                expected.add((head, label_of(domino), tail))
         if triples != expected:
             return f"domino triples differ at mode={mode.value} l={l} m={m}"
     return None
@@ -289,11 +291,13 @@ def law_domino_monotone(machine: StateMachine, levels) -> str | None:
         codec = window_codec(machine, mode)
         for n in levels:
             smaller = dominoes(machine, mode, n).code_set
+            head_of = codec.restrictor(n + 1, 0, n - 1)
+            tail_of = codec.restrictor(n + 1, 1, n)
             for w in dominoes(machine, mode, n + 1).codes:
-                head = codec.restrict(w, n + 1, 0, n - 1)
+                head = head_of(w)
                 if head != 0 and head not in smaller:  # 0: the all-diamond window
                     return f"head {codec.name(head, n)} escapes at mode={mode.value} n={n}"
-                if codec.restrict(w, n + 1, 1, n) not in smaller:
+                if tail_of(w) not in smaller:
                     return f"tail of {codec.name(w, n + 1)} escapes at mode={mode.value} n={n}"
     return None
 
@@ -329,15 +333,16 @@ def law_quotient_transition_containments(machine: StateMachine, levels) -> str |
     for l in levels:
         quotient = build_quotient_machine(machine, l)
         codec = quotient.codec
+        first_of = codec.restrictor(l, 0, 0)
+        tail_of = codec.restrictor(l, 1, l - 1)
+        head_of = codec.restrictor(l, 0, l - 2)
         for x, _, y, x2 in quotient._rows:
             (_, src), (_, dst) = quotient.window_map[x], quotient.window_map[x2]
             output = quotient.outputs[y]
-            if codec.code(output) not in {codec.restrict(w, l, 0, 0) for w in src}:
+            if codec.code(output) not in set(map(first_of, src)):
                 return f"output {output} not heading source cell at l={l}"
-            if l >= 2:
-                tails = {codec.restrict(w, l, 1, l - 1) for w in src}
-                if not {codec.restrict(w, l, 0, l - 2) for w in dst} <= tails:
-                    return f"target truncations escape source tail at l={l}"
+            if l >= 2 and not set(map(head_of, dst)) <= set(map(tail_of, src)):
+                return f"target truncations escape source tail at l={l}"
     return None
 
 
@@ -358,17 +363,17 @@ def _backward(canon):
     return canon.right, canon.left, inverse(canon)
 
 
-def _relation_law(name, kind, sites, direction, expected, detail, label=None) -> Law:
+def _relation_law(name, kind, sites, direction, expected, detail) -> Law:
     """The law that at every site (mode, l, m) of ``sites(levels)`` the
-    ``kind`` relation, taken in ``direction``, verifies over ``label``
-    (the site's mode when None) iff ``expected(machine, mode,
-    IntervalSpec(l, m))`` holds (always, when None).  ``detail`` is
-    formatted with the first failing site's ``mode``, ``l`` and ``m``."""
+    ``kind`` relation, taken in ``direction``, verifies over the site's
+    mode iff ``expected(machine, mode, IntervalSpec(l, m))`` holds
+    (always, when None).  ``detail`` is formatted with the first failing
+    site's ``mode``, ``l`` and ``m``."""
 
     def check(machine: StateMachine, levels) -> str | None:
         for mode, l, m in sites(levels):
             left, right, relation = direction(canonical_relation(kind, machine, mode, l, m))
-            holds = bool(verify_simulation(left, right, label or mode, relation))
+            holds = bool(verify_simulation(left, right, mode, relation))
             if holds != (expected is None or bool(expected(machine, mode, IntervalSpec(l, m)))):
                 return detail.format(mode=mode.value, l=l, m=m)
         return None
@@ -383,17 +388,19 @@ _AT_SITE = " at mode={mode} l={l} m={m}"
 _AT_LEVEL = " at l={l}"
 
 # Each relation row: name, canonical kind, site grid, direction, expected
-# predicate (None: always holds), detail template[, label mode].  The
+# predicate (None: always holds), detail template.  The
 # predicates are lambdas so that, like ``verify_simulation``, they are
 # looked up as module globals when a law runs, not when the table is built.
 LAWS: tuple[Law, ...] = (
     Law("realization-all-anchors", law_realization),
     Law("standard-realization", law_standard_realization),
-    # A state relates to the windows around it; over full labels this is a
-    # simulation iff the machine is future unique.
+    # A state relates to the windows around it; this is a simulation iff the
+    # machine is future unique.  Each abstract step w -> w' exists under the
+    # (u, y) of every concrete row x -> x' with w around x and w' around x',
+    # so a step matched on its output alone is matched on its full label too.
     _relation_law("state-to-abstract-forward", _TO_ABSTRACT, _all_anchors, _forward,
                   lambda machine, mode, s: is_future_unique(machine, mode, s),
-                  "forward iff broken" + _AT_SITE, _UY),
+                  "forward iff broken" + _AT_SITE),
     # The inverse verifies iff the machine is state-based complete.
     _relation_law("state-to-abstract-backward", _TO_ABSTRACT, _all_anchors, _backward,
                   lambda machine, mode, s: is_sbalc(machine, mode, s),
@@ -419,9 +426,11 @@ LAWS: tuple[Law, ...] = (
     _relation_law("anchor-shift-backward-anchored", CanonicalKind.M_STEP, _shifted_anchors,
                   _backward, lambda machine, mode, s: anchored_unique_extension(machine, mode, s),
                   "anchored m-step iff broken" + _AT_SITE),
-    # The cell map is always a simulation into the quotient machine.
+    # The cell map is always a simulation into the quotient machine, over full
+    # labels too: each concrete row (x, u, y, x') is the quotient row
+    # (cell(x), u, y, cell(x')).
     _relation_law("quotient-forward", _TO_QUOTIENT, _output_levels, _forward,
-                  None, "quotient forward failed" + _AT_LEVEL, _UY),
+                  None, "quotient forward failed" + _AT_LEVEL),
     # Literal claim: the inverse cell map verifies iff the refinement
     # partition is a fixed point.  May-branching can make the refinement
     # strictly finer than the window fibers (the stability row always holds).

@@ -20,7 +20,6 @@ read, by the file format, DOT output and callers that ask for it.
 from __future__ import annotations
 
 import enum
-import hashlib
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -301,6 +300,8 @@ class StateMachine:
 
     def digest(self) -> str:
         """Short hash of the machine's file form, printed by reports."""
+        import hashlib  # here, not at module level: _hashlib maps OpenSSL into the process
+
         return hashlib.sha256(dumps(self).encode("utf-8")).hexdigest()[:12]
 
     def with_external(self, external: ExternalAlphabet) -> "StateMachine":

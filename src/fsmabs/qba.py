@@ -216,8 +216,9 @@ def is_domino_consistent(machine: StateMachine, l: int) -> PredicateResult:
     codec = window_codec(machine, _Y)
     long_futures = future_map(machine, _Y, l + 1)
     ordered_cells = [(codes, frozenset(codes), members) for codes, members in fibers(machine, l)]
+    prefix_of = codec.restrictor(l + 1, 0, l - 1)
     for domino in dominoes(machine, _Y, l + 1).codes:
-        prefix = codec.restrict(domino, l + 1, 0, l - 1)
+        prefix = prefix_of(domino)
         for codes, code_set, members in ordered_cells:
             if prefix not in code_set:
                 continue

@@ -458,9 +458,10 @@ def _canonical_relation(
         left = build_abstract_machine(machine, mode, IntervalSpec(l + 1, m))
         right = build_abstract_machine(machine, mode, IntervalSpec(l, m))
         at = _window_positions(right)
+        tail_of = codec.restrictor(l + 1, 1, l)
         pairs = []
         for a, (_, (window,)) in enumerate(left.window_map):
-            shrunk = at.get(codec.restrict(window, l + 1, 1, l))
+            shrunk = at.get(tail_of(window))
             if shrunk is not None:
                 pairs.append((a, shrunk))
         return _from_indices(left, right, pairs)
@@ -474,14 +475,16 @@ def _canonical_relation(
         down = external_strings_map(machine, mode, IntervalSpec(l, m))
         left_at = _window_positions(left)
         right_at = _window_positions(right)
+        tail_of = codec.restrictor(l, 1, l - 1)
+        head_of = codec.restrictor(l, 0, l - 2)
         pairs = []
         for x in machine.states:
             # a is related to b when a's first l - 1 symbols are b's last.
             by_suffix: dict[int, list] = {}
             for b in down[x]:
-                by_suffix.setdefault(codec.restrict(b, l, 1, l - 1), []).append(right_at[b])
+                by_suffix.setdefault(tail_of(b), []).append(right_at[b])
             for a in up[x]:
-                for b in by_suffix.get(codec.restrict(a, l, 0, l - 2), ()):
+                for b in by_suffix.get(head_of(a), ()):
                     pairs.append((left_at[a], b))
         return _from_indices(left, right, pairs)
 

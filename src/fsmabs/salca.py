@@ -158,6 +158,10 @@ def build_abstract_machine(
     # that label and their last l - 1 symbols, and target windows by their
     # first l - 1 symbols (and, for m = 0, their last), so each source
     # meets only the matching targets.
+    label_of = codec.restrictor(l, l - m, l - m) if m else None
+    tail_of = codec.restrictor(l, 1, l - 1)
+    head_of = codec.restrictor(l, 0, l - 2)
+    last_of = codec.restrictor(l, l - 1, l - 1)
     sources = []
     targets = []
     for x in machine.states:
@@ -165,11 +169,10 @@ def build_abstract_machine(
         by_overlap: dict = {}
         for w in emap[x]:
             i = position[w]
-            label = codec.restrict(w, l, l - m, l - m) if m else None
-            overlap = codec.restrict(w, l, 1, l - 1)
-            by_label.setdefault(label, {}).setdefault(overlap, []).append(i)
-            last = None if m else codec.restrict(w, l, l - 1, l - 1)
-            by_overlap.setdefault((codec.restrict(w, l, 0, l - 2), last), []).append(i)
+            label = label_of(w) if m else None
+            by_label.setdefault(label, {}).setdefault(tail_of(w), []).append(i)
+            last = None if m else last_of(w)
+            by_overlap.setdefault((head_of(w), last), []).append(i)
         sources.append(by_label)
         targets.append(by_overlap)
     codes = _label_codes(machine, mode, machine.inputs, machine.outputs)
@@ -205,11 +208,13 @@ def standard_realization(machine: StateMachine, l: int) -> AbstractMachine:
     }
     states = sorted({0, *dominoes(machine, mode, l).codes})
     position = {w: i for i, w in enumerate(states)}
+    last_of = codec.restrictor(l + 1, l, l)
+    head_of = codec.restrictor(l + 1, 0, l - 1)
+    tail_of = codec.restrictor(l + 1, 1, l)
     rows = []
     for domino in dominoes(machine, mode, l + 1).codes:
-        u, y = label_of[codec.restrict(domino, l + 1, l, l)]
-        head = position[codec.restrict(domino, l + 1, 0, l - 1)]
-        rows.append((head, u, y, position[codec.restrict(domino, l + 1, 1, l)]))
+        u, y = label_of[last_of(domino)]
+        rows.append((position[head_of(domino)], u, y, position[tail_of(domino)]))
     return _window_machine(machine, mode, l, states, (0,), rows)
 
 
@@ -258,10 +263,9 @@ def is_sbalc(
     futures = future_map(machine, mode, m + 1)
     # A window of x extends through x iff its last m + 1 symbols are a
     # future of x: its past part is already a history of x.
-    split = [
-        (domino, codec.restrict(domino, l + 1, 0, l - 1), codec.restrict(domino, l + 1, l - m, l))
-        for domino in dominoes(machine, mode, l + 1).codes
-    ]
+    head_of = codec.restrictor(l + 1, 0, l - 1)
+    tail_of = codec.restrictor(l + 1, l - m, l)
+    split = [(w, head_of(w), tail_of(w)) for w in dominoes(machine, mode, l + 1).codes]
     for x in machine.states:
         windows = frozenset(emap[x])
         for domino, head, tail in split:
@@ -297,9 +301,10 @@ def _unique_extensions(machine: StateMachine, mode: ExternalAlphabet, l: int, bo
     """Whether each l-window prefix with at most ``bound`` diamonds is
     the first l symbols of at most one realizable (l+1)-window."""
     codec = window_codec(machine, mode)
+    prefix_of = codec.restrictor(l + 1, 0, l - 1)
     by_prefix: dict = {}
     for domino in dominoes(machine, mode, l + 1).codes:
-        prefix = codec.restrict(domino, l + 1, 0, l - 1)
+        prefix = prefix_of(domino)
         if bound < l and codec.diamonds(prefix, l) > bound:
             continue
         if by_prefix.setdefault(prefix, domino) != domino:

@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from fsmabs import machine as machine_io
 from fsmabs.cli import main
+from fsmabs.fuzz import FuzzConfig, machine_stream
 
 from .conftest import five_state_machine, self_loop_machine
 
@@ -200,6 +204,35 @@ def test_fuzz_count_zero(capsys):
     code, out, _ = run(capsys, "fuzz", "--count", "0")
     assert code == 0
     assert "realization-all-anchors: 0/0" in out
+
+
+# -- imports ----------------------------------------------------------------------
+
+IMPORT_PROBE = """
+import json, sys
+import fsmabs, fsmabs.cli
+loaded = {name: name in sys.modules for name in ("_hashlib", "fsmabs.fuzz", "fsmabs.laws")}
+from fsmabs.fuzz import FuzzConfig, run_fuzz
+report = run_fuzz(FuzzConfig(seed=3, count=3, max_states=3))
+after_fuzz = "_hashlib" in sys.modules
+print(json.dumps([loaded, after_fuzz, report.machines[0].digest()]))
+"""
+
+
+def test_imports_load_only_what_runs(tmp_path):
+    """Importing the CLI loads neither OpenSSL nor the law and fuzz modules,
+    and a fuzz run loads no OpenSSL; ``digest`` loads it on first use.  A
+    fresh interpreter, since this one has long imported ``hashlib``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], cwd=tmp_path, env=env,
+        capture_output=True, text=True, check=True,
+    ).stdout
+    loaded, after_fuzz, digest = json.loads(out)
+    assert loaded == {"_hashlib": False, "fsmabs.fuzz": False, "fsmabs.laws": False}
+    assert after_fuzz is False
+    first = next(iter(machine_stream(FuzzConfig(seed=3, count=3, max_states=3))))
+    assert digest == first.digest()
 
 
 def test_report_is_a_view_of_the_library(tmp_path, capsys):

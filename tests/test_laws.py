@@ -16,7 +16,7 @@ from fsmabs.machine import StateMachine, validate
 from fsmabs.qba import is_fixed_point, partition_at
 from fsmabs.relations import CanonicalKind, canonical_relation, inverse, verify_simulation
 
-from .conftest import Y, five_state_machine, self_loop_machine
+from .conftest import UY, Y, five_state_machine, self_loop_machine
 from .literal_laws import LITERAL_COMPANIONS
 
 #: Literal forms whose equivalences do not hold on every accepted machine;
@@ -137,6 +137,23 @@ def test_diamond_prefix_counterexample_is_genuine():
     assert "anchor-shift-backward" in failed
     assert "anchor-shift-backward-anchored" not in failed
     assert "joint-predicate-implications" not in failed
+
+
+def test_forward_maps_verify_alike_over_outputs_and_full_labels(corpus):
+    """``state-to-abstract-forward`` and ``quotient-forward`` check over the
+    site's mode: at the outputs-only sites, full (u, y) labels give the same
+    verdicts, so neither law depends on the label mode."""
+    kinds = [(CanonicalKind.STATE_TO_ABSTRACT, l, m) for l in (1, 2, 3) for m in range(l + 1)]
+    kinds += [(CanonicalKind.STATE_TO_QUOTIENT, l, 0) for l in (1, 2, 3)]
+    verdicts = set()
+    for machine in corpus:
+        with scope():
+            for kind, l, m in kinds:
+                canon = canonical_relation(kind, machine, Y, l, m)
+                over_y = bool(verify_simulation(canon.left, canon.right, Y, canon))
+                assert over_y == bool(verify_simulation(canon.left, canon.right, UY, canon))
+                verdicts.add(over_y)
+    assert verdicts == {True, False}
 
 
 def test_refinement_always_refines_fibers(corpus):
