@@ -21,11 +21,14 @@ The same digits code the symbols of the machine's successor table
 restricting and joining windows are integer arithmetic, and integer
 order is the canonical window order (diamond first, then declaration
 order, position by position).  The radix arithmetic lives here; other
-modules call the codec.  Every memoised result holds codes only.
-``Window`` objects are decoded where the API hands one out
-(``past_windows``, ``future_windows``, ``external_strings``,
-``DominoSet``, ``AbstractMachine.windows_of`` and predicate witnesses),
-and the codec renders each (code, length) name once.
+modules call the codec.  Every memoised result holds codes only, and
+the per-state maps (:func:`past_map`, :func:`future_map`,
+:func:`external_strings_map`) are tuples indexed by state declaration
+index, like the successor table.  ``Window`` objects are decoded where
+the API hands one out (``past_windows``, ``future_windows``,
+``external_strings``, ``DominoSet``, ``AbstractMachine.windows_of`` and
+predicate witnesses), and the codec renders each (code, length) name
+once.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .analysis import derived
-from .errors import InvalidSpec, UnknownState
+from .errors import InvalidSpec
 from .machine import (
     DIAMOND,
     ExternalAlphabet,
@@ -290,7 +293,7 @@ def successors(machine: StateMachine, mode: ExternalAlphabet) -> tuple:
 def is_deterministic(machine: StateMachine, mode: ExternalAlphabet) -> bool:
     """One initial state, and at most one successor per (state, external
     symbol): every external word then leads to at most one state."""
-    return len(machine.initial) == 1 and all(
+    return len(machine._initial) == 1 and all(
         len(targets) == 1 for row in successors(machine, mode) for _, targets in row
     )
 
@@ -299,9 +302,9 @@ def is_deterministic(machine: StateMachine, mode: ExternalAlphabet) -> bool:
 
 
 @derived
-def past_map(machine: StateMachine, mode: ExternalAlphabet, k: int) -> dict:
-    """For every state, the codes of the k-long external histories of runs
-    reaching it.
+def past_map(machine: StateMachine, mode: ExternalAlphabet, k: int) -> tuple:
+    """For every state index, the codes of the k-long external histories
+    of runs reaching it.
 
     Breadth-first closure of (state, last-k-window) pairs seeded with
     (x0, diamond^k); exact because the machine is finite and live.
@@ -311,7 +314,7 @@ def past_map(machine: StateMachine, mode: ExternalAlphabet, k: int) -> dict:
     span = base**k
     past = [set() for _ in machine.states]
     queue = deque()
-    for x0 in machine._initial_indices():
+    for x0 in machine._initial:
         past[x0].add(0)
         queue.append((x0, 0))
     while queue:
@@ -323,41 +326,39 @@ def past_map(machine: StateMachine, mode: ExternalAlphabet, k: int) -> dict:
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append((x2, nxt))
-    return {x: frozenset(ws) for x, ws in zip(machine.states, past)}
+    return tuple(map(frozenset, past))
 
 
 @derived
-def future_map(machine: StateMachine, mode: ExternalAlphabet, k: int) -> dict:
-    """For every state, the codes of the k-long label sequences of paths
-    from it: each (k - 1)-future of a successor behind the step's label."""
+def future_map(machine: StateMachine, mode: ExternalAlphabet, k: int) -> tuple:
+    """For every state index, the codes of the k-long label sequences of
+    paths from it: each (k - 1)-future of a successor behind the step's
+    label."""
     if k == 0:
-        empty = frozenset((0,))
-        return {x: empty for x in machine.states}
-    shorter = tuple(future_map(machine, mode, k - 1).values())
+        return (frozenset((0,)),) * len(machine.states)
+    shorter = future_map(machine, mode, k - 1)
     lead = window_codec(machine, mode).base ** (k - 1)
-    return {
-        x: frozenset(
+    return tuple(
+        frozenset(
             symbol * lead + tail
             for symbol, targets in row
             for x2 in targets
             for tail in shorter[x2]
         )
-        for x, row in zip(machine.states, successors(machine, mode))
-    }
+        for row in successors(machine, mode)
+    )
 
 
 def past_windows(machine: StateMachine, mode: ExternalAlphabet, x: str, k: int) -> frozenset:
-    if x not in machine.states:
-        raise UnknownState(f"state {x!r} not declared")
+    i = machine._index(x)
     codec = window_codec(machine, mode)
-    return frozenset(codec.decode(w, k) for w in past_map(machine, mode, k)[x])
+    return frozenset(codec.decode(w, k) for w in past_map(machine, mode, k)[i])
 
 
 def future_windows(machine: StateMachine, mode: ExternalAlphabet, x: str, k: int) -> frozenset:
-    if x not in machine.states:
-        raise UnknownState(f"state {x!r} not declared")
+    i = machine._index(x)
     codec = window_codec(machine, mode)
-    return frozenset(codec.decode(w, k) for w in future_map(machine, mode, k)[x])
+    return frozenset(codec.decode(w, k) for w in future_map(machine, mode, k)[i])
 
 
 @derived
@@ -373,7 +374,7 @@ def dominoes(machine: StateMachine, mode: ExternalAlphabet, n: int) -> DominoSet
     past = past_map(machine, mode, n - 1)
     steps = future_map(machine, mode, 1)
     base = codec.base
-    found = {h * base + s for x in machine.states for h in past[x] for s in steps[x]}
+    found = {h * base + s for hs, ss in zip(past, steps) for h in hs for s in ss}
     return DominoSet(n, sorted(found), codec)
 
 
@@ -400,26 +401,24 @@ def external_strings(
     """
     if extended:
         spec = IntervalSpec(spec.l + 1, spec.m + 1)
-    windows = external_strings_map(machine, mode, spec)
-    if x not in windows:
-        raise UnknownState(f"state {x!r} not declared")
+    windows = external_strings_map(machine, mode, spec)[machine._index(x)]
     codec = window_codec(machine, mode)
-    return tuple(codec.decode(w, spec.l) for w in windows[x])
+    return tuple(codec.decode(w, spec.l) for w in windows)
 
 
 @derived
 def external_strings_map(
     machine: StateMachine, mode: ExternalAlphabet, spec: IntervalSpec
-) -> dict:
-    """For every state, the codes of the l-long windows a run can exhibit
-    around a visit to it, in canonical order.  The product of the
+) -> tuple:
+    """For every state index, the codes of the l-long windows a run can
+    exhibit around a visit to it, in canonical order.  The product of the
     past-history and future-label sets, which is exact because any
     history reaching a state can be continued by any future leaving it."""
     require_accepted(machine, "external_strings")
     past = past_map(machine, mode, spec.l - spec.m)
     fut = future_map(machine, mode, spec.m)
     base = window_codec(machine, mode).base
-    return {x: _joined(past[x], fut[x], spec.m, base) for x in machine.states}
+    return tuple(_joined(p, f, spec.m, base) for p, f in zip(past, fut))
 
 
 # -- prefix acceptor and behavioral inclusion --------------------------------
@@ -496,7 +495,7 @@ class PrefixAutomaton:
 def prefix_automaton(machine: StateMachine, mode: ExternalAlphabet) -> PrefixAutomaton:
     alphabet = window_codec(machine, mode).alphabet
     moves = successors(machine, mode)
-    start = frozenset(machine._initial_indices())
+    start = frozenset(machine._initial)
     subsets = [start]
     index = {start: 0}
     frontier = deque([start])

@@ -44,12 +44,7 @@ def _load(path: str) -> StateMachine:
 
 
 def _witness_text(witness) -> str:
-    if witness is None:
-        return ""
-    parts = []
-    for item in witness:
-        parts.append(str(item))
-    return " | ".join(parts)
+    return "" if witness is None else " | ".join(map(str, witness))
 
 
 # -- report -------------------------------------------------------------------
@@ -183,27 +178,27 @@ def render_report_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _order(a: str, b: str, a_below_b: bool, b_below_a: bool) -> str:
+    """How ``a`` and ``b`` compare, from the two simulation verdicts."""
+    if a_below_b and b_below_a:
+        return f"{a} ~=_Y {b}"
+    if a_below_b:
+        return f"{a} <_Y {b}"
+    if b_below_a:
+        return f"{b} <_Y {a}"
+    return f"{a} ??_Y {b}"
+
+
 def render_ordering_line(l: int, ordering: dict) -> str:
     ff = f"Q^{{I{l}_{l}}}"
     sp = f"Q^{{I{l}_0}}"
     qv = f"Q^{{{l}v}}"
-    pieces = []
-    if ordering["full_future_below_quotient"] and ordering["quotient_below_full_future"]:
-        pieces.append(f"{ff} ~=_Y {qv}")
-    elif ordering["full_future_below_quotient"]:
-        pieces.append(f"{ff} <_Y {qv}")
-    elif ordering["quotient_below_full_future"]:
-        pieces.append(f"{qv} <_Y {ff}")
-    else:
-        pieces.append(f"{ff} ??_Y {qv}")
-    if ordering["quotient_below_strict_past"] and ordering["strict_past_below_quotient"]:
-        pieces.append(f"{qv} ~=_Y {sp}")
-    elif ordering["quotient_below_strict_past"]:
-        pieces.append(f"{qv} <_Y {sp}")
-    elif ordering["strict_past_below_quotient"]:
-        pieces.append(f"{sp} <_Y {qv}")
-    else:
-        pieces.append(f"{qv} ??_Y {sp}")
+    pieces = [
+        _order(ff, qv, ordering["full_future_below_quotient"],
+               ordering["quotient_below_full_future"]),
+        _order(qv, sp, ordering["quotient_below_strict_past"],
+               ordering["strict_past_below_quotient"]),
+    ]
     for key, label in (
         ("quotient_bisimilar_source", f"{qv} ~=_Y Q"),
         ("full_future_bisimilar_source", f"{ff} ~=_Y Q"),

@@ -111,7 +111,7 @@ def law_standard_realization(machine: StateMachine, levels) -> str | None:
         built = build_abstract_machine(machine, _UY, IntervalSpec(l, 0))
         if (
             std.states != built.states
-            or std.initial != built.initial
+            or std._initial != built._initial
             or std._rows != built._rows
         ):
             return f"standard realization differs at l={l}"
@@ -152,23 +152,27 @@ def law_uniqueness_implies_consistency(machine: StateMachine, levels) -> str | N
 
 def law_domino_transition_triples(machine: StateMachine, levels) -> str | None:
     """Projected abstract transitions match the overlapping-domino form."""
-    for mode, l, m in _all_anchors(levels):
-        built = build_abstract_machine(machine, mode, IntervalSpec(l, m))
-        codes = _label_codes(machine, mode, built.inputs, built.outputs)
-        triples = {(x, codes[u][y], x2) for x, u, y, x2 in built._rows}
-        codec = built.codec
-        at = _window_positions(built)
-        head_of = codec.restrictor(l + 1, 0, l - 1)
-        tail_of = codec.restrictor(l + 1, 1, l)
-        label_of = codec.restrictor(l + 1, l - m, l - m)
-        expected = set()
-        for domino in dominoes(machine, mode, l + 1).codes:
-            head = at.get(head_of(domino))
-            tail = at.get(tail_of(domino))
-            if head is not None and tail is not None:
-                expected.add((head, label_of(domino), tail))
-        if triples != expected:
-            return f"domino triples differ at mode={mode.value} l={l} m={m}"
+    # Each domino is split into head and tail once per (mode, l); only the
+    # label position and the abstraction's position table depend on m.
+    for mode in _BOTH:
+        codec = window_codec(machine, mode)
+        codes = _label_codes(machine, mode, machine.inputs, machine.outputs)
+        for l in levels:
+            head_of = codec.restrictor(l + 1, 0, l - 1)
+            tail_of = codec.restrictor(l + 1, 1, l)
+            split = [(w, head_of(w), tail_of(w)) for w in dominoes(machine, mode, l + 1).codes]
+            for m in _anchors(l):
+                built = build_abstract_machine(machine, mode, IntervalSpec(l, m))
+                triples = {(x, codes[u][y], x2) for x, u, y, x2 in built._rows}
+                at = _window_positions(built)
+                label_of = codec.restrictor(l + 1, l - m, l - m)
+                expected = set()
+                for domino, head, tail in split:
+                    head, tail = at.get(head), at.get(tail)
+                    if head is not None and tail is not None:
+                        expected.add((head, label_of(domino), tail))
+                if triples != expected:
+                    return f"domino triples differ at mode={mode.value} l={l} m={m}"
     return None
 
 
@@ -337,7 +341,7 @@ def law_quotient_transition_containments(machine: StateMachine, levels) -> str |
         tail_of = codec.restrictor(l, 1, l - 1)
         head_of = codec.restrictor(l, 0, l - 2)
         for x, _, y, x2 in quotient._rows:
-            (_, src), (_, dst) = quotient.window_map[x], quotient.window_map[x2]
+            src, dst = quotient.cells[x], quotient.cells[x2]
             output = quotient.outputs[y]
             if codec.code(output) not in set(map(first_of, src)):
                 return f"output {output} not heading source cell at l={l}"

@@ -14,7 +14,8 @@ an already-validated machine and their state names are rendered by the
 window codec, so no name is checked again.  The enabled-set operators,
 the reachability and liveness scan and :func:`validate` read the rows;
 ``transitions``, the name 4-tuples in row order, is rendered on first
-read, by the file format, DOT output and callers that ask for it.
+read, by the file format, DOT output and callers that ask for it, and
+so is ``initial``, from the ascending state indexes ``_initial``.
 """
 
 from __future__ import annotations
@@ -145,13 +146,13 @@ class StateMachine:
     dst) over the declaration indexes of the states, inputs and outputs,
     deduplicated and sorted, so two machines with the same components
     compare equal.  ``transitions`` renders them as name 4-tuples, in the
-    same order, on first read.
+    same order, on first read; ``initial`` likewise from ``_initial``.
     """
 
     states: tuple[str, ...]
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
-    initial: tuple[str, ...]
+    _initial: tuple[int, ...]
     _rows: tuple[tuple[int, int, int, int], ...]
     external: ExternalAlphabet = ExternalAlphabet.OUTPUTS_ONLY
 
@@ -192,7 +193,7 @@ class StateMachine:
             if y not in output_ix:
                 raise UnknownOutput(f"transition output {y!r} not declared")
             rows.add((state_ix[x], input_ix[u], output_ix[y], state_ix[x2]))
-        initial = tuple(sorted(initial, key=state_ix.__getitem__))
+        initial = tuple(sorted(state_ix[x0] for x0 in initial))
         _fill(self, states, inputs, outputs, initial, tuple(sorted(rows)), external)
 
     @classmethod
@@ -200,7 +201,7 @@ class StateMachine:
         """The machine of already-valid parts, without the name checks of
         the constructor: ``inputs`` and ``outputs`` come from a validated
         machine, ``states`` are distinct rendered names, ``initial`` are
-        states in declaration order and ``rows`` are index 4-tuples over
+        ascending state indexes and ``rows`` are index 4-tuples over
         them, in any order and possibly repeated.  ``extra`` sets the
         fields a subclass adds."""
         machine = object.__new__(cls)
@@ -216,6 +217,11 @@ class StateMachine:
             (states[x], inputs[u], outputs[y], states[x2]) for x, u, y, x2 in self._rows
         )
 
+    @cached_property
+    def initial(self) -> tuple[str, ...]:
+        """The initial states' names, in declaration order."""
+        return tuple(self.states[x0] for x0 in self._initial)
+
     def _transition(self, row) -> Transition:
         """The name 4-tuple of one row."""
         x, u, y, x2 = row
@@ -226,12 +232,15 @@ class StateMachine:
         """state -> its declaration index."""
         return {s: i for i, s in enumerate(self.states)}
 
+    def _index(self, x: str) -> int:
+        """The declaration index of state ``x``; the one undeclared-state check."""
+        if x not in self._state_ix:
+            raise UnknownState(f"state {x!r} not declared")
+        return self._state_ix[x]
+
     def _span(self, x: str) -> tuple[int, int]:
         """The slice of ``_rows`` leaving state ``x``: rows sort by source."""
-        try:
-            i = self._state_ix[x]
-        except KeyError:
-            raise UnknownState(f"state {x!r} not declared") from None
+        i = self._index(x)
         return bisect_left(self._rows, (i,)), bisect_left(self._rows, (i + 1,))
 
     # -- enabled-set operators -------------------------------------------
@@ -274,18 +283,13 @@ class StateMachine:
 
     # -- derived structure -------------------------------------------------
 
-    def _initial_indices(self) -> list:
-        """The state indices of the initial states, ascending."""
-        initial = set(self.initial)
-        return [i for i, x in enumerate(self.states) if x in initial]
-
     def _reachable(self) -> list:
         """Per state index, whether some run reaches it."""
         targets = [[] for _ in self.states]
         for x, _, _, x2 in self._rows:
             targets[x].append(x2)
         seen = [False] * len(self.states)
-        stack = self._initial_indices()
+        stack = list(self._initial)
         for x0 in stack:
             seen[x0] = True
         while stack:
@@ -309,18 +313,19 @@ class StateMachine:
         if external is self.external:
             return self
         return StateMachine._trusted(
-            self.states, self.inputs, self.outputs, self.initial, self._rows, external
+            self.states, self.inputs, self.outputs, self._initial, self._rows, external
         )
 
 
 def _fill(machine, states, inputs, outputs, initial, rows, external, **extra) -> None:
-    """Set the fields of a new machine; ``rows`` are already distinct and
-    sorted, as plain integer tuples."""
+    """Set the fields of a new machine; ``initial`` are ascending state
+    indexes and ``rows`` are already distinct and sorted, as plain integer
+    tuples."""
     machine.__dict__.update(
         states=tuple(states),
         inputs=tuple(inputs),
         outputs=tuple(outputs),
-        initial=tuple(initial),
+        _initial=tuple(initial),
         _rows=rows,
         external=external,
         **extra,

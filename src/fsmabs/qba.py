@@ -5,7 +5,9 @@ repeatedly splits every cell by the predecessor set of every cell; the
 quotient machine collapses each state to the set of l-step future windows
 it can exhibit, which names exactly the cells of the l-th partition.
 Cells of windows are held as window codes (``behavior.window_codec``);
-quotient state tokens are the codec's rendered names joined by '|'.
+quotient state tokens are the codec's rendered names joined by '|'.  The
+fibers and the quotient builder work on state indexes; a ``Partition``,
+which callers may build by hand, holds state names.
 """
 
 from __future__ import annotations
@@ -162,18 +164,18 @@ def fibers(machine: StateMachine, l: int) -> tuple:
 
     Returns ``(codes, members)`` pairs: ``codes`` is a fiber's sorted
     window codes, the pairs come in canonical window order (the quotient's
-    state order) and ``members`` in declaration order.
+    state order) and ``members`` are the fiber's state indexes, ascending.
     """
-    emap = external_strings_map(machine, _Y, IntervalSpec(l, l))
     groups: dict[tuple, list] = {}
-    for x in machine.states:
-        groups.setdefault(emap[x], []).append(x)
+    for x, codes in enumerate(external_strings_map(machine, _Y, IntervalSpec(l, l))):
+        groups.setdefault(codes, []).append(x)
     return tuple(sorted((codes, tuple(members)) for codes, members in groups.items()))
 
 
 def fiber_partition(machine: StateMachine, l: int) -> Partition:
     """States grouped by their l-step future-window sets, as a partition."""
-    return _canonical((members for _, members in fibers(machine, l)), machine, level=l)
+    cells = ([machine.states[x] for x in members] for _, members in fibers(machine, l))
+    return _canonical(cells, machine, level=l)
 
 
 @derived
@@ -188,19 +190,19 @@ def build_quotient_machine(machine: StateMachine, l: int) -> AbstractMachine:
         raise InvalidSpec(f"build_quotient_machine requires l >= 1, got {l}")
     require_accepted(machine, "build_quotient_machine")
     codec = window_codec(machine, _Y)
-    cells = fibers(machine, l)
-    tokens = tuple(cell_token(codec, codes, l) for codes, _ in cells)
-    cell_of = {x: i for i, (_, members) in enumerate(cells) for x in members}
-    cell_at = [cell_of[x] for x in machine.states]
-    initial = sorted({cell_of[x0] for x0 in machine.initial})
+    groups = fibers(machine, l)
+    cell_at = [0] * len(machine.states)
+    for cell, (_, members) in enumerate(groups):
+        for x in members:
+            cell_at[x] = cell
     return AbstractMachine._trusted(
-        tokens,
+        tuple(cell_token(codec, codes, l) for codes, _ in groups),
         machine.inputs,
         machine.outputs,
-        tuple(tokens[i] for i in initial),
+        sorted({cell_at[x0] for x0 in machine._initial}),
         ((cell_at[x], u, y, cell_at[x2]) for x, u, y, x2 in machine._rows),
         _Y,
-        window_map=tuple((tok, codes) for tok, (codes, _) in zip(tokens, cells)),
+        cells=tuple(codes for codes, _ in groups),
         codec=codec,
         window_length=l,
     )

@@ -45,7 +45,7 @@ from the fixpoint.
 from __future__ import annotations
 
 import enum
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, replace
 from functools import cached_property
 
 from .analysis import derived
@@ -249,8 +249,8 @@ def _check_step(
 
 
 def _check_initial(left: StateMachine, right: StateMachine, partners: dict) -> SimulationVerdict:
-    right_initial = set(right._initial_indices())
-    for x0 in left._initial_indices():
+    right_initial = set(right._initial)
+    for x0 in left._initial:
         if right_initial.isdisjoint(partners.get(x0, ())):
             return SimulationVerdict(False, failed_initial=left.states[x0])
     return SimulationVerdict(True)
@@ -286,15 +286,7 @@ def verify_simulation(
     if not verdict or not bisim:
         return verdict
     back = _check(right, left, mode, inverse(relation)._indices)
-    if not back:
-        return SimulationVerdict(
-            False,
-            failed_initial=back.failed_initial,
-            failed_pair=back.failed_pair,
-            failed_transition=back.failed_transition,
-            direction="backward",
-        )
-    return SimulationVerdict(True)
+    return back if back else replace(back, direction="backward")
 
 
 def _replies(row: tuple, symbol: int) -> tuple:
@@ -451,7 +443,7 @@ def _canonical_relation(
         right = build_abstract_machine(machine, mode, spec)
         emap = external_strings_map(machine, mode, spec)
         at = _window_positions(right)
-        pairs = [(x, at[w]) for x, state in enumerate(machine.states) for w in emap[state]]
+        pairs = [(x, at[w]) for x, windows in enumerate(emap) for w in windows]
         return _from_indices(machine, right, pairs)
 
     if kind is CanonicalKind.L_STEP:
@@ -460,7 +452,7 @@ def _canonical_relation(
         at = _window_positions(right)
         tail_of = codec.restrictor(l + 1, 1, l)
         pairs = []
-        for a, (_, (window,)) in enumerate(left.window_map):
+        for a, (window,) in enumerate(left.cells):
             shrunk = at.get(tail_of(window))
             if shrunk is not None:
                 pairs.append((a, shrunk))
@@ -478,21 +470,20 @@ def _canonical_relation(
         tail_of = codec.restrictor(l, 1, l - 1)
         head_of = codec.restrictor(l, 0, l - 2)
         pairs = []
-        for x in machine.states:
+        for ups, downs in zip(up, down):
             # a is related to b when a's first l - 1 symbols are b's last.
             by_suffix: dict[int, list] = {}
-            for b in down[x]:
+            for b in downs:
                 by_suffix.setdefault(tail_of(b), []).append(right_at[b])
-            for a in up[x]:
+            for a in ups:
                 for b in by_suffix.get(head_of(a), ()):
                     pairs.append((left_at[a], b))
         return _from_indices(left, right, pairs)
 
     if kind is CanonicalKind.STATE_TO_QUOTIENT:
         # The quotient's cells are the fibers, in the same order.
-        at = machine._state_ix
         cells = fibers(machine, l)
-        pairs = [(at[x], cell) for cell, (_, members) in enumerate(cells) for x in members]
+        pairs = [(x, cell) for cell, (_, members) in enumerate(cells) for x in members]
         return _from_indices(machine, build_quotient_machine(machine, l), pairs)
 
     if kind in (CanonicalKind.SALCA_TO_QUOTIENT, CanonicalKind.RENAMING):
@@ -500,7 +491,7 @@ def _canonical_relation(
         right = build_quotient_machine(machine, l)
         at = _window_positions(left)
         pairs = []
-        for cell, (_, codes) in enumerate(right.window_map):
+        for cell, codes in enumerate(right.cells):
             if kind is CanonicalKind.RENAMING and len(codes) != 1:
                 continue
             pairs.extend((at[w], cell) for w in codes)
@@ -511,7 +502,7 @@ def _canonical_relation(
 
 def _window_positions(abstraction) -> dict:
     """window code -> state index, for a window-state machine."""
-    return {w: i for i, (_, (w,)) in enumerate(abstraction.window_map)}
+    return {w: i for i, (w,) in enumerate(abstraction.cells)}
 
 
 @dataclass(frozen=True)

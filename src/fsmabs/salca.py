@@ -9,15 +9,16 @@ state-based window completeness and their joint form) govern when these
 machines simulate, or are simulated by, the original.
 
 The builders and predicates work on the window codes of
-``behavior.window_codec``.  State tokens are the codec's rendered names;
-``AbstractMachine.windows_of`` and the predicate witnesses decode codes
-into ``Window`` objects.
+``behavior.window_codec`` and on states by declaration index: they read
+the index-keyed maps of ``behavior`` and emit rows, initial states and
+``AbstractMachine.cells`` over state positions.  State tokens are the
+codec's rendered names; ``AbstractMachine.windows_of`` and the predicate
+witnesses decode codes into ``Window`` objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .analysis import derived
 from .behavior import (
@@ -40,14 +41,14 @@ from .machine import ExternalAlphabet, StateMachine, require_accepted
 class AbstractMachine(StateMachine):
     """A state machine whose states stand for window sets of a source machine.
 
-    ``window_map`` pairs each state token with the codes (under ``codec``)
-    of the ``window_length``-long windows it denotes: a single window for
-    window-state machines, a whole cell of windows for quotient machines.
-    The builders construct it through the trusted path
+    ``cells`` holds, for each state by position, the codes (under
+    ``codec``) of the ``window_length``-long windows it denotes: a single
+    window for window-state machines, a whole cell of windows for quotient
+    machines.  The builders construct it through the trusted path
     (``StateMachine._trusted``) from rows over state positions.
     """
 
-    window_map: tuple = ()  # ordered (token, tuple-of-window-code) pairs
+    cells: tuple = ()  # per state position, its tuple of window codes
     codec: WindowCodec | None = field(default=None, repr=False, compare=False)
     window_length: int = 0
 
@@ -59,19 +60,15 @@ class AbstractMachine(StateMachine):
         initial,
         transitions,
         external: ExternalAlphabet = ExternalAlphabet.OUTPUTS_ONLY,
-        window_map: tuple = (),
+        cells: tuple = (),
         codec: WindowCodec | None = None,
         window_length: int = 0,
     ):
         super().__init__(states, inputs, outputs, initial, transitions, external)
-        self.__dict__.update(window_map=window_map, codec=codec, window_length=window_length)
-
-    @cached_property
-    def _codes_by_token(self) -> dict:
-        return dict(self.window_map)
+        self.__dict__.update(cells=cells, codec=codec, window_length=window_length)
 
     def codes_of(self, token: str) -> tuple[int, ...]:
-        return self._codes_by_token[token]
+        return self.cells[self._index(token)]
 
     def windows_of(self, token: str) -> tuple[Window, ...]:
         return tuple(self.codec.decode(w, self.window_length) for w in self.codes_of(token))
@@ -91,7 +88,7 @@ def _initial_codes(machine: StateMachine, mode: ExternalAlphabet, spec: Interval
     all-diamond past (code 0) before an m-step future of an initial state,
     so each code is that of the future."""
     futures = future_map(machine, mode, spec.m)
-    return sorted(set().union(*(futures[x0] for x0 in machine.initial)))
+    return sorted(set().union(*(futures[x0] for x0 in machine._initial)))
 
 
 def initial_windows(
@@ -115,18 +112,17 @@ def _window_machine(
     rows,
 ) -> AbstractMachine:
     """The abstraction whose states are the given ascending ``length``-window
-    codes, named by the codec; ``initial`` are ascending codes among them,
-    and ``rows`` are over the states' positions in ``windows``."""
+    codes, named by the codec; ``initial`` and ``rows`` are over the
+    states' positions in ``windows``, ``initial`` ascending."""
     codec = window_codec(machine, mode)
-    names = tuple(codec.name(w, length) for w in windows)
     return AbstractMachine._trusted(
-        names,
+        tuple(codec.name(w, length) for w in windows),
         machine.inputs,
         machine.outputs,
-        tuple(codec.name(w, length) for w in initial),
+        initial,
         rows,
         mode,
-        window_map=tuple((name, (w,)) for name, w in zip(names, windows)),
+        cells=tuple((w,) for w in windows),
         codec=codec,
         window_length=length,
     )
@@ -150,7 +146,7 @@ def build_abstract_machine(
     codec = window_codec(machine, mode)
     emap = external_strings_map(machine, mode, spec)
     l, m = spec.l, spec.m
-    realized = sorted(set().union(*emap.values()))
+    realized = sorted(set().union(*emap))
     position = {w: i for i, w in enumerate(realized)}
     # The source window and the target's last symbol form an (l+1)-window
     # whose symbol at position l - m is the transition's label: in the
@@ -164,10 +160,10 @@ def build_abstract_machine(
     last_of = codec.restrictor(l, l - 1, l - 1)
     sources = []
     targets = []
-    for x in machine.states:
+    for windows in emap:
         by_label: dict = {}
         by_overlap: dict = {}
-        for w in emap[x]:
+        for w in windows:
             i = position[w]
             label = label_of(w) if m else None
             by_label.setdefault(label, {}).setdefault(tail_of(w), []).append(i)
@@ -185,7 +181,7 @@ def build_abstract_machine(
         for dst in targets[x2].get((overlap, None if m else codes[u][y]), ())
         for src in srcs
     )
-    initial = _initial_codes(machine, mode, spec)
+    initial = [position[w] for w in _initial_codes(machine, mode, spec)]
     return _window_machine(machine, mode, l, realized, initial, rows)
 
 
@@ -215,6 +211,7 @@ def standard_realization(machine: StateMachine, l: int) -> AbstractMachine:
     for domino in dominoes(machine, mode, l + 1).codes:
         u, y = label_of[last_of(domino)]
         rows.append((position[head_of(domino)], u, y, position[tail_of(domino)]))
+    # The all-diamond window, code 0, is the first state and the only initial one.
     return _window_machine(machine, mode, l, states, (0,), rows)
 
 
@@ -238,14 +235,13 @@ def is_future_unique(
     """
     require_accepted(machine, "is_future_unique")
     codec = window_codec(machine, mode)
-    futures = future_map(machine, mode, spec.m)
-    for x in machine.states:
-        if len(futures[x]) > 1:
+    for x, futures in enumerate(future_map(machine, mode, spec.m)):
+        if len(futures) > 1:
             past = min(past_map(machine, mode, spec.l - spec.m)[x])
             first, second = (
-                codec.decode(codec.concat(past, f, spec.m), spec.l) for f in sorted(futures[x])[:2]
+                codec.decode(codec.concat(past, f, spec.m), spec.l) for f in sorted(futures)[:2]
             )
-            return PredicateResult(False, (x, first, second))
+            return PredicateResult(False, (machine.states[x], first, second))
     return PredicateResult(True)
 
 
@@ -266,11 +262,11 @@ def is_sbalc(
     head_of = codec.restrictor(l + 1, 0, l - 1)
     tail_of = codec.restrictor(l + 1, l - m, l)
     split = [(w, head_of(w), tail_of(w)) for w in dominoes(machine, mode, l + 1).codes]
-    for x in machine.states:
-        windows = frozenset(emap[x])
+    for x, (around, extensions) in enumerate(zip(emap, futures)):
+        windows = frozenset(around)
         for domino, head, tail in split:
-            if head in windows and tail not in futures[x]:
-                return PredicateResult(False, (x, codec.decode(domino, l + 1)))
+            if head in windows and tail not in extensions:
+                return PredicateResult(False, (machine.states[x], codec.decode(domino, l + 1)))
     return PredicateResult(True)
 
 

@@ -53,7 +53,8 @@ def test_result_of_one_scope_never_returned_in_another(fig_machine):
 def test_strings_map_memoised_per_spec(fig_machine):
     with scope():
         plain = external_strings_map(fig_machine, Y, IntervalSpec(2, 1))
-        assert all(type(w) is int for ws in plain.values() for w in ws)  # window codes
+        assert len(plain) == len(fig_machine.states)  # one entry per state index
+        assert all(type(w) is int for ws in plain for w in ws)  # window codes
         assert external_strings_map(fig_machine, Y, IntervalSpec(2, 1)) is plain
         assert external_strings_map(fig_machine, Y, IntervalSpec(2, 2)) is not plain
 
@@ -105,11 +106,12 @@ def test_fibers_name_quotient_states_and_fiber_partition(fig_machine):
     for l in (1, 2, 3):
         groups = fibers(fig_machine, l)
         quotient = build_quotient_machine(fig_machine, l)
-        assert tuple(ws for _, ws in quotient.window_map) == tuple(ws for ws, _ in groups)
+        assert quotient.cells == tuple(ws for ws, _ in groups)
         members = sorted(x for _, cell in groups for x in cell)
-        assert members == sorted(fig_machine.states)
+        assert members == list(range(len(fig_machine.states)))
+        states = fig_machine.states
         assert {frozenset(c) for c in fiber_partition(fig_machine, l).cells} == {
-            frozenset(cell) for _, cell in groups
+            frozenset(states[x] for x in cell) for _, cell in groups
         }
 
 

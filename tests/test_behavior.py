@@ -467,10 +467,10 @@ def test_window_codes_match_tuple_oracles_on_fuzz_corpus(mode):
                 expected = naive_external_strings_map(machine, mode, spec)
                 extended = naive_external_strings_map(machine, mode, spec, extended=True)
                 emap = external_strings_map(machine, mode, spec)
-                for x in machine.states:
+                for i, x in enumerate(machine.states):
                     assert external_strings(machine, mode, x, spec) == expected[x]
                     assert external_strings(machine, mode, x, spec, extended=True) == extended[x]
-                    names = [codec.name(w, l) for w in emap[x]]
+                    names = [codec.name(w, l) for w in emap[i]]
                     assert names == [w.name for w in expected[x]]
                     padded_names += sum(name.startswith("<>.") for name in names)
                 realized = sorted({w for ws in expected.values() for w in ws}, key=key)

@@ -1,8 +1,15 @@
 import pytest
 
 from fsmabs.analysis import scope
-from fsmabs.behavior import IntervalSpec, Window, behavior_equal
-from fsmabs.errors import InvalidSpec, NotAccepted
+from fsmabs.behavior import (
+    IntervalSpec,
+    Window,
+    behavior_equal,
+    external_strings,
+    future_windows,
+    past_windows,
+)
+from fsmabs.errors import InvalidSpec, NotAccepted, UnknownState
 from fsmabs.fuzz import machine_stream
 from fsmabs.machine import DIAMOND, StateMachine, dumps, validate
 from fsmabs.qba import build_quotient_machine
@@ -122,6 +129,30 @@ def test_window_map_tracks_states(fig_machine):
     assert a.windows_of("y1.y2") == (window("y1 y2"),)
 
 
+@pytest.mark.parametrize("token", ["x9", "y9.y9", ""])
+def test_undeclared_state_raises_unknown_state(fig_machine, token):
+    # Every per-state accessor of a machine and of its abstractions
+    # reports an undeclared state the same way.
+    spec = IntervalSpec(2, 1)
+    abstractions = (
+        build_abstract_machine(fig_machine, Y, spec),
+        build_quotient_machine(fig_machine, 2),
+    )
+    for built in abstractions:
+        for accessor in (built.codes_of, built.windows_of, built.single_window_of):
+            with pytest.raises(UnknownState):
+                accessor(token)
+    for machine in (fig_machine, *abstractions):
+        with pytest.raises(UnknownState):
+            past_windows(machine, Y, token, 1)
+        with pytest.raises(UnknownState):
+            future_windows(machine, Y, token, 1)
+        with pytest.raises(UnknownState):
+            external_strings(machine, Y, token, spec)
+        with pytest.raises(UnknownState):
+            machine.outgoing(token)
+
+
 def _builds(machine: StateMachine):
     """Every abstraction the builders make of ``machine`` up to l = 3."""
     for l in (1, 2, 3):
@@ -142,7 +173,7 @@ def test_trusted_builds_equal_validating_constructor():
             for built in _builds(machine):
                 names = (built.states, built.inputs, built.outputs, built.initial,
                          built.transitions, built.external)
-                rebuilt = AbstractMachine(*names, built.window_map, built.codec,
+                rebuilt = AbstractMachine(*names, built.cells, built.codec,
                                           built.window_length)
                 assert rebuilt == built
                 plain = StateMachine(*names)
