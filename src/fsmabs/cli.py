@@ -87,7 +87,7 @@ def build_report(machine: StateMachine, mode: ExternalAlphabet, l_max: int,
                 "async_complete": is_async_l_complete(machine, mode, l),
                 "domino_consistent": is_domino_consistent(machine, l).holds,
                 "fixed_point": is_fixed_point(machine, partition).holds,
-                "partition": ["{" + ",".join(cell) + "}" for cell in partition.cells],
+                "partition": partition.render().splitlines(),
                 "abstractions": {
                     "strict-past": {
                         "states": len(strict_past.states),

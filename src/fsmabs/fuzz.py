@@ -102,31 +102,29 @@ def _factored_form(machine: StateMachine):
 def _candidates(machine: StateMachine):
     """Smaller accepted machines: drop a successor, an output, or a state."""
     admissible, successors = _factored_form(machine)
+
+    def variant(adm, succ):
+        """The machine with its outputs and successors replaced."""
+        return _assemble(
+            machine.states, machine.inputs, machine.outputs, machine.initial, adm, succ
+        )
+
     for key in sorted(successors):
         if len(successors[key]) > 1:
             for drop in successors[key]:
                 smaller = dict(successors)
                 smaller[key] = [s for s in successors[key] if s != drop]
-                yield _assemble(
-                    machine.states, machine.inputs, machine.outputs,
-                    machine.initial, admissible, smaller,
-                )
+                yield variant(admissible, smaller)
     for key in sorted(successors):
         smaller = dict(successors)
         del smaller[key]
-        yield _assemble(
-            machine.states, machine.inputs, machine.outputs,
-            machine.initial, admissible, smaller,
-        )
+        yield variant(admissible, smaller)
     for x in sorted(admissible):
         if len(admissible[x]) > 1:
             for drop in admissible[x]:
                 smaller = dict(admissible)
                 smaller[x] = [y for y in admissible[x] if y != drop]
-                yield _assemble(
-                    machine.states, machine.inputs, machine.outputs,
-                    machine.initial, smaller, successors,
-                )
+                yield variant(smaller, successors)
     for victim in machine.states:
         kept = [x for x in machine.states if x != victim]
         initial = [x for x in machine.initial if x != victim]

@@ -1,13 +1,15 @@
 """Partition refinement and quotient state machines.
 
-The refinement chain starts from the output-preimage partition and
-repeatedly splits every cell by the predecessor set of every cell; the
-quotient machine collapses each state to the set of l-step future windows
-it can exhibit, which names exactly the cells of the l-th partition.
-Cells of windows are held as window codes (``behavior.window_codec``);
-quotient state tokens are the codec's rendered names joined by '|'.  The
-fibers and the quotient builder work on state indexes; a ``Partition``,
-which callers may build by hand, holds state names.
+The refinement chain starts from the output-preimage partition; a round
+splits every cell by the predecessor set T^-1(Z) of every cell Z.  That
+groups the states by (own cell, cells stepped into), so one pass over
+the transitions makes a round, and ``partition_at(machine, l)`` is l
+rounds.  The quotient machine collapses each state to the set of l-step
+future windows it can exhibit, which names exactly the cells of the
+l-th partition.  Cells of windows are held as window codes
+(``behavior.window_codec``); quotient state tokens are the codec's
+rendered names joined by '|'.  The algorithms work on state indexes; a
+``Partition``, which callers may build by hand, holds state names.
 """
 
 from __future__ import annotations
@@ -37,93 +39,85 @@ class Partition:
         return "\n".join("{" + ",".join(cell) + "}" for cell in self.cells) + "\n"
 
 
-def _canonical(cells, machine: StateMachine, level: int) -> Partition:
-    order = {x: i for i, x in enumerate(machine.states)}
-    normalized = tuple(
-        tuple(sorted(cell, key=order.__getitem__)) for cell in cells if cell
-    )
-    return Partition(tuple(sorted(normalized, key=lambda c: order[c[0]])), level)
-
-
-def check_partition(machine: StateMachine, partition: Partition) -> None:
-    seen: set[str] = set()
-    for cell in partition.cells:
+def _blocks(machine: StateMachine, partition: Partition) -> list[int]:
+    """Each state's cell position in ``partition``, which must be a disjoint
+    cover of the machine's states by non-empty cells."""
+    block = [-1] * len(machine.states)
+    for position, cell in enumerate(partition.cells):
         if not cell:
             raise InvalidPartition("empty cell")
         for x in cell:
-            if x not in machine.states:
+            i = machine._state_ix.get(x) if isinstance(x, str) else None
+            if i is None:
                 raise InvalidPartition(f"cell member {x!r} not a state")
-            if x in seen:
+            if block[i] >= 0:
                 raise InvalidPartition(f"state {x!r} in two cells")
-            seen.add(x)
-    if seen != set(machine.states):
-        missing = sorted(set(machine.states) - seen)
+            block[i] = position
+    if -1 in block:
+        missing = sorted(x for x, b in zip(machine.states, block) if b < 0)
         raise InvalidPartition(f"states not covered: {missing}")
+    return block
+
+
+def _signatures(machine: StateMachine, block: list[int]) -> tuple:
+    """For every state index, the cell positions of its successors: state x
+    lies in T^-1(Z) exactly when Z's position is in x's signature."""
+    steps = [set() for _ in machine.states]
+    for x, _, _, x2 in machine._rows:
+        steps[x].add(block[x2])
+    return tuple(map(frozenset, steps))
+
+
+def _grouped(machine: StateMachine, keys, level: int) -> Partition:
+    """States grouped by a per-state key, in canonical form: members in
+    declaration order, cells in the order of their first member."""
+    groups: dict = {}
+    for x, key in zip(machine.states, keys):
+        groups.setdefault(key, []).append(x)
+    return Partition(tuple(map(tuple, groups.values())), level)
 
 
 def initial_partition(machine: StateMachine) -> Partition:
     """Group states by their exact admissible-output set."""
     require_accepted(machine, "initial_partition")
-    groups: dict = {}
-    for x in machine.states:
-        groups.setdefault(frozenset(machine.admissible_outputs(x)), []).append(x)
-    return _canonical(groups.values(), machine, level=1)
-
-
-def _predecessor_index(machine: StateMachine) -> dict:
-    """state -> the set of states with a transition into it."""
-    states = machine.states
-    index: dict[str, set] = {x: set() for x in states}
-    for x, _, _, x2 in machine._rows:
-        index[states[x2]].add(states[x])
-    return index
-
-
-def _predecessors(index: dict, cell) -> frozenset:
-    """T^-1(cell), from a ``_predecessor_index``."""
-    return frozenset().union(*(index[x] for x in cell))
+    return _grouped(machine, future_map(machine, _Y, 1), level=1)
 
 
 def refine(machine: StateMachine, partition: Partition) -> Partition:
     """One refinement round: split every cell by every splitter T^-1(Z).
 
     Splitters are the predecessor sets of the cells of the *incoming*
-    partition, applied in canonical cell order (the composition is
-    order-independent; a fixed order keeps output deterministic).
+    partition.  Two states of a cell stay together exactly when they step
+    into the same cells, so the round groups states by (own cell, cells
+    stepped into), read in one pass over the transitions.
     """
     require_accepted(machine, "refine")
-    check_partition(machine, partition)
-    index = _predecessor_index(machine)
-    current = [set(cell) for cell in partition.cells]
-    for splitter_cell in partition.cells:
-        pred = _predecessors(index, splitter_cell)
-        nxt = []
-        for cell in current:
-            inside = cell & pred
-            outside = cell - pred
-            if inside:
-                nxt.append(inside)
-            if outside:
-                nxt.append(outside)
-        current = nxt
-    return _canonical(current, machine, level=partition.level + 1)
+    block = _blocks(machine, partition)
+    keys = zip(block, _signatures(machine, block))
+    return _grouped(machine, keys, level=partition.level + 1)
 
 
 def is_fixed_point(machine: StateMachine, partition: Partition) -> PredicateResult:
     """Whether every cell maps wholly into or out of every predecessor set.
 
-    Witness on failure: (cell, splitter cell, member left outside)."""
+    A cell is split by the splitters some but not all of its members step
+    into.  Witness on failure: (cell, splitter cell, member left outside)
+    for the first splitter in cell order that splits a cell, the first
+    cell it splits and that cell's first member outside."""
     require_accepted(machine, "is_fixed_point")
-    check_partition(machine, partition)
-    index = _predecessor_index(machine)
-    for splitter in partition.cells:
-        pred = _predecessors(index, splitter)
-        for cell in partition.cells:
-            hits = [x for x in cell if x in pred]
-            misses = [x for x in cell if x not in pred]
-            if hits and misses:
-                return PredicateResult(False, (cell, splitter, misses[0]))
-    return PredicateResult(True)
+    signature = _signatures(machine, _blocks(machine, partition))
+    index = machine._state_ix
+    split = []
+    for cell in partition.cells:
+        steps = [signature[index[x]] for x in cell]
+        split.append(frozenset.union(*steps) - frozenset.intersection(*steps))
+    splitters = frozenset().union(*split)
+    if not splitters:
+        return PredicateResult(True)
+    splitter = min(splitters)
+    cell = next(c for c, s in zip(partition.cells, split) if splitter in s)
+    miss = next(x for x in cell if splitter not in signature[index[x]])
+    return PredicateResult(False, (cell, partition.cells[splitter], miss))
 
 
 def refinement_fixpoint(machine: StateMachine, max_steps: int | None = None):
@@ -174,8 +168,7 @@ def fibers(machine: StateMachine, l: int) -> tuple:
 
 def fiber_partition(machine: StateMachine, l: int) -> Partition:
     """States grouped by their l-step future-window sets, as a partition."""
-    cells = ([machine.states[x] for x in members] for _, members in fibers(machine, l))
-    return _canonical(cells, machine, level=l)
+    return _grouped(machine, external_strings_map(machine, _Y, IntervalSpec(l, l)), level=l)
 
 
 @derived

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fsmabs.fuzz import FuzzConfig
@@ -40,6 +42,28 @@ def five_state_machine() -> StateMachine:
             ("x5", "u1", "y1", "x4"),
         ),
     )
+
+
+def wide_machine(n: int, seed: int) -> StateMachine:
+    """A seeded n-state machine, wide for its size: a ring through input
+    u0 keeps every state reachable and live, each state has one of 3
+    outputs, and each enabled input of 3 has 1-2 successors."""
+    rng = random.Random(seed)
+    states = tuple(f"x{i}" for i in range(n))
+    inputs = ("u0", "u1", "u2")
+    outputs = ("y0", "y1", "y2")
+    transitions = []
+    for i, x in enumerate(states):
+        y = rng.choice(outputs)
+        for u in inputs:
+            if u == "u0":
+                targets = {states[(i + 1) % n], rng.choice(states)}
+            elif rng.random() < 0.5:
+                targets = set(rng.sample(states, rng.randint(1, 2)))
+            else:
+                continue
+            transitions.extend((x, u, y, x2) for x2 in sorted(targets))
+    return StateMachine(states, inputs, outputs, (states[0],), tuple(transitions))
 
 
 def self_loop_machine() -> StateMachine:

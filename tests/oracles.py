@@ -11,7 +11,8 @@ transition by transition the same way.  The ``naive_*`` window
 fixpoints are the tuple-based ``Window`` forms of the integer-coded ones
 in ``fsmabs.behavior``, sorted by ``window_sort_key``, the reference
 canonical order; the ``naive_*`` refinement helpers scan all of delta
-once per splitter cell.
+once per splitter cell, and ``canonical_cells`` puts their cells in the
+canonical partition order.
 """
 
 import random
@@ -401,6 +402,14 @@ def naive_m_step_pairs(machine: StateMachine, mode: ExternalAlphabet, l: int, m:
 
 
 # -- refinement by scanning delta per splitter --------------------------------------
+
+
+def canonical_cells(machine: StateMachine, cells) -> tuple:
+    """The cells as tuples in canonical form: members in declaration
+    order, cells in the order of their first member."""
+    order = machine.states.index
+    members = (tuple(sorted(cell, key=order)) for cell in cells)
+    return tuple(sorted(members, key=lambda cell: order(cell[0])))
 
 
 def naive_predecessors(machine: StateMachine, cell) -> frozenset:

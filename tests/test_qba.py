@@ -19,8 +19,8 @@ from fsmabs.qba import (
 )
 from fsmabs.salca import build_abstract_machine, is_future_unique
 
-from .conftest import Y
-from .oracles import naive_is_fixed_point, naive_refine, window
+from .conftest import Y, wide_machine
+from .oracles import canonical_cells, naive_is_fixed_point, naive_refine, window
 
 
 def singleton_partition(machine: StateMachine) -> Partition:
@@ -74,6 +74,24 @@ def test_refine_rejects_bad_partition(fig_machine):
         refine(fig_machine, Partition((("x1",),), level=1))
     with pytest.raises(InvalidPartition):
         refine(fig_machine, Partition((("x1", "x1"), ("x2", "x3", "x4", "x5")), level=1))
+
+
+@pytest.mark.parametrize("check", [refine, is_fixed_point])
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ((("x1",), (), ("x2", "x3", "x4", "x5")), "empty cell"),
+        ((("x1", "x9"), ("x2", "x3", "x4", "x5")), "cell member 'x9' not a state"),
+        ((("x1", ["x2"]), ("x2", "x3", "x4", "x5")), "cell member ['x2'] not a state"),
+        ((("x1", "x2"), ("x2", "x3", "x4", "x5")), "state 'x2' in two cells"),
+        ((("x1", "x1"), ("x2", "x3", "x4", "x5")), "state 'x1' in two cells"),
+        ((("x4", "x1"), ("x2",)), "states not covered: ['x3', 'x5']"),
+    ],
+)
+def test_invalid_partition_messages(fig_machine, check, cells, message):
+    with pytest.raises(InvalidPartition) as raised:
+        check(fig_machine, Partition(cells, level=1))
+    assert str(raised.value) == message
 
 
 def test_fixed_point_witness(fig_machine):
@@ -273,20 +291,39 @@ def test_domino_consistency_requires_valid_l(fig_machine):
         is_domino_consistent(fig_machine, 0)
 
 
+def _user_partitions(machine: StateMachine, rng: random.Random, count: int):
+    """Random partitions as a caller may build them: random cut points
+    through a shuffled state list, so members come out of declaration
+    order, and cells shuffled out of canonical order."""
+    for _ in range(count):
+        order = list(machine.states)
+        rng.shuffle(order)
+        cuts = sorted(rng.sample(range(1, len(order)), rng.randint(0, len(order) - 1)))
+        cells = [tuple(order[a:b]) for a, b in zip([0, *cuts], [*cuts, len(order)])]
+        rng.shuffle(cells)
+        yield Partition(tuple(cells), level=rng.randint(0, 3))
+
+
 def test_refinement_matches_delta_scan_on_fuzz_corpus():
-    # The predecessor index gives the partitions and witnesses of the
-    # scan of all of delta per splitter cell, on the first 20 machines of
-    # the acceptance stream: along the refinement chain and on the fibers.
+    # Grouping by signature gives the cells, in canonical order, and the
+    # witnesses of the scan of all of delta per splitter cell: on the
+    # first 20 machines of the acceptance stream along the whole
+    # refinement chain, on the fibers and on random user partitions, and
+    # along the whole chain of a seeded 200-state wide machine.
+    rng = random.Random(20260809)
     verdicts = set()
-    for machine in machine_stream(FuzzConfig(seed=20260809, count=20, max_states=6)):
+    corpus = list(machine_stream(FuzzConfig(seed=20260809, count=20, max_states=6)))
+    for machine in [*corpus, wide_machine(200, seed=1)]:
         partitions = [fiber_partition(machine, l) for l in (1, 2, 3)]
-        partition = initial_partition(machine)
-        for _ in range(len(machine.states)):
-            partitions.append(partition)
-            refined = refine(machine, partition)
-            assert {frozenset(c) for c in refined.cells} == naive_refine(machine, partition.cells)
-            partition = refined
+        partitions += _user_partitions(machine, rng, 10)
+        chain = [initial_partition(machine)]
+        while len(chain) == 1 or chain[-1].cells != chain[-2].cells:
+            chain.append(refine(machine, chain[-1]))
+        partitions += chain
         for partition in partitions:
+            refined = refine(machine, partition)
+            assert refined.level == partition.level + 1
+            assert refined.cells == canonical_cells(machine, naive_refine(machine, partition.cells))
             result = is_fixed_point(machine, partition)
             assert (result.holds, result.witness) == naive_is_fixed_point(machine, partition.cells)
             verdicts.add(result.holds)
