@@ -14,7 +14,9 @@ Lifetimes:
 - ``with scope():`` runs its block in a fresh, empty scope and drops it,
   with every machine and result it holds, when the block ends.
   ``fuzz.run_fuzz`` opens one per stream machine (its law checks and its
-  shrinks) and ``fuzz.shrink_counterexample`` one per candidate.  The
+  shrinks), ``fuzz.shrink_counterexample`` one per candidate and
+  ``cli.build_report`` one per window length, so a report holds one
+  level's derived data at a time.  The
   active scope is a context variable, so a block's scope applies to its
   own thread only.
 

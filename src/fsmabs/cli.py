@@ -14,14 +14,17 @@ import sys
 from pathlib import Path
 
 from . import machine as machine_io
+from .analysis import scope
 from .behavior import IntervalSpec, behavior_included
 from .errors import FsmabsError, InvalidSpec
 from .machine import ExternalAlphabet, StateMachine, to_dot, validate
 from .qba import (
+    Partition,
     build_quotient_machine,
     is_domino_consistent,
     is_fixed_point,
     partition_at,
+    refinement_budget,
     refinement_fixpoint,
 )
 from .relations import bisimilar, simulates
@@ -56,56 +59,20 @@ def build_report(machine: StateMachine, mode: ExternalAlphabet, l_max: int,
 
     The window predicates honor ``mode``; the quotient family (partitions,
     domino consistency, ordering verdicts) is defined over outputs only.
+    Each window length is computed in its own scope, so a level's derived
+    data is freed before the next level is built.
     """
     if l_max < 1:
         raise InvalidSpec(f"window length l must be >= 1, got {l_max}")
+    max_steps = refinement_budget(machine, max_steps)
     properties = []
-    for l in range(1, l_max + 1):
-        for m in sorted({0, l}):
-            fu = is_future_unique(machine, mode, IntervalSpec(l, m))
-            sb = is_sbalc(machine, mode, IntervalSpec(l, m))
-            properties.append(
-                {
-                    "l": l,
-                    "m": m,
-                    "future_unique": fu.holds,
-                    "future_unique_witness": _witness_text(fu.witness),
-                    "sbalc": sb.holds,
-                    "sbalc_witness": _witness_text(sb.witness),
-                }
-            )
-
     levels = []
     for l in range(1, l_max + 1):
+        # the partition chain stays outside: each level refines the last one
         partition = partition_at(machine, l)
-        strict_past = build_abstract_machine(machine, mode, IntervalSpec(l, 0))
-        full_future = build_abstract_machine(machine, mode, IntervalSpec(l, l))
-        quotient = build_quotient_machine(machine, l)
-        levels.append(
-            {
-                "l": l,
-                "async_complete": is_async_l_complete(machine, mode, l),
-                "domino_consistent": is_domino_consistent(machine, l).holds,
-                "fixed_point": is_fixed_point(machine, partition).holds,
-                "partition": partition.render().splitlines(),
-                "abstractions": {
-                    "strict-past": {
-                        "states": len(strict_past.states),
-                        "transitions": len(strict_past._rows),
-                    },
-                    "full-future": {
-                        "states": len(full_future.states),
-                        "transitions": len(full_future._rows),
-                    },
-                    "quotient": {
-                        "states": len(quotient.states),
-                        "transitions": len(quotient._rows),
-                    },
-                },
-                "ordering": _ordering_verdicts(machine, l),
-            }
-        )
-
+        with scope():
+            properties += [_property_row(machine, mode, l, m) for m in sorted({0, l})]
+            levels.append(_level_row(machine, mode, l, partition))
     partition, steps, reached = refinement_fixpoint(machine, max_steps)
     return {
         "digest": machine.digest(),
@@ -114,6 +81,40 @@ def build_report(machine: StateMachine, mode: ExternalAlphabet, l_max: int,
         "properties": properties,
         "levels": levels,
         "refinement": {"fixpoint_level": steps, "reached": reached, "cells": len(partition)},
+    }
+
+
+def _property_row(machine: StateMachine, mode: ExternalAlphabet, l: int, m: int) -> dict:
+    fu = is_future_unique(machine, mode, IntervalSpec(l, m))
+    sb = is_sbalc(machine, mode, IntervalSpec(l, m))
+    return {
+        "l": l,
+        "m": m,
+        "future_unique": fu.holds,
+        "future_unique_witness": _witness_text(fu.witness),
+        "sbalc": sb.holds,
+        "sbalc_witness": _witness_text(sb.witness),
+    }
+
+
+def _level_row(machine: StateMachine, mode: ExternalAlphabet, l: int,
+               partition: Partition) -> dict:
+    built = {
+        "strict-past": build_abstract_machine(machine, mode, IntervalSpec(l, 0)),
+        "full-future": build_abstract_machine(machine, mode, IntervalSpec(l, l)),
+        "quotient": build_quotient_machine(machine, l),
+    }
+    return {
+        "l": l,
+        "async_complete": is_async_l_complete(machine, mode, l),
+        "domino_consistent": is_domino_consistent(machine, l).holds,
+        "fixed_point": is_fixed_point(machine, partition).holds,
+        "partition": partition.render().splitlines(),
+        "abstractions": {
+            name: {"states": len(abstraction.states), "transitions": len(abstraction._rows)}
+            for name, abstraction in built.items()
+        },
+        "ordering": _ordering_verdicts(machine, l),
     }
 
 
@@ -404,10 +405,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except FsmabsError as exc:
+    except (OSError, FsmabsError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

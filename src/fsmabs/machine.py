@@ -48,6 +48,20 @@ _FORBIDDEN_IN_NAMES = (".", "|", "/")
 Transition = tuple[str, str, str, str]
 
 
+def _sha256(data: bytes):
+    """SHA-256 of ``data`` from CPython's built-in module, the one ``hashlib``
+    falls back to without OpenSSL: importing ``hashlib`` maps OpenSSL into
+    the process.  ``hashlib`` serves only an interpreter built without it."""
+    try:
+        from _sha2 import sha256  # CPython 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10-3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data)
+
+
 class ExternalAlphabet(enum.Enum):
     """Which part of a transition label is externally visible."""
 
@@ -304,9 +318,7 @@ class StateMachine:
 
     def digest(self) -> str:
         """Short hash of the machine's file form, printed by reports."""
-        import hashlib  # here, not at module level: _hashlib maps OpenSSL into the process
-
-        return hashlib.sha256(dumps(self).encode("utf-8")).hexdigest()[:12]
+        return _sha256(dumps(self).encode("utf-8")).hexdigest()[:12]
 
     def with_external(self, external: ExternalAlphabet) -> "StateMachine":
         """This machine under another external mode."""
@@ -472,7 +484,11 @@ def dumps(machine: StateMachine) -> str:
 
 def load(path) -> StateMachine:
     with open(path, "r", encoding="utf-8") as handle:
-        return loads(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"machine file is not UTF-8: {exc}") from None
+    return loads(text)
 
 
 def dump(machine: StateMachine, path) -> None:

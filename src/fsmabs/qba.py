@@ -120,6 +120,16 @@ def is_fixed_point(machine: StateMachine, partition: Partition) -> PredicateResu
     return PredicateResult(False, (cell, partition.cells[splitter], miss))
 
 
+def refinement_budget(machine: StateMachine, max_steps: int | None) -> int:
+    """The level at which ``refinement_fixpoint`` gives up: ``max_steps``,
+    or |X| when it is None.  Raises InvalidSpec below 1."""
+    if max_steps is None:
+        return len(machine.states)
+    if max_steps < 1:
+        raise InvalidSpec(f"max_steps must be >= 1, got {max_steps}")
+    return max_steps
+
+
 def refinement_fixpoint(machine: StateMachine, max_steps: int | None = None):
     """Iterate refinement from the output partition until stable.
 
@@ -128,10 +138,7 @@ def refinement_fixpoint(machine: StateMachine, max_steps: int | None = None):
     because every non-stable round strictly increases the cell count.
     """
     require_accepted(machine, "refinement_fixpoint")
-    if max_steps is None:
-        max_steps = len(machine.states)
-    if max_steps < 1:
-        raise InvalidSpec(f"max_steps must be >= 1, got {max_steps}")
+    max_steps = refinement_budget(machine, max_steps)
     partition = partition_at(machine, 1)
     while True:
         if is_fixed_point(machine, partition):
@@ -167,8 +174,10 @@ def fibers(machine: StateMachine, l: int) -> tuple:
 
 
 def fiber_partition(machine: StateMachine, l: int) -> Partition:
-    """States grouped by their l-step future-window sets, as a partition."""
-    return _grouped(machine, external_strings_map(machine, _Y, IntervalSpec(l, l)), level=l)
+    """The fibers at l as a partition in canonical form: members in
+    declaration order, cells in the order of their first member."""
+    cells = sorted(members for _, members in fibers(machine, l))
+    return Partition(tuple(tuple(machine.states[x] for x in cell) for cell in cells), level=l)
 
 
 @derived

@@ -3,13 +3,17 @@
 import gc
 import weakref
 
+import pytest
+
 import fsmabs.fuzz as fuzz
 import fsmabs.qba as qba
 from fsmabs.analysis import scope
 from fsmabs.behavior import IntervalSpec, external_strings_map
+from fsmabs.cli import build_report
+from fsmabs.errors import InvalidSpec
 from fsmabs.fuzz import FuzzConfig, machine_stream, run_fuzz, shrink_counterexample
 from fsmabs.laws import check_laws, fiber_partition
-from fsmabs.machine import validate
+from fsmabs.machine import StateMachine, validate
 from fsmabs.qba import build_quotient_machine, fibers, partition_at
 from fsmabs.relations import CanonicalKind, canonical_relation
 from fsmabs.salca import build_abstract_machine
@@ -129,3 +133,21 @@ def test_partition_at_refines_the_level_below_once(fig_machine, monkeypatch):
         assert calls == [1, 2, 3]
         partition_at(fig_machine, 5)
         assert calls == [1, 2, 3, 4]
+
+
+def test_report_frees_each_level(fig_machine):
+    """``build_report`` computes each window length in its own scope: the
+    scope around it keeps only the refinement chain of the source machine,
+    and no abstraction."""
+    with scope() as outer:
+        build_report(fig_machine, Y, 3)
+    own = outer.results(fig_machine)
+    assert len(outer) == len(own) > 0
+    assert not any(isinstance(result, StateMachine) for result in own.values())
+
+
+def test_report_checks_max_steps_before_any_level(fig_machine):
+    with scope() as outer:
+        with pytest.raises(InvalidSpec, match="max_steps must be >= 1, got 0"):
+            build_report(fig_machine, Y, 3, 0)
+    assert len(outer) == 0

@@ -13,6 +13,8 @@ from fsmabs.fuzz import FuzzConfig, machine_stream
 
 from .conftest import five_state_machine, self_loop_machine
 
+MACHINES_DIR = Path(__file__).resolve().parent.parent / "machines"
+
 
 @pytest.fixture
 def fig_path(tmp_path):
@@ -212,24 +214,29 @@ IMPORT_PROBE = """
 import json, sys
 import fsmabs, fsmabs.cli
 loaded = {name: name in sys.modules for name in ("_hashlib", "fsmabs.fuzz", "fsmabs.laws")}
+for argv in (["compare", sys.argv[1], "--l", "2"], ["report", sys.argv[1], "--l", "2"]):
+    assert fsmabs.cli.main([*argv, "--out", "out.txt"]) == 0
+after_cli = "_hashlib" in sys.modules
 from fsmabs.fuzz import FuzzConfig, run_fuzz
 report = run_fuzz(FuzzConfig(seed=3, count=3, max_states=3))
-after_fuzz = "_hashlib" in sys.modules
-print(json.dumps([loaded, after_fuzz, report.machines[0].digest()]))
+digest = report.machines[0].digest()
+print(json.dumps([loaded, after_cli, "_hashlib" in sys.modules, digest]))
 """
 
 
 def test_imports_load_only_what_runs(tmp_path):
-    """Importing the CLI loads neither OpenSSL nor the law and fuzz modules,
-    and a fuzz run loads no OpenSSL; ``digest`` loads it on first use.  A
-    fresh interpreter, since this one has long imported ``hashlib``."""
+    """Importing the CLI loads neither OpenSSL nor the law and fuzz modules;
+    ``compare`` and ``report``, which print a digest, and a fuzz run and a
+    ``digest`` call after it load no OpenSSL either.  A fresh interpreter,
+    since this one has long imported ``hashlib``."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     out = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE], cwd=tmp_path, env=env,
-        capture_output=True, text=True, check=True,
+        [sys.executable, "-c", IMPORT_PROBE, str(MACHINES_DIR / "five_state.json")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
     ).stdout
-    loaded, after_fuzz, digest = json.loads(out)
+    loaded, after_cli, after_fuzz, digest = json.loads(out)
     assert loaded == {"_hashlib": False, "fsmabs.fuzz": False, "fsmabs.laws": False}
+    assert after_cli is False
     assert after_fuzz is False
     first = next(iter(machine_stream(FuzzConfig(seed=3, count=3, max_states=3))))
     assert digest == first.digest()
@@ -301,6 +308,34 @@ def test_parse_error(tmp_path, capsys):
     assert code == 2
 
 
+INPUT_COMMANDS = [
+    ["report", "--l", "1"],
+    ["compare", "--l", "1"],
+    ["build", "--kind", "qba", "--l", "1", "--out", "built.json"],
+]
+
+
+@pytest.mark.parametrize("command", INPUT_COMMANDS, ids=lambda argv: argv[0])
+def test_directory_path_is_an_input_error(tmp_path, capsys, command, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, command[0], tmp_path, *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Is a directory" in err
+
+
+@pytest.mark.parametrize("command", INPUT_COMMANDS, ids=lambda argv: argv[0])
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys, command, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"states": ["\xe9"]}')
+    code, out, err = run(capsys, command[0], bad, *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: machine file is not UTF-8")
+    assert not (tmp_path / "built.json").exists()
+
+
 def test_not_accepted_machine(tmp_path, capsys):
     bad = tmp_path / "dead.json"
     bad.write_text(
@@ -342,8 +377,6 @@ def test_non_string_entry_is_a_parse_error(tmp_path, capsys, initial, transition
 
 
 # -- byte identity ----------------------------------------------------------------
-
-MACHINES_DIR = Path(__file__).resolve().parent.parent / "machines"
 
 
 def _cli_outputs(tmp_path):

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -410,3 +413,19 @@ def test_is_deterministic_per_external_symbol():
         ("s", "t"), ("u",), ("y",), ("s", "t"), (("s", "u", "y", "t"), ("t", "u", "y", "s"))
     )
     assert not behavior.is_deterministic(two_starts, Y)
+
+
+MACHINE_FILES = sorted((Path(__file__).resolve().parent.parent / "machines").glob("*.json"))
+
+
+@pytest.mark.parametrize("builtin", [True, False], ids=["builtin", "hashlib-fallback"])
+@pytest.mark.parametrize("path", MACHINE_FILES, ids=lambda path: path.stem)
+def test_digest_is_sha256_of_the_file_form(path, builtin, monkeypatch):
+    """``digest`` hashes with CPython's built-in SHA-256 and falls back to
+    ``hashlib`` where that module is missing; both give the same bytes."""
+    if not builtin:
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+    machine = mod.load(path)
+    expected = hashlib.sha256(mod.dumps(machine).encode()).hexdigest()[:12]
+    assert machine.digest() == expected
