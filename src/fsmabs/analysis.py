@@ -16,7 +16,8 @@ Lifetimes:
   ``fuzz.run_fuzz`` opens one per stream machine (its law checks and its
   shrinks), ``fuzz.shrink_counterexample`` one per candidate and
   ``cli.build_report`` one per window length, so a report holds one
-  level's derived data at a time.  The
+  level's derived data at a time; the source machine's data that no
+  window length changes passes through the surrounding scope.  The
   active scope is a context variable, so a block's scope applies to its
   own thread only.
 
@@ -25,7 +26,8 @@ wrapped around each unit of work, it holds at most that unit's derived
 data, which is freed when the block ends.
 
 A result computed in one scope is never returned in another: a scope
-does not read the entries of the scope around it.
+does not read the entries of the scope around it.  A caller may copy
+entries from one scope's table into another's (:meth:`Scope.entries`).
 """
 
 from __future__ import annotations
@@ -53,12 +55,22 @@ class Scope:
             entry = self._tables.setdefault(id(machine), (machine, {}))
         return entry[1]
 
+    def entries(self, machine, functions) -> dict:
+        """The results in ``machine``'s table of the :func:`derived`
+        ``functions``, for another scope's table of it to start from."""
+        return {key: value for key, value in self.results(machine).items() if key[0] in functions}
+
     def __len__(self) -> int:
         """Number of memoised results."""
         return sum(len(results) for _, results in self._tables.values())
 
 
 _active: ContextVar[Scope] = ContextVar("fsmabs_scope", default=Scope())
+
+
+def active() -> Scope:
+    """The scope :func:`derived` functions use now."""
+    return _active.get()
 
 
 @contextmanager

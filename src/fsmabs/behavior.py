@@ -34,7 +34,6 @@ once.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 from .analysis import derived
 from .errors import InvalidSpec
@@ -42,6 +41,7 @@ from .machine import (
     DIAMOND,
     ExternalAlphabet,
     StateMachine,
+    Value,
     require_accepted,
     require_comparable,
 )
@@ -55,24 +55,24 @@ def symbol_token(symbol) -> str:
     return symbol
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(Value):
     """Fixed-length string over (external symbols + diamond).
 
     Diamonds, when present, form a contiguous prefix; interior diamonds
     are rejected at construction.
     """
 
-    symbols: tuple
+    _fields = ("symbols",)
 
-    def __post_init__(self):
+    def __init__(self, symbols: tuple):
         seen_real = False
-        for sym in self.symbols:
+        for sym in symbols:
             if sym == DIAMOND:
                 if seen_real:
-                    raise InvalidSpec(f"interior diamond in window {self.symbols!r}")
+                    raise InvalidSpec(f"interior diamond in window {symbols!r}")
             else:
                 seen_real = True
+        self.__dict__["symbols"] = symbols
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -195,18 +195,20 @@ def window_codec(machine: StateMachine, mode: ExternalAlphabet) -> WindowCodec:
     return WindowCodec(mode.alphabet(machine.inputs, machine.outputs))
 
 
-@dataclass(frozen=True)
-class IntervalSpec:
+class IntervalSpec(Value):
     """Anchored window interval: l symbols, of which m lie in the future."""
 
-    l: int
-    m: int
+    _fields = ("l", "m")
 
-    def __post_init__(self):
-        if self.l < 1:
-            raise InvalidSpec(f"window length l must be >= 1, got {self.l}")
-        if not 0 <= self.m <= self.l:
-            raise InvalidSpec(f"future length m must satisfy 0 <= m <= l, got m={self.m}")
+    def __init__(self, l: int, m: int):
+        if l < 1:
+            raise InvalidSpec(f"window length l must be >= 1, got {l}")
+        if not 0 <= m <= l:
+            raise InvalidSpec(f"future length m must satisfy 0 <= m <= l, got m={m}")
+        self.__dict__.update(l=l, m=m)
+
+    def _key(self) -> tuple:
+        return (self.l, self.m)
 
 
 class DominoSet:
@@ -424,8 +426,7 @@ def external_strings_map(
 # -- prefix acceptor and behavioral inclusion --------------------------------
 
 
-@dataclass(frozen=True)
-class PrefixAutomaton:
+class PrefixAutomaton(Value):
     """Deterministic, complete acceptor of a machine's finite prefixes.
 
     Built by the subset construction over the external alphabet; state 0
@@ -433,19 +434,20 @@ class PrefixAutomaton:
     state is accepting (prefix languages are prefix-closed).  Each DFA
     state is held as the set of its machine state indexes (``_members``);
     ``subsets`` and ``to_dot`` render them as the machine's state names
-    (``_state_names``) when read.
+    (``_state_names``) when read; ``repr`` leaves those out.
     """
 
-    alphabet: tuple
-    _members: tuple[frozenset, ...]
-    table: tuple[tuple[int, ...], ...]
-    sink: int
-    _state_names: tuple[str, ...] = field(repr=False)
+    _fields = ("alphabet", "_members", "table", "sink")
 
-    _columns: dict = field(init=False, repr=False, compare=False, hash=False)
+    def __init__(self, alphabet: tuple, _members: tuple[frozenset, ...],
+                 table: tuple[tuple[int, ...], ...], sink: int, _state_names: tuple[str, ...]):
+        self.__dict__.update(
+            alphabet=alphabet, _members=_members, table=table, sink=sink,
+            _state_names=_state_names, _columns={s: i for i, s in enumerate(alphabet)},
+        )
 
-    def __post_init__(self):
-        object.__setattr__(self, "_columns", {s: i for i, s in enumerate(self.alphabet)})
+    def _key(self) -> tuple:
+        return (self.alphabet, self._members, self.table, self.sink, self._state_names)
 
     @property
     def subsets(self) -> tuple[frozenset, ...]:
@@ -524,10 +526,14 @@ def prefix_automaton(machine: StateMachine, mode: ExternalAlphabet) -> PrefixAut
     return PrefixAutomaton(alphabet, tuple(subsets), table, sink, machine.states)
 
 
-@dataclass(frozen=True)
-class InclusionVerdict:
-    included: bool
-    counterexample: tuple | None = None
+class InclusionVerdict(Value):
+    """Whether one behavior is included in another; if not, the shortest
+    prefix of the left machine that the right one cannot exhibit."""
+
+    _fields = ("included", "counterexample")
+
+    def __init__(self, included: bool, counterexample: tuple | None = None):
+        self.__dict__.update(included=included, counterexample=counterexample)
 
     def __bool__(self) -> bool:
         return self.included

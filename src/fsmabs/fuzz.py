@@ -4,38 +4,36 @@ Machines are generated in a factored form (per-state output sets and
 per-(state, input) successor sets) whose product is separable by
 construction; generation retries until the machine is also live and
 reachable.  Given one seed the sequence of machines is fully
-deterministic.
+deterministic.  Only checking laws loads the law module: drawing
+machines needs no law.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .analysis import scope
 from .errors import FsmabsError, InvalidSpec
-from .laws import LAWS, check_laws
-from .machine import StateMachine, validate
+from .machine import StateMachine, Value, validate
 
 
-@dataclass(frozen=True)
-class FuzzConfig:
-    seed: int = 0
-    count: int = 100
-    max_states: int = 6
-    max_inputs: int = 3
-    max_outputs: int = 3
-    levels: tuple[int, ...] = (1, 2, 3)
+class FuzzConfig(Value):
+    """A machine stream's seed and size bounds, and the laws' window lengths."""
 
-    def __post_init__(self):
-        if not 1 <= self.max_states <= 8:
+    _fields = ("seed", "count", "max_states", "max_inputs", "max_outputs", "levels")
+
+    def __init__(self, seed: int = 0, count: int = 100, max_states: int = 6, max_inputs: int = 3,
+                 max_outputs: int = 3, levels: tuple[int, ...] = (1, 2, 3)):
+        if not 1 <= max_states <= 8:
             raise InvalidSpec("max_states must be in 1..8")
-        if not 1 <= self.max_inputs <= 4 or not 1 <= self.max_outputs <= 4:
+        if not 1 <= max_inputs <= 4 or not 1 <= max_outputs <= 4:
             raise InvalidSpec("max_inputs and max_outputs must be in 1..4")
-        if self.count < 0:
+        if count < 0:
             raise InvalidSpec("count must be >= 0")
-        if not self.levels or min(self.levels) < 1:
-            raise InvalidSpec(f"levels must be window lengths >= 1, got {self.levels}")
+        if not levels or min(levels) < 1:
+            raise InvalidSpec(f"levels must be window lengths >= 1, got {levels}")
+        self.__dict__.update(seed=seed, count=count, max_states=max_states,
+                             max_inputs=max_inputs, max_outputs=max_outputs, levels=levels)
 
 
 def _assemble(states, inputs, outputs, initial, admissible, successors):
@@ -148,6 +146,8 @@ def shrink_counterexample(machine: StateMachine, law_name: str, levels) -> State
     Each candidate is checked in its own scope, so the derived data of a
     rejected candidate dies with it.
     """
+    from .laws import LAWS
+
     law = next(l for l in LAWS if l.name == law_name)
 
     def still_fails(candidate: StateMachine) -> bool:
@@ -172,14 +172,25 @@ def shrink_counterexample(machine: StateMachine, law_name: str, levels) -> State
 # -- driver --------------------------------------------------------------------
 
 
-@dataclass
-class FuzzReport:
-    config: FuzzConfig
-    machines: list = field(default_factory=list)
-    passes: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)  # (index, law, detail, shrunk machine)
+class FuzzReport(Value):
+    """What a fuzz run found; filled in as it goes, so mutable and unhashable."""
+
+    _fields = ("config", "machines", "passes", "failures")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, config: FuzzConfig, machines: list | None = None,
+                 passes: dict | None = None, failures: list | None = None):
+        self.config = config
+        self.machines = [] if machines is None else machines
+        self.passes = {} if passes is None else passes
+        # (index, law, detail, shrunk machine)
+        self.failures = [] if failures is None else failures
 
     def summary_lines(self) -> list[str]:
+        from .laws import LAWS
+
         lines = []
         total = len(self.machines)
         for law in LAWS:
@@ -199,8 +210,9 @@ def run_fuzz(config: FuzzConfig, shrink: bool = True) -> FuzzReport:
     dropped before the next machine, so derived data never accumulates
     across the stream.
     """
-    report = FuzzReport(config=config)
-    report.passes = {law.name: 0 for law in LAWS}
+    from .laws import LAWS, check_laws
+
+    report = FuzzReport(config, passes={law.name: 0 for law in LAWS})
     for index, machine in enumerate(machine_stream(config)):
         report.machines.append(machine)
         with scope():

@@ -15,8 +15,7 @@ predicate disagree.  The other laws are written out as functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .behavior import (
     IntervalSpec,
@@ -28,7 +27,7 @@ from .behavior import (
     saturation_check,
     window_codec,
 )
-from .machine import ExternalAlphabet, StateMachine
+from .machine import ExternalAlphabet, StateMachine, Value
 from .qba import (
     build_quotient_machine,
     fiber_partition,
@@ -350,10 +349,13 @@ def law_quotient_transition_containments(machine: StateMachine, levels) -> str |
     return None
 
 
-@dataclass(frozen=True)
-class Law:
-    name: str
-    check: Callable
+class Law(Value):
+    """A named law: ``check(machine, levels)`` returns None or the first violation."""
+
+    _fields = ("name", "check")
+
+    def __init__(self, name: str, check: Callable):
+        self.__dict__.update(name=name, check=check)
 
 
 # -- the canonical-relation laws -------------------------------------------------

@@ -23,9 +23,8 @@ from __future__ import annotations
 import enum
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cached_property
-from typing import Sequence
 
 from .analysis import derived
 from .errors import (
@@ -60,6 +59,40 @@ def _sha256(data: bytes):
         except ImportError:
             from hashlib import sha256
     return sha256(data)
+
+
+def frozen(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of the immutable classes.  Only
+    this error path imports ``dataclasses``, which loads ``inspect``."""
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+class Value:
+    """An immutable value with a frozen dataclass's ``==``, ``hash`` and
+    ``repr`` over the fields ``_fields`` names, in order.  ``_key`` holds
+    the compared values; a class built in hot loops spells it out.
+    Instances of different classes never compare equal."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    __setattr__ = __delattr__ = frozen
 
 
 class ExternalAlphabet(enum.Enum):
@@ -120,16 +153,18 @@ def _check_alphabet(names: Sequence[str], role: str, reserved: bool = True) -> t
     return tuple(names)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Value):
     """Flags gathered by :func:`validate`; never raises by itself."""
 
-    output_deterministic: bool
-    separable: bool
-    reachable: bool
-    live: bool
-    unreachable_states: tuple[str, ...] = ()
-    dead_states: tuple[str, ...] = ()
+    _fields = ("output_deterministic", "separable", "reachable", "live",
+               "unreachable_states", "dead_states")
+
+    def __init__(self, output_deterministic: bool, separable: bool, reachable: bool, live: bool,
+                 unreachable_states: tuple[str, ...] = (), dead_states: tuple[str, ...] = ()):
+        self.__dict__.update(
+            output_deterministic=output_deterministic, separable=separable, reachable=reachable,
+            live=live, unreachable_states=unreachable_states, dead_states=dead_states,
+        )
 
     @property
     def accepted(self) -> bool:
@@ -152,8 +187,7 @@ def _rejection(failing) -> str | None:
     return f"machine is not {', '.join(failing)}" if failing else None
 
 
-@dataclass(frozen=True, init=False)
-class StateMachine:
+class StateMachine(Value):
     """Immutable finite I/O state machine.
 
     The transitions are stored as ``_rows``: integer 4-tuples (src, u, y,
@@ -163,12 +197,7 @@ class StateMachine:
     same order, on first read; ``initial`` likewise from ``_initial``.
     """
 
-    states: tuple[str, ...]
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    _initial: tuple[int, ...]
-    _rows: tuple[tuple[int, int, int, int], ...]
-    external: ExternalAlphabet = ExternalAlphabet.OUTPUTS_ONLY
+    _fields = ("states", "inputs", "outputs", "_initial", "_rows", "external")
 
     def __init__(
         self,

@@ -14,23 +14,22 @@ rendered names joined by '|'.  The algorithms work on state indexes; a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .analysis import derived
 from .behavior import IntervalSpec, dominoes, external_strings_map, future_map, window_codec
 from .errors import InvalidPartition, InvalidSpec
-from .machine import ExternalAlphabet, StateMachine, require_accepted
+from .machine import ExternalAlphabet, StateMachine, Value, require_accepted
 from .salca import AbstractMachine, PredicateResult, cell_token
 
 _Y = ExternalAlphabet.OUTPUTS_ONLY
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Value):
     """Disjoint cover of a machine's state set, cells in canonical form."""
 
-    cells: tuple[tuple[str, ...], ...]
-    level: int = 0
+    _fields = ("cells", "level")
+
+    def __init__(self, cells: tuple[tuple[str, ...], ...], level: int = 0):
+        self.__dict__.update(cells=cells, level=level)
 
     def __len__(self) -> int:
         return len(self.cells)

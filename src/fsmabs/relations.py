@@ -45,7 +45,6 @@ from the fixpoint.
 from __future__ import annotations
 
 import enum
-from dataclasses import FrozenInstanceError, dataclass, replace
 from functools import cached_property
 
 from .analysis import derived
@@ -63,6 +62,8 @@ from .errors import EndpointMismatch, InvalidSpec, MalformedRelation
 from .machine import (
     ExternalAlphabet,
     StateMachine,
+    Value,
+    frozen,
     require_comparable,
     require_live_reachable,
     to_dict,
@@ -88,8 +89,7 @@ class Relation:
     def __init__(self, left: StateMachine, right: StateMachine, pairs):
         self.__dict__.update(left=left, right=right, pairs=tuple(pairs))
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    __setattr__ = frozen
 
     @cached_property
     def pairs(self) -> tuple[tuple[str, str], ...]:
@@ -191,13 +191,21 @@ def identity_relation(machine: StateMachine) -> Relation:
     return _from_indices(machine, machine, [(i, i) for i in range(len(machine.states))])
 
 
-@dataclass(frozen=True)
-class SimulationVerdict:
-    valid: bool
-    failed_initial: str | None = None
-    failed_pair: tuple | None = None
-    failed_transition: tuple | None = None
-    direction: str = "forward"
+class SimulationVerdict(Value):
+    """Whether a relation is a simulation; on failure, the first failing
+    initial state or (pair, transition), and the side that failed."""
+
+    _fields = ("valid", "failed_initial", "failed_pair", "failed_transition", "direction")
+
+    def __init__(self, valid: bool, failed_initial: str | None = None,
+                 failed_pair: tuple | None = None, failed_transition: tuple | None = None,
+                 direction: str = "forward"):
+        self.__dict__.update(valid=valid, failed_initial=failed_initial, failed_pair=failed_pair,
+                             failed_transition=failed_transition, direction=direction)
+
+    def _key(self) -> tuple:
+        return (self.valid, self.failed_initial, self.failed_pair, self.failed_transition,
+                self.direction)
 
     def __bool__(self) -> bool:
         return self.valid
@@ -286,7 +294,11 @@ def verify_simulation(
     if not verdict or not bisim:
         return verdict
     back = _check(right, left, mode, inverse(relation)._indices)
-    return back if back else replace(back, direction="backward")
+    if back:
+        return back
+    return SimulationVerdict(
+        False, back.failed_initial, back.failed_pair, back.failed_transition, "backward"
+    )
 
 
 def _replies(row: tuple, symbol: int) -> tuple:
@@ -505,15 +517,18 @@ def _window_positions(abstraction) -> dict:
     return {w: i for i, (w,) in enumerate(abstraction.cells)}
 
 
-@dataclass(frozen=True)
-class ControlReport:
+class ControlReport(Value):
     """Control-suitability findings for an abstraction and its relation."""
 
-    input_inclusion: bool
-    input_violation: tuple | None
-    free_input: bool
-    free_input_witness: str | None
-    simulation: SimulationVerdict
+    _fields = ("input_inclusion", "input_violation", "free_input", "free_input_witness",
+               "simulation")
+
+    def __init__(self, input_inclusion: bool, input_violation: tuple | None, free_input: bool,
+                 free_input_witness: str | None, simulation: SimulationVerdict):
+        self.__dict__.update(
+            input_inclusion=input_inclusion, input_violation=input_violation,
+            free_input=free_input, free_input_witness=free_input_witness, simulation=simulation,
+        )
 
     @property
     def alternating_ok(self) -> bool:

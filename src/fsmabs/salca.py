@@ -18,8 +18,6 @@ witnesses decode codes into ``Window`` objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .analysis import derived
 from .behavior import (
     IntervalSpec,
@@ -34,10 +32,9 @@ from .behavior import (
     window_codec,
 )
 from .errors import InvalidSpec
-from .machine import ExternalAlphabet, StateMachine, require_accepted
+from .machine import ExternalAlphabet, StateMachine, Value, require_accepted
 
 
-@dataclass(frozen=True, init=False)
 class AbstractMachine(StateMachine):
     """A state machine whose states stand for window sets of a source machine.
 
@@ -45,12 +42,11 @@ class AbstractMachine(StateMachine):
     ``codec``) of the ``window_length``-long windows it denotes: a single
     window for window-state machines, a whole cell of windows for quotient
     machines.  The builders construct it through the trusted path
-    (``StateMachine._trusted``) from rows over state positions.
+    (``StateMachine._trusted``) from rows over state positions.  ``codec``
+    is neither compared nor shown.
     """
 
-    cells: tuple = ()  # per state position, its tuple of window codes
-    codec: WindowCodec | None = field(default=None, repr=False, compare=False)
-    window_length: int = 0
+    _fields = StateMachine._fields + ("cells", "window_length")
 
     def __init__(
         self,
@@ -215,10 +211,13 @@ def standard_realization(machine: StateMachine, l: int) -> AbstractMachine:
     return _window_machine(machine, mode, l, states, (0,), rows)
 
 
-@dataclass(frozen=True)
-class PredicateResult:
-    holds: bool
-    witness: tuple | None = None
+class PredicateResult(Value):
+    """Whether a predicate holds, with a witness when it does not."""
+
+    _fields = ("holds", "witness")
+
+    def __init__(self, holds: bool, witness: tuple | None = None):
+        self.__dict__.update(holds=holds, witness=witness)
 
     def __bool__(self) -> bool:
         return self.holds

@@ -1,6 +1,8 @@
 """The derived-data scope: memoisation, lifetimes and isolation."""
 
+import collections
 import gc
+import sys
 import weakref
 
 import pytest
@@ -8,7 +10,13 @@ import pytest
 import fsmabs.fuzz as fuzz
 import fsmabs.qba as qba
 from fsmabs.analysis import scope
-from fsmabs.behavior import IntervalSpec, external_strings_map
+from fsmabs.behavior import (
+    IntervalSpec,
+    external_strings_map,
+    future_map,
+    prefix_automaton,
+    successors,
+)
 from fsmabs.cli import build_report
 from fsmabs.errors import InvalidSpec
 from fsmabs.fuzz import FuzzConfig, machine_stream, run_fuzz, shrink_counterexample
@@ -144,6 +152,29 @@ def test_report_frees_each_level(fig_machine):
     own = outer.results(fig_machine)
     assert len(outer) == len(own) > 0
     assert not any(isinstance(result, StateMachine) for result in own.values())
+
+
+def test_report_derives_level_free_data_once(fig_machine):
+    """Validation, the successor tables, the source prefix automaton and
+    each future map are computed once per report, not once per level."""
+    once = (validate, successors, prefix_automaton, future_map)
+    names = {function.__wrapped__.__code__: function.__name__ for function in once}
+    computed = collections.Counter()
+
+    def count(frame, event, _):
+        if event == "call" and frame.f_code in names:
+            arguments = dict(frame.f_locals)
+            if arguments.pop("machine") is fig_machine:
+                computed[names[frame.f_code], *arguments.values()] += 1
+
+    with scope():
+        sys.setprofile(count)
+        try:
+            build_report(fig_machine, Y, 3)
+        finally:
+            sys.setprofile(None)
+    assert {key[0] for key in computed} == {function.__name__ for function in once}
+    assert max(computed.values()) == 1
 
 
 def test_report_checks_max_steps_before_any_level(fig_machine):

@@ -212,34 +212,45 @@ def test_fuzz_count_zero(capsys):
 
 IMPORT_PROBE = """
 import json, sys
+preloaded = set(sys.modules)
+slow = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "_hashlib")
+
+def loaded(*names):
+    # what fsmabs loaded: a module the interpreter preloaded proves nothing
+    return sorted(n for n in (*slow, *names) if n in sys.modules and n not in preloaded)
+
 import fsmabs, fsmabs.cli
-loaded = {name: name in sys.modules for name in ("_hashlib", "fsmabs.fuzz", "fsmabs.laws")}
+after_import = loaded("fsmabs.fuzz", "fsmabs.laws")
 for argv in (["compare", sys.argv[1], "--l", "2"], ["report", sys.argv[1], "--l", "2"]):
     assert fsmabs.cli.main([*argv, "--out", "out.txt"]) == 0
-after_cli = "_hashlib" in sys.modules
-from fsmabs.fuzz import FuzzConfig, run_fuzz
+after_cli = loaded("fsmabs.fuzz", "fsmabs.laws")
+from fsmabs.fuzz import FuzzConfig, machine_stream, run_fuzz
+next(machine_stream(FuzzConfig(seed=3, count=3, max_states=3)))
+after_draw = loaded("fsmabs.laws")
 report = run_fuzz(FuzzConfig(seed=3, count=3, max_states=3))
 digest = report.machines[0].digest()
-print(json.dumps([loaded, after_cli, "_hashlib" in sys.modules, digest]))
+print(json.dumps([[after_import, after_cli, after_draw, loaded()], digest]))
 """
 
 
 def test_imports_load_only_what_runs(tmp_path):
-    """Importing the CLI loads neither OpenSSL nor the law and fuzz modules;
-    ``compare`` and ``report``, which print a digest, and a fuzz run and a
-    ``digest`` call after it load no OpenSSL either.  A fresh interpreter,
-    since this one has long imported ``hashlib``."""
+    """Importing the CLI loads neither OpenSSL, ``dataclasses`` (with
+    ``inspect``, ``ast``, ``dis`` and ``tokenize``), ``typing``, nor the
+    law and fuzz modules; ``compare`` and ``report``, which print a
+    digest, load none of them either; drawing fuzz machines loads no law,
+    and a fuzz run and a ``digest`` call after it load none of the slow
+    modules.  A fresh interpreter, since this one has long imported them;
+    also one without ``site``, which may preload ``typing``."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    out = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, str(MACHINES_DIR / "five_state.json")],
-        cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
-    ).stdout
-    loaded, after_cli, after_fuzz, digest = json.loads(out)
-    assert loaded == {"_hashlib": False, "fsmabs.fuzz": False, "fsmabs.laws": False}
-    assert after_cli is False
-    assert after_fuzz is False
     first = next(iter(machine_stream(FuzzConfig(seed=3, count=3, max_states=3))))
-    assert digest == first.digest()
+    for flags in ([], ["-S"]):
+        out = subprocess.run(
+            [sys.executable, *flags, "-c", IMPORT_PROBE, str(MACHINES_DIR / "five_state.json")],
+            cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        loaded, digest = json.loads(out)
+        assert loaded == [[], [], [], []], flags
+        assert digest == first.digest()
 
 
 def test_report_is_a_view_of_the_library(tmp_path, capsys):

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from fsmabs import fuzz, laws
+from fsmabs import laws
 from fsmabs.analysis import scope
 from fsmabs.behavior import IntervalSpec, external_strings
 from fsmabs.errors import NotAccepted
@@ -178,7 +178,7 @@ def test_shrinking_propagates_a_crashing_law(monkeypatch):
     def crash(machine, levels):
         raise RuntimeError("law crashed")
 
-    monkeypatch.setattr(fuzz, "LAWS", (Law("crashing", crash),))
+    monkeypatch.setattr(laws, "LAWS", (Law("crashing", crash),))
     with pytest.raises(RuntimeError, match="law crashed"):
         shrink_counterexample(frozen_fiber_counterexample(), "crashing", levels=(2,))
 
@@ -187,7 +187,7 @@ def test_shrinking_skips_candidates_a_law_rejects(monkeypatch):
     def reject(machine, levels):
         raise NotAccepted("candidate rejected")
 
-    monkeypatch.setattr(fuzz, "LAWS", (Law("rejecting", reject),))
+    monkeypatch.setattr(laws, "LAWS", (Law("rejecting", reject),))
     machine = frozen_fiber_counterexample()
     assert shrink_counterexample(machine, "rejecting", levels=(2,)) == machine
 
