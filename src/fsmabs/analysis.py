@@ -15,9 +15,9 @@ Lifetimes:
   with every machine and result it holds, when the block ends.
   ``fuzz.run_fuzz`` opens one per stream machine (its law checks and its
   shrinks), ``fuzz.shrink_counterexample`` one per candidate and
-  ``cli.build_report`` one per window length, so a report holds one
-  level's derived data at a time; the source machine's data that no
-  window length changes passes through the surrounding scope.  The
+  ``cli.build_report`` one per report, which it prunes to the source
+  machine's level-free results (:meth:`Scope.keep`) after each window
+  length, so a report holds one level's derived data at a time.  The
   active scope is a context variable, so a block's scope applies to its
   own thread only.
 
@@ -26,8 +26,7 @@ wrapped around each unit of work, it holds at most that unit's derived
 data, which is freed when the block ends.
 
 A result computed in one scope is never returned in another: a scope
-does not read the entries of the scope around it.  A caller may copy
-entries from one scope's table into another's (:meth:`Scope.entries`).
+does not read the entries of the scope around it.
 """
 
 from __future__ import annotations
@@ -55,10 +54,11 @@ class Scope:
             entry = self._tables.setdefault(id(machine), (machine, {}))
         return entry[1]
 
-    def entries(self, machine, functions) -> dict:
-        """The results in ``machine``'s table of the :func:`derived`
-        ``functions``, for another scope's table of it to start from."""
-        return {key: value for key, value in self.results(machine).items() if key[0] in functions}
+    def keep(self, machine, functions) -> None:
+        """Drop every result but ``machine``'s results of the :func:`derived`
+        ``functions``."""
+        kept = {key: value for key, value in self.results(machine).items() if key[0] in functions}
+        self._tables = {id(machine): (machine, kept)}
 
     def __len__(self) -> int:
         """Number of memoised results."""
@@ -66,11 +66,6 @@ class Scope:
 
 
 _active: ContextVar[Scope] = ContextVar("fsmabs_scope", default=Scope())
-
-
-def active() -> Scope:
-    """The scope :func:`derived` functions use now."""
-    return _active.get()
 
 
 @contextmanager

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from . import machine as _machine
 from .analysis import derived
 from .errors import InvalidSpec
 from .machine import (
@@ -524,6 +525,14 @@ def prefix_automaton(machine: StateMachine, mode: ExternalAlphabet) -> PrefixAut
     rows[empty] = [sink] * len(alphabet)
     table = tuple(tuple(rows[s]) for s in subsets)
     return PrefixAutomaton(alphabet, tuple(subsets), table, sink, machine.states)
+
+
+#: The derived functions whose results on a machine no window length
+#: changes, so ``cli.build_report`` keeps them across its levels.  A
+#: future map depends only on its own k, and the chain ``future_map``
+#: builds up to the longest future a level reads is held by that level
+#: anyway.
+LEVEL_FREE = _machine.LEVEL_FREE + (successors, prefix_automaton, future_map)
 
 
 class InclusionVerdict(Value):

@@ -14,10 +14,10 @@ import sys
 from pathlib import Path
 
 from . import machine as machine_io
-from .analysis import active, scope
-from .behavior import IntervalSpec, behavior_included, future_map, prefix_automaton, successors
+from .analysis import scope
+from .behavior import LEVEL_FREE, IntervalSpec, behavior_included
 from .errors import FsmabsError, InvalidSpec
-from .machine import ExternalAlphabet, StateMachine, _unreachable_and_dead, to_dot, validate
+from .machine import ExternalAlphabet, StateMachine, to_dot, validate
 from .qba import (
     Partition,
     build_quotient_machine,
@@ -36,12 +36,6 @@ from .salca import (
 )
 
 _Y = ExternalAlphabet.OUTPUTS_ONLY
-
-#: The source machine's derived data that no window length changes: a
-#: report derives it once and keeps it in the surrounding scope for every
-#: level to read.  The future maps are the chain ``future_map`` builds up
-#: to the longest future a level reads, which that level holds anyway.
-_LEVEL_FREE = (validate, _unreachable_and_dead, successors, prefix_automaton, future_map)
 
 
 def _load(path: str) -> StateMachine:
@@ -65,25 +59,24 @@ def build_report(machine: StateMachine, mode: ExternalAlphabet, l_max: int,
 
     The window predicates honor ``mode``; the quotient family (partitions,
     domino consistency, ordering verdicts) is defined over outputs only.
-    Each window length is computed in its own scope, so a level's derived
-    data is freed before the next level is built; the source data of
-    ``_LEVEL_FREE`` stays in the surrounding scope.
+    The report is computed in its own scope, pruned after each level to
+    the source machine's ``LEVEL_FREE`` results and refinement chain, so a
+    level's derived data is freed before the next level is built and the
+    report's is freed when it returns.
     """
     if l_max < 1:
         raise InvalidSpec(f"window length l must be >= 1, got {l_max}")
     max_steps = refinement_budget(machine, max_steps)
     properties = []
     levels = []
-    around = active()
-    for l in range(1, l_max + 1):
-        # the partition chain stays outside: each level refines the last one
-        partition = partition_at(machine, l)
-        with scope() as level:
-            level.results(machine).update(around.entries(machine, _LEVEL_FREE))
+    with scope() as report:
+        for l in range(1, l_max + 1):
+            # the partition chain is kept: each level refines the last one
+            partition = partition_at(machine, l)
             properties += [_property_row(machine, mode, l, m) for m in sorted({0, l})]
             levels.append(_level_row(machine, mode, l, partition))
-            around.results(machine).update(level.entries(machine, _LEVEL_FREE))
-    partition, steps, reached = refinement_fixpoint(machine, max_steps)
+            report.keep(machine, (*LEVEL_FREE, partition_at))
+        partition, steps, reached = refinement_fixpoint(machine, max_steps)
     return {
         "digest": machine.digest(),
         "external": mode.value,

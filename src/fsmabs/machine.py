@@ -72,8 +72,8 @@ def frozen(self, name, *value):
 class Value:
     """An immutable value with a frozen dataclass's ``==``, ``hash`` and
     ``repr`` over the fields ``_fields`` names, in order.  ``_key`` holds
-    the compared values; a class built in hot loops spells it out.
-    Instances of different classes never compare equal."""
+    the compared values; a class hashed and compared in hot loops spells
+    it out.  Instances of different classes never compare equal."""
 
     _fields: tuple[str, ...] = ()
 
@@ -422,6 +422,11 @@ def validate(machine: StateMachine) -> ValidationReport:
         unreachable_states=unreachable,
         dead_states=dead,
     )
+
+
+#: The derived functions here whose results on a machine no window length
+#: changes: ``cli.build_report`` keeps them across its levels.
+LEVEL_FREE = (_unreachable_and_dead, validate)
 
 
 def require_accepted(machine: StateMachine, operation: str) -> None:

@@ -203,10 +203,6 @@ class SimulationVerdict(Value):
         self.__dict__.update(valid=valid, failed_initial=failed_initial, failed_pair=failed_pair,
                              failed_transition=failed_transition, direction=direction)
 
-    def _key(self) -> tuple:
-        return (self.valid, self.failed_initial, self.failed_pair, self.failed_transition,
-                self.direction)
-
     def __bool__(self) -> bool:
         return self.valid
 

@@ -7,21 +7,16 @@ import weakref
 
 import pytest
 
+import fsmabs.cli as cli
 import fsmabs.fuzz as fuzz
 import fsmabs.qba as qba
 from fsmabs.analysis import scope
-from fsmabs.behavior import (
-    IntervalSpec,
-    external_strings_map,
-    future_map,
-    prefix_automaton,
-    successors,
-)
+from fsmabs.behavior import LEVEL_FREE, IntervalSpec, external_strings_map
 from fsmabs.cli import build_report
 from fsmabs.errors import InvalidSpec
 from fsmabs.fuzz import FuzzConfig, machine_stream, run_fuzz, shrink_counterexample
 from fsmabs.laws import check_laws, fiber_partition
-from fsmabs.machine import StateMachine, validate
+from fsmabs.machine import validate
 from fsmabs.qba import build_quotient_machine, fibers, partition_at
 from fsmabs.relations import CanonicalKind, canonical_relation
 from fsmabs.salca import build_abstract_machine
@@ -143,21 +138,32 @@ def test_partition_at_refines_the_level_below_once(fig_machine, monkeypatch):
         assert calls == [1, 2, 3, 4]
 
 
-def test_report_frees_each_level(fig_machine):
-    """``build_report`` computes each window length in its own scope: the
-    scope around it keeps only the refinement chain of the source machine,
-    and no abstraction."""
+def test_report_frees_each_level(fig_machine, monkeypatch):
+    """``build_report`` frees each level's quotient before it builds the
+    next level's, and leaves nothing in the scope around it."""
+    built = []
+    real = cli.build_quotient_machine
+
+    def tracked(machine, l):
+        if built and built[-1][0] != l:
+            gc.collect()
+            assert all(quotient() is None for _, quotient in built)
+        quotient = real(machine, l)
+        built.append((l, weakref.ref(quotient)))
+        return quotient
+
+    monkeypatch.setattr(cli, "build_quotient_machine", tracked)
     with scope() as outer:
         build_report(fig_machine, Y, 3)
-    own = outer.results(fig_machine)
-    assert len(outer) == len(own) > 0
-    assert not any(isinstance(result, StateMachine) for result in own.values())
+    assert {l for l, _ in built} == {1, 2, 3}
+    assert len(outer) == 0
 
 
 def test_report_derives_level_free_data_once(fig_machine):
-    """Validation, the successor tables, the source prefix automaton and
-    each future map are computed once per report, not once per level."""
-    once = (validate, successors, prefix_automaton, future_map)
+    """Every ``LEVEL_FREE`` result on the source (validation, the successor
+    tables, the prefix automaton, each future map) is computed once per
+    report, not once per level."""
+    once = LEVEL_FREE
     names = {function.__wrapped__.__code__: function.__name__ for function in once}
     computed = collections.Counter()
 
