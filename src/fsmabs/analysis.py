@@ -14,7 +14,9 @@ Lifetimes:
 - ``with scope():`` runs its block in a fresh, empty scope and drops it,
   with every machine and result it holds, when the block ends.
   ``fuzz.run_fuzz`` opens one per stream machine (its law checks and its
-  shrinks), ``fuzz.shrink_counterexample`` one per candidate and
+  shrinks) in the forked worker that checks the machine, so it lives
+  and dies in that worker (or in the caller, when ``run_fuzz`` checks
+  inline), ``fuzz.shrink_counterexample`` one per candidate and
   ``cli.build_report`` one per report, which it prunes to the source
   machine's level-free results (:meth:`Scope.keep`) after each window
   length, so a report holds one level's derived data at a time.  The

@@ -203,27 +203,153 @@ class FuzzReport(Value):
         return lines
 
 
+def _check(machine: StateMachine, levels, shrink: bool) -> list:
+    """The machine's violations as (law, detail, shrunk machine or None),
+    its law checks and shrinks run in one scope of their own."""
+    from .laws import check_laws
+
+    with scope():
+        return [
+            (name, detail, shrink_counterexample(machine, name, levels) if shrink else None)
+            for name, detail in check_laws(machine, levels)
+        ]
+
+
+def _check_all(machines: list, levels, shrink: bool) -> list:
+    """:func:`_check` of every machine, in stream order.
+
+    The checks run in forked workers, one per CPU in the affinity mask.
+    They run inline in this process when the mask holds one CPU, there
+    are fewer than two machines, the platform has no ``fork`` or no
+    affinity masks, or other threads run (a fork copies only the calling
+    thread, and a lock another thread holds stays held in the worker).
+    """
+    import os
+    import threading
+
+    try:
+        workers = min(len(os.sched_getaffinity(0)), len(machines))
+    except AttributeError:
+        workers = 1
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [_check(machine, levels, shrink) for machine in machines]
+    return _fan_out(machines, levels, shrink, workers)
+
+
+def _fan_out(machines: list, levels, shrink: bool, count: int) -> list:
+    """:func:`_check_all` in ``count`` forked workers.
+
+    Each worker inherits ``machines`` and reads machine indexes from a
+    task pipe; a worker that finishes one is sent the next.  A worker's
+    exception is raised here, chained to a ``ChildProcessError`` that
+    holds the worker's traceback.  No worker outlives this call: on an
+    error the others are killed, and every worker is reaped.
+    """
+    import os
+    import pickle
+    import select
+    import signal
+
+    results = [None] * len(machines)
+    pending = iter(range(len(machines)))
+    workers = {}  # reply pipe -> (pid, task pipe fd)
+    busy = {}  # reply pipe -> index of the machine its worker checks
+
+    def assign(replies) -> None:
+        index = next(pending, None)
+        if index is not None:
+            os.write(workers[replies][1], b"%d\n" % index)
+            busy[replies] = index
+
+    try:
+        for _ in range(count):
+            task_r, task_w = os.pipe()
+            reply_r, reply_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker never returns into the caller's frames
+                status = 1
+                try:
+                    os.close(task_w)
+                    os.close(reply_r)
+                    for replies, (_, fd) in workers.items():
+                        os.close(fd)  # else the other workers never see EOF
+                        replies.close()
+                    _serve(machines, levels, shrink, task_r, reply_w)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(task_r)
+            os.close(reply_w)
+            workers[open(reply_r, "rb")] = (pid, task_w)
+        for replies in workers:
+            assign(replies)
+        while busy:
+            for replies in select.select(list(busy), [], [])[0]:
+                index = busy.pop(replies)
+                try:
+                    ok, value = pickle.load(replies)
+                except (EOFError, pickle.UnpicklingError):
+                    raise ChildProcessError(
+                        f"the worker checking machine {index} exited before replying"
+                    ) from None
+                if not ok:
+                    exc, text = value
+                    raise exc from ChildProcessError(
+                        f"in the worker checking machine {index}:\n{text}"
+                    )
+                results[index] = value
+                assign(replies)
+        return results
+    except BaseException:
+        for pid, _ in workers.values():
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for replies, (_, fd) in workers.items():
+            os.close(fd)
+            replies.close()
+        for pid, _ in workers.values():
+            os.waitpid(pid, 0)
+
+
+def _serve(machines: list, levels, shrink: bool, task_fd: int, reply_fd: int) -> None:
+    """A worker's loop: for each machine index read from ``task_fd``,
+    pickle ``(True, violations)`` or ``(False, (exception, traceback))``
+    to ``reply_fd``.  Returns when the task pipe reaches EOF, which it
+    also does when the caller dies."""
+    import pickle
+
+    with open(task_fd, "rb") as tasks, open(reply_fd, "wb") as replies:
+        for line in tasks:
+            try:
+                reply = (True, _check(machines[int(line)], levels, shrink))
+            except Exception as exc:  # the caller raises it
+                import traceback
+
+                reply = (False, (exc, traceback.format_exc()))
+            pickle.dump(reply, replies)
+            replies.flush()
+
+
 def run_fuzz(config: FuzzConfig, shrink: bool = True) -> FuzzReport:
     """Check every law on every stream machine.
 
-    Each machine's law checks and shrinks run in one scope of their own,
-    dropped before the next machine, so derived data never accumulates
-    across the stream.
+    The stream is drawn here; each machine's law checks and shrinks run
+    in a scope of their own, in one of the forked workers (one per CPU,
+    see :func:`_check_all`), so derived data never accumulates across
+    the stream.  The report is the same, in stream order, whichever
+    process checked a machine.
     """
-    from .laws import LAWS, check_laws
+    from .laws import LAWS
 
-    report = FuzzReport(config, passes={law.name: 0 for law in LAWS})
-    for index, machine in enumerate(machine_stream(config)):
-        report.machines.append(machine)
-        with scope():
-            failures = check_laws(machine, config.levels)
-            failed_names = {name for name, _ in failures}
-            for law in LAWS:
-                if law.name not in failed_names:
-                    report.passes[law.name] += 1
-            for name, detail in failures:
-                small = (
-                    shrink_counterexample(machine, name, config.levels) if shrink else machine
-                )
-                report.failures.append((index, name, detail, small))
+    report = FuzzReport(config, machines=list(machine_stream(config)),
+                        passes={law.name: 0 for law in LAWS})
+    checked = _check_all(report.machines, config.levels, shrink)
+    for index, (machine, violations) in enumerate(zip(report.machines, checked)):
+        failed_names = {name for name, _, _ in violations}
+        for law in LAWS:
+            if law.name not in failed_names:
+                report.passes[law.name] += 1
+        for name, detail, small in violations:
+            report.failures.append((index, name, detail, machine if small is None else small))
     return report

@@ -2,6 +2,7 @@
 
 import collections
 import gc
+import os
 import sys
 import weakref
 
@@ -68,7 +69,10 @@ def test_strings_map_memoised_per_spec(fig_machine):
 
 def test_run_fuzz_releases_shrink_candidates(monkeypatch):
     """No shrink candidate outlives its check, and no scope entry
-    outlives the stream machine it was derived for."""
+    outlives the stream machine it was derived for.  On the inline path
+    (one CPU), since forked workers would record the candidates in their
+    own memory; tests/test_workers.py covers the worker path."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     candidates = []
     real = fuzz._candidates
 
@@ -87,6 +91,27 @@ def test_run_fuzz_releases_shrink_candidates(monkeypatch):
     assert all(any(c is small for small in kept) for c in alive)
     assert len(alive) < len(candidates)
     assert len(outer) == 0
+
+
+def test_run_fuzz_workers_leave_caller_scope_empty(monkeypatch):
+    """With two workers the shrinks run in them: the caller records no
+    candidate, its scope stays empty, and no worker is left to reap."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    candidates = []
+    real = fuzz._candidates
+
+    def recorded(machine):
+        for candidate in real(machine):
+            candidates.append(candidate)
+            yield candidate
+
+    monkeypatch.setattr(fuzz, "_candidates", recorded)
+    with scope() as outer:
+        report = run_fuzz(FuzzConfig(seed=3, count=5, max_states=4), shrink=True)
+    assert report.failures and not candidates
+    assert len(outer) == 0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_shrink_checks_each_candidate_in_its_own_scope():

@@ -213,7 +213,8 @@ def test_fuzz_count_zero(capsys):
 IMPORT_PROBE = """
 import json, sys
 preloaded = set(sys.modules)
-slow = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "_hashlib")
+slow = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "_hashlib",
+        "multiprocessing", "concurrent.futures")
 
 def loaded(*names):
     # what fsmabs loaded: a module the interpreter preloaded proves nothing
@@ -238,8 +239,9 @@ def test_imports_load_only_what_runs(tmp_path):
     ``inspect``, ``ast``, ``dis`` and ``tokenize``), ``typing``, nor the
     law and fuzz modules; ``compare`` and ``report``, which print a
     digest, load none of them either; drawing fuzz machines loads no law,
-    and a fuzz run and a ``digest`` call after it load none of the slow
-    modules.  A fresh interpreter, since this one has long imported them;
+    and a fuzz run (forked workers, not ``multiprocessing`` or
+    ``concurrent.futures``) and a ``digest`` call after it load none of
+    the slow modules.  A fresh interpreter, since this one has long imported them;
     also one without ``site``, which may preload ``typing``."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     first = next(iter(machine_stream(FuzzConfig(seed=3, count=3, max_states=3))))
