@@ -275,6 +275,15 @@ def _label_codes(
     return tuple(tuple(code(mode.project(u, y)) for y in outputs) for u in inputs)
 
 
+def _table_row(codes: tuple, rows) -> tuple:
+    """One state's entry of the successor table, from the rows (x, u, y,
+    x2) leaving it in row order; ``codes`` is :func:`_label_codes`."""
+    found: dict = {}
+    for _, u, y, x2 in rows:
+        found.setdefault(codes[u][y], {})[x2] = None
+    return tuple(zip(found, map(tuple, found.values())))
+
+
 @derived
 def successors(machine: StateMachine, mode: ExternalAlphabet) -> tuple:
     """The machine's transitions indexed once per scope: for each state
@@ -284,13 +293,17 @@ def successors(machine: StateMachine, mode: ExternalAlphabet) -> tuple:
 
     Symbol codes are the digits of :func:`window_codec`.  The fixpoints,
     the prefix acceptor, :func:`is_deterministic` and the simulation
-    checks of ``relations`` all read this one table.
+    checks of ``relations`` all read this one table.  A window
+    abstraction's builder fills it (``StateMachine._table``) under the
+    abstraction's own mode; it is read from the rows otherwise.
     """
+    if machine._table is not None and mode is machine.external:
+        return machine._table
     codes = _label_codes(machine, mode, machine.inputs, machine.outputs)
-    rows = [{} for _ in machine.states]
-    for x, u, y, x2 in machine._rows:
-        rows[x].setdefault(codes[u][y], {})[x2] = None
-    return tuple(tuple((symbol, tuple(targets)) for symbol, targets in row.items()) for row in rows)
+    leaving = [[] for _ in machine.states]
+    for row in machine._rows:
+        leaving[row[0]].append(row)
+    return tuple(_table_row(codes, rows) for rows in leaving)
 
 
 def is_deterministic(machine: StateMachine, mode: ExternalAlphabet) -> bool:
@@ -430,8 +443,9 @@ def external_strings_map(
 class PrefixAutomaton(Value):
     """Deterministic, complete acceptor of a machine's finite prefixes.
 
-    Built by the subset construction over the external alphabet; state 0
-    is the start and ``sink`` is the unique reject state.  Every non-sink
+    Built by the subset construction over the external alphabet (read off
+    the successor table for a deterministic machine); state 0 is the
+    start and ``sink`` is the unique reject state.  Every non-sink
     state is accepting (prefix languages are prefix-closed).  Each DFA
     state is held as the set of its machine state indexes (``_members``);
     ``subsets`` and ``to_dot`` render them as the machine's state names
@@ -496,8 +510,13 @@ class PrefixAutomaton(Value):
 
 @derived
 def prefix_automaton(machine: StateMachine, mode: ExternalAlphabet) -> PrefixAutomaton:
+    """The machine's prefix acceptor, by the subset construction; a
+    deterministic machine's is read off its successor table instead
+    (:func:`_deterministic_acceptor`), with the same numbering."""
     alphabet = window_codec(machine, mode).alphabet
     moves = successors(machine, mode)
+    if is_deterministic(machine, mode):
+        return _deterministic_acceptor(machine, alphabet, moves)
     start = frozenset(machine._initial)
     subsets = [start]
     index = {start: 0}
@@ -525,6 +544,35 @@ def prefix_automaton(machine: StateMachine, mode: ExternalAlphabet) -> PrefixAut
     rows[empty] = [sink] * len(alphabet)
     table = tuple(tuple(rows[s]) for s in subsets)
     return PrefixAutomaton(alphabet, tuple(subsets), table, sink, machine.states)
+
+
+def _deterministic_acceptor(
+    machine: StateMachine, alphabet: tuple, moves: tuple
+) -> PrefixAutomaton:
+    """The subset construction's acceptor of a deterministic machine,
+    without subsets: every subset it reaches is a singleton or empty, so
+    the breadth-first walk runs over states (None for the empty subset,
+    the sink), numbered in the order the construction discovers them."""
+    found = [machine._initial[0]]
+    index = {found[0]: 0}
+    table = []
+    for x in found:
+        step = {} if x is None else dict(moves[x])
+        row = []
+        for symbol in range(1, len(alphabet) + 1):
+            target = step.get(symbol)
+            key = target[0] if target else None
+            if key not in index:
+                index[key] = len(found)
+                found.append(key)
+            row.append(index[key])
+        table.append(tuple(row))
+    if None not in index:
+        index[None] = len(found)
+        found.append(None)
+        table.append((index[None],) * len(alphabet))
+    members = tuple(frozenset() if x is None else frozenset((x,)) for x in found)
+    return PrefixAutomaton(alphabet, members, tuple(table), index[None], machine.states)
 
 
 #: The derived functions whose results on a machine no window length

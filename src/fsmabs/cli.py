@@ -114,7 +114,7 @@ def _level_row(machine: StateMachine, mode: ExternalAlphabet, l: int,
         "fixed_point": is_fixed_point(machine, partition).holds,
         "partition": partition.render().splitlines(),
         "abstractions": {
-            name: {"states": len(abstraction.states), "transitions": len(abstraction._rows)}
+            name: {"states": len(abstraction.states), "transitions": abstraction.row_count}
             for name, abstraction in built.items()
         },
         "ordering": _ordering_verdicts(machine, l),
@@ -253,7 +253,7 @@ def cmd_build(args) -> int:
     machine_io.dump(built, json_path)
     dot_path.write_text(to_dot(built, name=json_path.stem), encoding="utf-8")
     sys.stdout.write(
-        f"{args.kind}: {len(built.states)} states, {len(built._rows)} transitions\n"
+        f"{args.kind}: {len(built.states)} states, {built.row_count} transitions\n"
         f"wrote {json_path} and {dot_path}\n"
     )
     return 0

@@ -16,6 +16,13 @@ the reachability and liveness scan and :func:`validate` read the rows;
 ``transitions``, the name 4-tuples in row order, is rendered on first
 read, by the file format, DOT output and callers that ask for it, and
 so is ``initial``, from the ascending state indexes ``_initial``.
+
+A window abstraction made by ``salca.build_abstract_machine`` keeps only
+its successor table (``_table``, under its own mode) and its row count
+(``row_count``); its ``_rows`` are emitted again from the source machine
+on first read.  Such a machine is live and reachable by construction
+(``_live_reachable``), so :func:`require_live_reachable` does not scan
+it.
 """
 
 from __future__ import annotations
@@ -199,6 +206,12 @@ class StateMachine(Value):
 
     _fields = ("states", "inputs", "outputs", "_initial", "_rows", "external")
 
+    #: The successor table under ``external``, when a builder filled it
+    #: (see ``behavior.successors``).
+    _table: tuple | None = None
+    #: Whether a builder made the machine live and reachable.
+    _live_reachable = False
+
     def __init__(
         self,
         states: Sequence[str],
@@ -237,7 +250,7 @@ class StateMachine(Value):
                 raise UnknownOutput(f"transition output {y!r} not declared")
             rows.add((state_ix[x], input_ix[u], output_ix[y], state_ix[x2]))
         initial = tuple(sorted(state_ix[x0] for x0 in initial))
-        _fill(self, states, inputs, outputs, initial, tuple(sorted(rows)), external)
+        _fill(self, states, inputs, outputs, initial, external, _rows=tuple(sorted(rows)))
 
     @classmethod
     def _trusted(cls, states, inputs, outputs, initial, rows, external, **extra):
@@ -245,12 +258,19 @@ class StateMachine(Value):
         the constructor: ``inputs`` and ``outputs`` come from a validated
         machine, ``states`` are distinct rendered names, ``initial`` are
         ascending state indexes and ``rows`` are index 4-tuples over
-        them, in any order and possibly repeated.  ``extra`` sets the
-        fields a subclass adds."""
+        them, in any order and possibly repeated, or None for a subclass
+        that derives ``_rows`` when read.  ``extra`` sets the fields a
+        subclass adds."""
         machine = object.__new__(cls)
-        rows = tuple(sorted(set(rows)))
-        _fill(machine, states, inputs, outputs, initial, rows, external, **extra)
+        if rows is not None:
+            extra["_rows"] = tuple(sorted(set(rows)))
+        _fill(machine, states, inputs, outputs, initial, external, **extra)
         return machine
+
+    @cached_property
+    def row_count(self) -> int:
+        """How many transitions the machine has."""
+        return len(self._rows)
 
     @cached_property
     def transitions(self) -> tuple[Transition, ...]:
@@ -358,16 +378,15 @@ class StateMachine(Value):
         )
 
 
-def _fill(machine, states, inputs, outputs, initial, rows, external, **extra) -> None:
+def _fill(machine, states, inputs, outputs, initial, external, **extra) -> None:
     """Set the fields of a new machine; ``initial`` are ascending state
-    indexes and ``rows`` are already distinct and sorted, as plain integer
-    tuples."""
+    indexes and ``extra`` sets the others, ``_rows`` already distinct and
+    sorted, as plain integer tuples."""
     machine.__dict__.update(
         states=tuple(states),
         inputs=tuple(inputs),
         outputs=tuple(outputs),
         _initial=tuple(initial),
-        _rows=rows,
         external=external,
         **extra,
     )
@@ -442,8 +461,11 @@ def require_live_reachable(machine: StateMachine, operation: str) -> None:
     Built abstractions are typically not separable, yet behavior and
     simulation checks remain well defined for any live, reachable machine.
     Reads only the reachability and liveness scan, not the separability
-    check of :func:`validate`.
+    check of :func:`validate`, and skips the scan for a machine a builder
+    made live and reachable.
     """
+    if machine._live_reachable:
+        return
     unreachable, dead = _unreachable_and_dead(machine)
     problem = _rejection(
         name for name, bad in (("reachable", unreachable), ("live", dead)) if bad

@@ -17,8 +17,10 @@ transitions in canonical order, each state's partners in the relation's
 stored order; only that counterexample is rendered as names.  The checks
 and the greatest fixpoint read each machine's successor table
 ``behavior.successors``, built once per (machine, mode) and memoised per
-scope like all derived data; its symbol codes are the digits of
-``behavior.window_codec``.
+scope like all derived data (a window abstraction's builder fills it);
+its symbol codes are the digits of ``behavior.window_codec``.  The
+greatest fixpoint holds its relation as one set of right partners per
+left state, not as a set of pairs.
 
 ``simulates`` and ``bisimilar`` first try to settle their verdict with
 the breadth-first walk over the product of the two prefix DFAs that
@@ -312,18 +314,21 @@ def _recode(source: StateMachine, target: StateMachine, mode: ExternalAlphabet) 
     return tuple(ours.code(theirs.symbol(digit)) for digit in range(theirs.base))
 
 
-def _matched(moves: tuple, replies: tuple, recode: tuple, alive: set, backward: bool) -> bool:
+def _matched(moves: tuple, replies: tuple, recode: tuple, partners: list, backward: bool) -> bool:
     """Whether every move in ``moves`` has a reply in ``replies`` (rows of
     ``successors``; ``recode`` carries the moves' symbol codes to the
-    replies') that lands in ``alive``: the pair is (target, reply), or
-    (reply, target) when the moves are the right machine's."""
+    replies') that lands on a related pair: (target, reply), or (reply,
+    target) when the moves are the right machine's; ``partners`` holds
+    each left state's related right states."""
     for symbol, targets in moves:
         options = _replies(replies, recode[symbol])
         if not options:
             return False
         for t in targets:
-            landing = ((o, t) for o in options) if backward else ((t, o) for o in options)
-            if alive.isdisjoint(landing):
+            if backward:
+                if not any(t in partners[o] for o in options):
+                    return False
+            elif partners[t].isdisjoint(options):
                 return False
     return True
 
@@ -335,7 +340,10 @@ def _greatest(
     ``right`` (with ``both_ways``, also from ``right`` to ``left``), by
     round-based removal of unmatched pairs until a round removes none.
 
-    The bisimulation is a joint fixpoint, not the intersection of the two
+    The relation is held as one set of right partners per left state.
+    Each round visits the pairs in index order and drops an unmatched
+    pair at once, so later pairs of the round see the drop.  The
+    bisimulation is a joint fixpoint, not the intersection of the two
     one-sided greatest relations: a pair survives only if each of its
     moves is matched by the other side *within the surviving set*.
     """
@@ -345,22 +353,24 @@ def _greatest(
     right_rows = successors(right, mode)
     to_right = _recode(left, right, mode)
     to_left = _recode(right, left, mode)
-    alive = {(a, b) for a in range(len(left.states)) for b in range(len(right.states))}
+    everyone = frozenset(range(len(right.states)))
+    partners = [set(everyone) for _ in left.states]
     changed = True
     while changed:
         changed = False
-        for pair in sorted(alive):
-            a, b = pair
-            if not (
-                _matched(left_rows[a], right_rows[b], to_right, alive, backward=False)
-                and (
-                    not both_ways
-                    or _matched(right_rows[b], left_rows[a], to_left, alive, backward=True)
-                )
-            ):
-                alive.discard(pair)
-                changed = True
-    return _from_indices(left, right, alive)
+        for a, related in enumerate(partners):
+            moves = left_rows[a]
+            for b in sorted(related):
+                if not (
+                    _matched(moves, right_rows[b], to_right, partners, backward=False)
+                    and (
+                        not both_ways
+                        or _matched(right_rows[b], moves, to_left, partners, backward=True)
+                    )
+                ):
+                    related.discard(b)
+                    changed = True
+    return _from_indices(left, right, [(a, b) for a, bs in enumerate(partners) for b in bs])
 
 
 def greatest_simulation(

@@ -14,9 +14,18 @@ the index-keyed maps of ``behavior`` and emit rows, initial states and
 ``AbstractMachine.cells`` over state positions.  State tokens are the
 codec's rendered names; ``AbstractMachine.windows_of`` and the predicate
 witnesses decode codes into ``Window`` objects.
+
+``build_abstract_machine`` emits each abstract row once, grouped by
+source window (:func:`_emission`), and keeps only the successor table it
+fills from them and their count; the machine's ``_rows`` are emitted
+again, from the source, when first read.  ``standard_realization``
+stays the independent domino recipe, holding its rows.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
+from itertools import chain
 
 from .analysis import derived
 from .behavior import (
@@ -24,6 +33,7 @@ from .behavior import (
     Window,
     WindowCodec,
     _label_codes,
+    _table_row,
     behavior_equal,
     dominoes,
     external_strings_map,
@@ -42,8 +52,10 @@ class AbstractMachine(StateMachine):
     ``codec``) of the ``window_length``-long windows it denotes: a single
     window for window-state machines, a whole cell of windows for quotient
     machines.  The builders construct it through the trusted path
-    (``StateMachine._trusted``) from rows over state positions.  ``codec``
-    is neither compared nor shown.
+    (``StateMachine._trusted``), from rows over state positions or, for
+    ``build_abstract_machine``, from its successor table and the recipe
+    ``_source`` (source machine, mode, interval) that emits the rows when
+    ``_rows`` is read.  ``codec`` is neither compared nor shown.
     """
 
     _fields = StateMachine._fields + ("cells", "window_length")
@@ -62,6 +74,13 @@ class AbstractMachine(StateMachine):
     ):
         super().__init__(states, inputs, outputs, initial, transitions, external)
         self.__dict__.update(cells=cells, codec=codec, window_length=window_length)
+
+    @cached_property
+    def _rows(self) -> tuple:
+        """A built window machine's rows, emitted again from its source."""
+        machine, mode, spec = self._source
+        position = {w: i for i, (w,) in enumerate(self.cells)}
+        return tuple(chain.from_iterable(_emission(machine, mode, spec, position)))
 
     def codes_of(self, token: str) -> tuple[int, ...]:
         return self.cells[self._index(token)]
@@ -106,10 +125,12 @@ def _window_machine(
     windows,
     initial,
     rows,
+    **extra,
 ) -> AbstractMachine:
     """The abstraction whose states are the given ascending ``length``-window
     codes, named by the codec; ``initial`` and ``rows`` are over the
-    states' positions in ``windows``, ``initial`` ascending."""
+    states' positions in ``windows``, ``initial`` ascending; ``extra``
+    sets further fields."""
     codec = window_codec(machine, mode)
     return AbstractMachine._trusted(
         tuple(codec.name(w, length) for w in windows),
@@ -121,7 +142,81 @@ def _window_machine(
         cells=tuple((w,) for w in windows),
         codec=codec,
         window_length=length,
+        **extra,
     )
+
+
+def _emission(machine: StateMachine, mode: ExternalAlphabet, spec: IntervalSpec, position):
+    """The window abstraction's rows, each once, grouped by source: one
+    sorted list of rows per state, in state order.  ``position`` maps the
+    ascending realized windows to their state positions.
+
+    A concrete row (x, u, y, x2) with label code c gives the abstract rows
+    whose (l + 1)-window is p.c.f, for every history p of x of length
+    l - m and every future f of x2 of length m: from the window's first
+    l symbols to its last l, and this map is one-to-one.  At m = 0 only p
+    varies, so the labels of a history p are the union of those leaving
+    the states it reaches; at m = l only f varies, so the labels into a
+    future f are the union of those entering the states it leaves.  In
+    between, the futures of the rows' targets are merged per history and
+    label (p, u, y), and each source's rows are sorted.
+    """
+    l, m = spec.l, spec.m
+    codes = _label_codes(machine, mode, machine.inputs, machine.outputs)
+    base = window_codec(machine, mode).base
+    span = base ** (l - 1)
+    width = len(machine.outputs)
+    if m in (0, l):
+        # label index u * width + y -> bit, per concrete state: the labels
+        # leaving it (m = 0) or entering it (m = l)
+        masks = [0] * len(machine.states)
+        for x, u, y, x2 in machine._rows:
+            masks[x2 if m else x] |= 1 << (u * width + y)
+        labels: dict = {}
+        around = future_map(machine, mode, l) if m else past_map(machine, mode, l)
+        for mask, windows in zip(masks, around):
+            for w in windows:
+                labels[w] = labels.get(w, 0) | mask
+        decoded = [divmod(label, width) for label in range(len(machine.inputs) * width)]
+    if m == 0:
+        for s, p in enumerate(position):
+            mask, head = labels[p], p % span * base
+            yield [
+                (s, u, y, position[head + codes[u][y]])
+                for label, (u, y) in enumerate(decoded)
+                if mask >> label & 1
+            ]
+    elif m == l:
+        # the labels of each code, in row order
+        coded: dict = {}
+        for label, (u, y) in enumerate(decoded):
+            coded.setdefault(codes[u][y], []).append((label, u, y))
+        for s, w in enumerate(position):
+            symbol, head = divmod(w, span)
+            futures = [f for f in range(head * base + 1, head * base + base) if f in labels]
+            yield [
+                (s, u, y, position[f])
+                for label, u, y in coded[symbol]
+                for f in futures
+                if labels[f] >> label & 1
+            ]
+    else:
+        past, future = past_map(machine, mode, l - m), future_map(machine, mode, m)
+        merged: dict = {}
+        for x, u, y, x2 in machine._rows:
+            for p in past[x]:
+                merged.setdefault((p, u, y), set()).update(future[x2])
+        lead, modulus = base**m, span * base
+        found = [[] for _ in position]
+        for (p, u, y), futures in merged.items():
+            head = (p * base + codes[u][y]) * lead
+            for f in futures:
+                window = head + f
+                s = position[window // base]
+                found[s].append((s, u, y, position[window % modulus]))
+        for rows in found:
+            rows.sort()
+            yield rows
 
 
 @derived
@@ -136,49 +231,24 @@ def build_abstract_machine(
     windows.  The result is live and reachable, though in general not
     separable: every realized window is the window some run shows at a
     visit, and the windows along that run form an abstract path from an
-    initial window.
+    initial window.  It holds its successor table, filled from
+    :func:`_emission` one source window at a time, and the row count.
     """
     require_accepted(machine, "build_abstract_machine")
-    codec = window_codec(machine, mode)
     emap = external_strings_map(machine, mode, spec)
-    l, m = spec.l, spec.m
     realized = sorted(set().union(*emap))
     position = {w: i for i, w in enumerate(realized)}
-    # The source window and the target's last symbol form an (l+1)-window
-    # whose symbol at position l - m is the transition's label: in the
-    # source when m > 0, else the target's last.  Index source windows by
-    # that label and their last l - 1 symbols, and target windows by their
-    # first l - 1 symbols (and, for m = 0, their last), so each source
-    # meets only the matching targets.
-    label_of = codec.restrictor(l, l - m, l - m) if m else None
-    tail_of = codec.restrictor(l, 1, l - 1)
-    head_of = codec.restrictor(l, 0, l - 2)
-    last_of = codec.restrictor(l, l - 1, l - 1)
-    sources = []
-    targets = []
-    for windows in emap:
-        by_label: dict = {}
-        by_overlap: dict = {}
-        for w in windows:
-            i = position[w]
-            label = label_of(w) if m else None
-            by_label.setdefault(label, {}).setdefault(tail_of(w), []).append(i)
-            last = None if m else last_of(w)
-            by_overlap.setdefault((head_of(w), last), []).append(i)
-        sources.append(by_label)
-        targets.append(by_overlap)
     codes = _label_codes(machine, mode, machine.inputs, machine.outputs)
-    # A generator: the trusted path deduplicates as it consumes, so the
-    # repeats that several concrete transitions produce are never held.
-    rows = (
-        (src, u, y, dst)
-        for x, u, y, x2 in machine._rows
-        for overlap, srcs in sources[x].get(codes[u][y] if m else None, {}).items()
-        for dst in targets[x2].get((overlap, None if m else codes[u][y]), ())
-        for src in srcs
-    )
+    table = []
+    count = 0
+    for rows in _emission(machine, mode, spec, position):
+        count += len(rows)
+        table.append(_table_row(codes, rows))
     initial = [position[w] for w in _initial_codes(machine, mode, spec)]
-    return _window_machine(machine, mode, l, realized, initial, rows)
+    return _window_machine(
+        machine, mode, spec.l, realized, initial, None,
+        _table=tuple(table), row_count=count, _live_reachable=True, _source=(machine, mode, spec),
+    )
 
 
 def standard_realization(machine: StateMachine, l: int) -> AbstractMachine:

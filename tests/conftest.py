@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fsmabs.fuzz import FuzzConfig
+from fsmabs.fuzz import FuzzConfig, random_machine
 from fsmabs.machine import ExternalAlphabet, StateMachine
 
 Y = ExternalAlphabet.OUTPUTS_ONLY
@@ -64,6 +64,16 @@ def wide_machine(n: int, seed: int) -> StateMachine:
                 continue
             transitions.extend((x, u, y, x2) for x2 in sorted(targets))
     return StateMachine(states, inputs, outputs, (states[0],), tuple(transitions))
+
+
+def sweep_machine() -> StateMachine:
+    """The window-sweep machine: the draw with the most transitions among
+    40 from ``random.Random(7)`` with at most 8 states, 4 inputs and 4
+    outputs (8 states, 4 inputs, 3 outputs, 45 transitions).  Its
+    abstractions grow as |Y|^l: the strict past has 863 states at l = 6."""
+    rng = random.Random(7)
+    config = FuzzConfig(max_states=8, max_inputs=4, max_outputs=4)
+    return max((random_machine(rng, config) for _ in range(40)), key=lambda m: m.row_count)
 
 
 def self_loop_machine() -> StateMachine:

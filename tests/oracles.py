@@ -12,13 +12,27 @@ fixpoints are the tuple-based ``Window`` forms of the integer-coded ones
 in ``fsmabs.behavior``, sorted by ``window_sort_key``, the reference
 canonical order; the ``naive_*`` refinement helpers scan all of delta
 once per splitter cell, and ``canonical_cells`` puts their cells in the
-canonical partition order.
+canonical partition order.  Two oracles keep the algorithms that faster
+ones replaced, on the library's own window codes: ``naive_abstract_rows``
+is the window join the abstraction builder used before it emitted each
+row once, and ``naive_prefix_automaton`` is the subset construction
+that deterministic machines now skip.
 """
 
 import random
 from collections import deque
 
-from fsmabs.behavior import InclusionVerdict, IntervalSpec, Window, prefix_automaton
+from fsmabs.behavior import (
+    InclusionVerdict,
+    IntervalSpec,
+    PrefixAutomaton,
+    Window,
+    _label_codes,
+    external_strings_map,
+    prefix_automaton,
+    successors,
+    window_codec,
+)
 from fsmabs.machine import DIAMOND, ExternalAlphabet, StateMachine, validate
 from fsmabs.relations import SimulationVerdict
 
@@ -444,3 +458,71 @@ def naive_is_fixed_point(machine: StateMachine, cells) -> tuple:
             if hits and misses:
                 return False, (cell, splitter, misses[0])
     return True, None
+
+
+def naive_abstract_rows(machine: StateMachine, mode: ExternalAlphabet, spec: IntervalSpec) -> list:
+    """The window abstraction's rows over state positions, with repeats:
+    the join of each concrete row (x, u, y, x2) with every window of x
+    and every overlapping window of x2 that carries its label."""
+    codec = window_codec(machine, mode)
+    emap = external_strings_map(machine, mode, spec)
+    l, m = spec.l, spec.m
+    position = {w: i for i, w in enumerate(sorted(set().union(*emap)))}
+    label_of = codec.restrictor(l, l - m, l - m) if m else None
+    tail_of = codec.restrictor(l, 1, l - 1)
+    head_of = codec.restrictor(l, 0, l - 2)
+    last_of = codec.restrictor(l, l - 1, l - 1)
+    sources = []
+    targets = []
+    for windows in emap:
+        by_label: dict = {}
+        by_overlap: dict = {}
+        for w in windows:
+            i = position[w]
+            label = label_of(w) if m else None
+            by_label.setdefault(label, {}).setdefault(tail_of(w), []).append(i)
+            last = None if m else last_of(w)
+            by_overlap.setdefault((head_of(w), last), []).append(i)
+        sources.append(by_label)
+        targets.append(by_overlap)
+    codes = _label_codes(machine, mode, machine.inputs, machine.outputs)
+    return [
+        (src, u, y, dst)
+        for x, u, y, x2 in machine._rows
+        for overlap, srcs in sources[x].get(codes[u][y] if m else None, {}).items()
+        for dst in targets[x2].get((overlap, None if m else codes[u][y]), ())
+        for src in srcs
+    ]
+
+
+def naive_prefix_automaton(machine: StateMachine, mode: ExternalAlphabet) -> PrefixAutomaton:
+    """The prefix acceptor by the subset construction, for every machine."""
+    alphabet = window_codec(machine, mode).alphabet
+    moves = successors(machine, mode)
+    start = frozenset(machine._initial)
+    subsets = [start]
+    index = {start: 0}
+    frontier = deque([start])
+    rows: dict = {}
+    while frontier:
+        subset = frontier.popleft()
+        found = [set() for _ in alphabet]
+        for x in subset:
+            for symbol, succ in moves[x]:
+                found[symbol - 1].update(succ)
+        row = []
+        for succ in map(frozenset, found):
+            if succ not in index:
+                index[succ] = len(subsets)
+                subsets.append(succ)
+                frontier.append(succ)
+            row.append(index[succ])
+        rows[subset] = row
+    empty = frozenset()
+    if empty not in index:
+        index[empty] = len(subsets)
+        subsets.append(empty)
+    sink = index[empty]
+    rows[empty] = [sink] * len(alphabet)
+    table = tuple(tuple(rows[s]) for s in subsets)
+    return PrefixAutomaton(alphabet, tuple(subsets), table, sink, machine.states)

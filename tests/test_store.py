@@ -1,0 +1,154 @@
+"""One transition store per window abstraction.
+
+The abstraction builder fills the successor table and keeps no rows;
+``_rows`` is emitted again when read.  The builder's abstractions skip
+the liveness scan, a deterministic machine's prefix acceptor skips the
+subset construction, and the greatest fixpoint holds partner sets.  Each
+is checked here against the algorithm it replaced (``tests/oracles.py``),
+on the acceptance head and on the window-sweep machine.
+"""
+
+import tracemalloc
+
+import pytest
+
+from fsmabs import cli
+from fsmabs.analysis import scope
+from fsmabs.behavior import IntervalSpec, is_deterministic, prefix_automaton, successors
+from fsmabs.errors import NotAccepted
+from fsmabs.fuzz import machine_stream
+from fsmabs.machine import StateMachine, _unreachable_and_dead, dumps
+from fsmabs.qba import build_quotient_machine
+from fsmabs.relations import greatest_bisimulation, greatest_simulation, simulates
+from fsmabs.salca import build_abstract_machine
+
+from .conftest import ACCEPTANCE_HEAD, UY, Y, sweep_machine
+from .oracles import (
+    naive_abstract_rows,
+    naive_greatest_bisimulation,
+    naive_greatest_simulation,
+    naive_prefix_automaton,
+)
+
+SWEEP = sweep_machine()
+
+
+def _check_store(machine: StateMachine, mode, spec: IntervalSpec) -> None:
+    """The rows view equals the join, and the builder's table and row
+    count equal those read from the view."""
+    with scope():
+        built = build_abstract_machine(machine, mode, spec)
+        assert "_rows" not in built.__dict__
+        rows = built._rows
+        assert rows == tuple(sorted(set(naive_abstract_rows(machine, mode, spec))))
+        assert built.row_count == len(rows)
+        plain = StateMachine._trusted(
+            built.states, built.inputs, built.outputs, built._initial, rows, mode
+        )
+        assert built._table == successors(plain, mode)
+        assert successors(built, mode) is built._table
+
+
+def test_rows_view_equals_join_on_acceptance_head():
+    for machine in machine_stream(ACCEPTANCE_HEAD):
+        for mode in (Y, UY):
+            for l in (1, 2, 3):
+                for m in range(l + 1):
+                    _check_store(machine, mode, IntervalSpec(l, m))
+
+
+@pytest.mark.parametrize("l", range(1, 7))
+def test_rows_view_equals_join_on_sweep_machine(l):
+    for m in (0, l):
+        _check_store(SWEEP, Y, IntervalSpec(l, m))
+
+
+def _acceptor_matches(machine: StateMachine, mode, l: int) -> tuple:
+    """The strict past's acceptor equals the subset construction's, and
+    so does the source's; the strict past's sink and number of states."""
+    with scope():
+        strict_past = build_abstract_machine(machine, mode, IntervalSpec(l, 0))
+        assert is_deterministic(strict_past, mode)
+        acceptor = prefix_automaton(strict_past, mode)
+        assert acceptor == naive_prefix_automaton(strict_past, mode)
+        assert all(len(members) <= 1 for members in acceptor._members)
+        assert prefix_automaton(machine, mode) == naive_prefix_automaton(machine, mode)
+        return acceptor.sink, len(acceptor.table)
+
+
+def test_deterministic_acceptor_on_acceptance_head():
+    sinks = set()
+    for machine in machine_stream(ACCEPTANCE_HEAD):
+        for mode in (Y, UY):
+            for l in (1, 2, 3):
+                sink, size = _acceptor_matches(machine, mode, l)
+                sinks.add(sink == size - 1)
+    # the sink is found during the walk in some acceptors, added last in others
+    assert sinks == {True, False}
+
+
+@pytest.mark.parametrize("l", range(1, 7))
+def test_deterministic_acceptor_on_sweep_machine(l):
+    _acceptor_matches(SWEEP, Y, l)
+
+
+def test_comparison_keeps_one_store_per_window_abstraction():
+    with scope() as current:
+        cli.build_comparison(SWEEP, 5)
+        for m in (0, 5):
+            built = build_abstract_machine(SWEEP, Y, IntervalSpec(5, m))
+            assert "_rows" not in built.__dict__
+            assert _unreachable_and_dead not in {key[0] for key in current.results(built)}
+        # the quotient is still scanned
+        quotient = build_quotient_machine(SWEEP, 5)
+        assert _unreachable_and_dead in {key[0] for key in current.results(quotient)}
+
+
+def test_unreachable_user_machine_still_rejected(tmp_path, capsys):
+    machine = StateMachine(
+        ("a", "b", "c"),
+        ("u",),
+        ("y",),
+        ("a",),
+        (("a", "u", "y", "b"), ("b", "u", "y", "a"), ("c", "u", "y", "a")),
+    )
+    path = tmp_path / "unreachable.json"
+    path.write_text(dumps(machine), encoding="utf-8")
+    assert cli.main(["compare", str(path), "--l", "1"]) == 2
+    assert "machine is not reachable" in capsys.readouterr().err
+    with pytest.raises(NotAccepted, match="not reachable"):
+        simulates(machine, machine, Y)
+
+
+def test_comparison_memory_peak():
+    # CPython 3.11.7: 3.94 MB while the builder also held the rows and
+    # the fixpoint a set of pairs, 2.20 MB with the table alone.
+    tracemalloc.start()
+    try:
+        with scope():
+            cli.build_comparison(sweep_machine(), 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.3e6
+
+
+def test_greatest_fixpoints_at_scale():
+    with scope():
+        full_future = build_abstract_machine(SWEEP, Y, IntervalSpec(4, 4))
+        strict_past = build_abstract_machine(SWEEP, Y, IntervalSpec(4, 0))
+        quotient = build_quotient_machine(SWEEP, 4)
+        one_sided = 0
+        for left, right in (
+            (quotient, full_future),
+            (quotient, strict_past),
+            (full_future, strict_past),
+            (quotient, SWEEP),
+        ):
+            simulation = set(greatest_simulation(left, right, Y).pairs)
+            bisimulation = set(greatest_bisimulation(left, right, Y).pairs)
+            assert simulation == naive_greatest_simulation(left, right, Y)
+            assert bisimulation == naive_greatest_bisimulation(left, right, Y)
+            one_sided += simulation != bisimulation
+        # the backward check decides some of these
+        assert one_sided == 3
