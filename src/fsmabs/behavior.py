@@ -34,6 +34,7 @@ once.
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 
 from . import machine as _machine
 from .analysis import derived
@@ -295,15 +296,13 @@ def successors(machine: StateMachine, mode: ExternalAlphabet) -> tuple:
     the prefix acceptor, :func:`is_deterministic` and the simulation
     checks of ``relations`` all read this one table.  A window
     abstraction's builder fills it (``StateMachine._table``) under the
-    abstraction's own mode; it is read from the rows otherwise.
+    abstraction's own mode; it is read from the rows grouped by source
+    (``StateMachine._row_groups``) otherwise.
     """
     if machine._table is not None and mode is machine.external:
         return machine._table
     codes = _label_codes(machine, mode, machine.inputs, machine.outputs)
-    leaving = [[] for _ in machine.states]
-    for row in machine._rows:
-        leaving[row[0]].append(row)
-    return tuple(_table_row(codes, rows) for rows in leaving)
+    return tuple(_table_row(codes, rows) for rows in machine._row_groups())
 
 
 def is_deterministic(machine: StateMachine, mode: ExternalAlphabet) -> bool:
@@ -449,7 +448,11 @@ class PrefixAutomaton(Value):
     state is accepting (prefix languages are prefix-closed).  Each DFA
     state is held as the set of its machine state indexes (``_members``);
     ``subsets`` and ``to_dot`` render them as the machine's state names
-    (``_state_names``) when read; ``repr`` leaves those out.
+    (``_state_names``) when read; ``repr`` leaves those out.  An acceptor
+    read off a successor table holds its DFA states as machine state
+    indexes (``_found``, None for the sink) and makes their singleton
+    sets only when ``_members`` is first read: by equality, ``subsets``
+    and ``to_dot``, not by the inclusion walk.
     """
 
     _fields = ("alphabet", "_members", "table", "sink")
@@ -460,6 +463,22 @@ class PrefixAutomaton(Value):
             alphabet=alphabet, _members=_members, table=table, sink=sink,
             _state_names=_state_names, _columns={s: i for i, s in enumerate(alphabet)},
         )
+
+    @classmethod
+    def _of_states(cls, alphabet: tuple, found: tuple, table: tuple, sink: int,
+                   _state_names: tuple[str, ...]) -> "PrefixAutomaton":
+        """The acceptor whose DFA states are the machine states ``found``
+        (None for the sink), each standing for its singleton set."""
+        acceptor = object.__new__(cls)
+        acceptor.__dict__.update(
+            alphabet=alphabet, _found=found, table=table, sink=sink,
+            _state_names=_state_names, _columns={s: i for i, s in enumerate(alphabet)},
+        )
+        return acceptor
+
+    @cached_property
+    def _members(self) -> tuple[frozenset, ...]:
+        return tuple(frozenset() if x is None else frozenset((x,)) for x in self._found)
 
     def _key(self) -> tuple:
         return (self.alphabet, self._members, self.table, self.sink, self._state_names)
@@ -571,8 +590,8 @@ def _deterministic_acceptor(
         index[None] = len(found)
         found.append(None)
         table.append((index[None],) * len(alphabet))
-    members = tuple(frozenset() if x is None else frozenset((x,)) for x in found)
-    return PrefixAutomaton(alphabet, members, tuple(table), index[None], machine.states)
+    return PrefixAutomaton._of_states(alphabet, tuple(found), tuple(table), index[None],
+                                      machine.states)
 
 
 #: The derived functions whose results on a machine no window length

@@ -14,7 +14,7 @@ import random
 
 from .analysis import scope
 from .errors import FsmabsError, InvalidSpec
-from .machine import StateMachine, Value, validate
+from .machine import ExternalAlphabet, StateMachine, Value, validate
 
 
 class FuzzConfig(Value):
@@ -240,13 +240,17 @@ def _fan_out(machines: list, levels, shrink: bool, count: int) -> list:
     """:func:`_check_all` in ``count`` forked workers.
 
     Each worker inherits ``machines`` and reads machine indexes from a
-    task pipe; a worker that finishes one is sent the next.  A worker's
-    exception is raised here, chained to a ``ChildProcessError`` that
-    holds the worker's traceback.  No worker outlives this call: on an
-    error the others are killed, and every worker is reaped.
+    task pipe; a worker that finishes one is sent the next.  Its replies
+    are plain data (:func:`_serve`).  A worker's exception is raised
+    here, chained to a ``ChildProcessError`` that holds the worker's
+    traceback.  No worker outlives this call: on an error the others are
+    killed, and every worker is reaped.  The objects the collector tracks
+    are frozen (``gc.freeze``) for the call, so a worker's collections
+    leave the pages it shares with this process unwritten.
     """
+    import gc
+    import marshal
     import os
-    import pickle
     import select
     import signal
 
@@ -261,6 +265,7 @@ def _fan_out(machines: list, levels, shrink: bool, count: int) -> list:
             os.write(workers[replies][1], b"%d\n" % index)
             busy[replies] = index
 
+    gc.freeze()
     try:
         for _ in range(count):
             task_r, task_w = os.pipe()
@@ -287,17 +292,22 @@ def _fan_out(machines: list, levels, shrink: bool, count: int) -> list:
             for replies in select.select(list(busy), [], [])[0]:
                 index = busy.pop(replies)
                 try:
-                    ok, value = pickle.load(replies)
-                except (EOFError, pickle.UnpicklingError):
+                    ok, value = marshal.load(replies)
+                except (EOFError, ValueError):
                     raise ChildProcessError(
                         f"the worker checking machine {index} exited before replying"
                     ) from None
                 if not ok:
-                    exc, text = value
+                    import pickle
+
+                    exc, text = pickle.loads(value)
                     raise exc from ChildProcessError(
                         f"in the worker checking machine {index}:\n{text}"
                     )
-                results[index] = value
+                results[index] = [
+                    (name, detail, None if small is None else _rebuilt(small))
+                    for name, detail, small in value
+                ]
                 assign(replies)
         return results
     except BaseException:
@@ -305,6 +315,7 @@ def _fan_out(machines: list, levels, shrink: bool, count: int) -> list:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
+        gc.unfreeze()
         for replies, (_, fd) in workers.items():
             os.close(fd)
             replies.close()
@@ -314,21 +325,38 @@ def _fan_out(machines: list, levels, shrink: bool, count: int) -> list:
 
 def _serve(machines: list, levels, shrink: bool, task_fd: int, reply_fd: int) -> None:
     """A worker's loop: for each machine index read from ``task_fd``,
-    pickle ``(True, violations)`` or ``(False, (exception, traceback))``
-    to ``reply_fd``.  Returns when the task pipe reaches EOF, which it
-    also does when the caller dies."""
-    import pickle
+    write ``(True, violations)`` to ``reply_fd`` with ``marshal``, each
+    shrunk machine as its field tuple (:func:`_plain`), or, when a law
+    raises, ``(False, pickled (exception, traceback))``.  Returns when
+    the task pipe reaches EOF, which it also does when the caller dies."""
+    import marshal
 
     with open(task_fd, "rb") as tasks, open(reply_fd, "wb") as replies:
         for line in tasks:
             try:
-                reply = (True, _check(machines[int(line)], levels, shrink))
+                reply = (True, [
+                    (name, detail, None if small is None else _plain(small))
+                    for name, detail, small in _check(machines[int(line)], levels, shrink)
+                ])
             except Exception as exc:  # the caller raises it
+                import pickle
                 import traceback
 
-                reply = (False, (exc, traceback.format_exc()))
-            pickle.dump(reply, replies)
+                reply = (False, pickle.dumps((exc, traceback.format_exc())))
+            marshal.dump(reply, replies)
             replies.flush()
+
+
+def _plain(machine: StateMachine) -> tuple:
+    """A machine's fields as plain data, for :func:`_rebuilt`."""
+    return (machine.states, machine.inputs, machine.outputs, machine._initial, machine._rows,
+            machine.external.value)
+
+
+def _rebuilt(fields: tuple) -> StateMachine:
+    """The machine of :func:`_plain`'s ``fields``."""
+    *parts, external = fields
+    return StateMachine._trusted(*parts, ExternalAlphabet(external))
 
 
 def run_fuzz(config: FuzzConfig, shrink: bool = True) -> FuzzReport:

@@ -16,15 +16,16 @@ predicate disagree.  The other laws are written out as functions.
 from __future__ import annotations
 
 from collections.abc import Callable
+from itertools import chain
 
 from .behavior import (
     IntervalSpec,
-    _label_codes,
     behavior_equal,
     behavior_included,
     dominoes,
     is_deterministic,
     saturation_check,
+    successors,
     window_codec,
 )
 from .machine import ExternalAlphabet, StateMachine, Value
@@ -104,14 +105,18 @@ def law_realization(machine: StateMachine, levels) -> str | None:
 
 
 def law_standard_realization(machine: StateMachine, levels) -> str | None:
-    """The domino recipe equals the strict-past build over pairs."""
+    """The domino recipe equals the strict-past build over pairs.
+
+    The build's rows are emitted again for the comparison, not read from
+    its cached row view, and no derived data of the recipe's machine is
+    memoised, so neither outlives the check."""
     for l in levels:
         std = standard_realization(machine, l)
         built = build_abstract_machine(machine, _UY, IntervalSpec(l, 0))
         if (
             std.states != built.states
             or std._initial != built._initial
-            or std._rows != built._rows
+            or std._rows != tuple(chain.from_iterable(built._row_groups()))
         ):
             return f"standard realization differs at l={l}"
     return None
@@ -152,17 +157,23 @@ def law_uniqueness_implies_consistency(machine: StateMachine, levels) -> str | N
 def law_domino_transition_triples(machine: StateMachine, levels) -> str | None:
     """Projected abstract transitions match the overlapping-domino form."""
     # Each domino is split into head and tail once per (mode, l); only the
-    # label position and the abstraction's position table depend on m.
+    # label position and the abstraction's position table depend on m.  The
+    # abstraction's triples are read off its successor table, whose symbol
+    # codes are those of the machine's codec.
     for mode in _BOTH:
         codec = window_codec(machine, mode)
-        codes = _label_codes(machine, mode, machine.inputs, machine.outputs)
         for l in levels:
             head_of = codec.restrictor(l + 1, 0, l - 1)
             tail_of = codec.restrictor(l + 1, 1, l)
             split = [(w, head_of(w), tail_of(w)) for w in dominoes(machine, mode, l + 1).codes]
             for m in _anchors(l):
                 built = build_abstract_machine(machine, mode, IntervalSpec(l, m))
-                triples = {(x, codes[u][y], x2) for x, u, y, x2 in built._rows}
+                triples = {
+                    (x, symbol, x2)
+                    for x, row in enumerate(successors(built, mode))
+                    for symbol, targets in row
+                    for x2 in targets
+                }
                 at = _window_positions(built)
                 label_of = codec.restrictor(l + 1, l - m, l - m)
                 expected = set()
@@ -259,7 +270,7 @@ def law_renaming_under_uniqueness(machine: StateMachine, levels) -> str | None:
         abstract = canonical_relation(CanonicalKind.STATE_TO_ABSTRACT, machine, _Y, l, l)
         quotient = canonical_relation(CanonicalKind.STATE_TO_QUOTIENT, machine, l=l)
         composed = compose(abstract, renaming)
-        if composed._indices != quotient._indices:
+        if composed._table != quotient._table:
             return f"composition identity broken at l={l}"
     return None
 

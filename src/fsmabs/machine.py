@@ -20,9 +20,10 @@ so is ``initial``, from the ascending state indexes ``_initial``.
 A window abstraction made by ``salca.build_abstract_machine`` keeps only
 its successor table (``_table``, under its own mode) and its row count
 (``row_count``); its ``_rows`` are emitted again from the source machine
-on first read.  Such a machine is live and reachable by construction
-(``_live_reachable``), so :func:`require_live_reachable` does not scan
-it.
+on first read; its ``_row_groups``, the rows grouped by source state,
+are emitted from the source on each call and cache no row view.  Such a
+machine is live and reachable by construction (``_live_reachable``), so
+:func:`require_live_reachable` does not scan it.
 """
 
 from __future__ import annotations
@@ -305,6 +306,16 @@ class StateMachine(Value):
         """The slice of ``_rows`` leaving state ``x``: rows sort by source."""
         i = self._index(x)
         return bisect_left(self._rows, (i,)), bisect_left(self._rows, (i + 1,))
+
+    def _row_groups(self):
+        """The rows leaving each state, one sequence per state index in
+        order, each in row order: rows sort by source."""
+        rows = self._rows
+        lo = 0
+        for x in range(1, len(self.states) + 1):
+            hi = bisect_left(rows, (x,), lo)
+            yield rows[lo:hi]
+            lo = hi
 
     # -- enabled-set operators -------------------------------------------
 

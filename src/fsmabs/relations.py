@@ -3,24 +3,27 @@ relations of the comparison results.
 
 A relation is a set of state pairs that holds its two endpoint machines;
 it binds to a machine that is that endpoint or has the same content.
-It is held as sorted pairs of state indexes (declaration order), and
-``Relation.pairs`` renders the state names when read.
+It is held as a partner table: for each left state's declaration index,
+the tuple of its right partners' indexes, sorted when the library builds
+it.  ``Relation.pairs`` renders the state names when read, and
 :func:`make_relation` is where name pairs become index pairs; the
-fixpoints, :func:`inverse` (a swap and an integer sort, built once per
-relation), :func:`compose` and the canonical relations, built from
+fixpoints, :func:`inverse` (the table grouped by right state, built once
+per relation), :func:`compose` and the canonical relations, built from
 window codes, stay on indexes throughout.
 
-``verify_simulation`` checks the step condition row by row (the left
-machine's integer transitions, ``StateMachine._rows``), so the
-counterexample it reports is the first unmatched (pair, transition):
-transitions in canonical order, each state's partners in the relation's
-stored order; only that counterexample is rendered as names.  The checks
-and the greatest fixpoint read each machine's successor table
-``behavior.successors``, built once per (machine, mode) and memoised per
-scope like all derived data (a window abstraction's builder fills it);
-its symbol codes are the digits of ``behavior.window_codec``.  The
-greatest fixpoint holds its relation as one set of right partners per
-left state, not as a set of pairs.
+``verify_simulation`` decides the step condition on the two machines'
+successor tables ``behavior.successors`` with :func:`_matched`, the step
+predicate of the greatest fixpoint.  Only when a pair fails does it walk
+rows, those of the failing pair's left state, to report the first
+unmatched (pair, transition): transitions in canonical order, each
+state's partners in the relation's stored order; only that
+counterexample is rendered as names.  A window abstraction's rows are
+emitted again for that walk, not cached.  The successor table is built
+once per (machine, mode) and memoised per scope like all derived data
+(a window abstraction's builder fills it); its symbol codes are the
+digits of ``behavior.window_codec``.  The greatest fixpoint holds its
+relation as one set of right partners per left state and emits its
+table from them.
 
 ``simulates`` and ``bisimilar`` first try to settle their verdict with
 the breadth-first walk over the product of the two prefix DFAs that
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import enum
 from functools import cached_property
+from itertools import islice
 
 from .analysis import derived
 from .behavior import (
@@ -80,12 +84,15 @@ _NONE: frozenset = frozenset()
 class Relation:
     """Ordered set of (left state, right state) pairs between two machines.
 
-    The library builds its relations from state-index pairs (``_indices``:
-    declaration indexes of the left and right states, sorted), and
-    ``pairs`` renders their names on first read.  ``Relation(left, right,
-    pairs)`` keeps name pairs in the given order and indexes them when a
-    check first reads them, reporting undeclared states then.  A relation
-    is immutable and caches its name set and its inverse.
+    A relation is held as its partner table ``_table``: for each left
+    state's declaration index, the tuple of its right partners' indexes.
+    The library builds the table with sorted partners, and ``pairs``
+    renders the name pairs, grouped by left state, on first read.
+    ``Relation(left, right, pairs)`` keeps the name pairs as given and
+    groups them into a table when a check first reads it, each state's
+    partners in their given order, reporting undeclared states then.
+    ``len``, ``in``, ``==``, ``hash``, :func:`inverse` and :func:`compose`
+    read the table.  A relation is immutable and caches its inverse.
     """
 
     def __init__(self, left: StateMachine, right: StateMachine, pairs):
@@ -96,33 +103,38 @@ class Relation:
     @cached_property
     def pairs(self) -> tuple[tuple[str, str], ...]:
         left, right = self.left.states, self.right.states
-        return tuple((left[a], right[b]) for a, b in self._indices)
+        return tuple((left[a], right[b]) for a, bs in enumerate(self._table) for b in bs)
 
     @cached_property
-    def _indices(self) -> tuple[tuple[int, int], ...]:
-        return tuple(_to_indices(self.left, self.right, self.pairs))
-
-    @cached_property
-    def _pair_set(self) -> frozenset:
-        return frozenset(self.pairs)
+    def _table(self) -> tuple[tuple[int, ...], ...]:
+        grouped = [{} for _ in self.left.states]
+        for a, b in _to_indices(self.left, self.right, self.pairs):
+            grouped[a][b] = None
+        return tuple(map(tuple, grouped))
 
     @cached_property
     def _inverse(self) -> "Relation":
-        return _from_indices(self.right, self.left, [(b, a) for a, b in self._indices])
+        grouped = [[] for _ in self.right.states]
+        for a, partners in enumerate(self._table):
+            for b in partners:
+                grouped[b].append(a)
+        return _from_table(self.right, self.left, map(tuple, grouped))
 
     def __contains__(self, pair) -> bool:
-        return pair in self._pair_set
+        a, b = pair
+        a, b = self.left._state_ix.get(a), self.right._state_ix.get(b)
+        return a is not None and b is not None and b in self._table[a]
 
     def __len__(self) -> int:
-        return len(self._indices)
+        return sum(map(len, self._table))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Relation):
             return NotImplemented
-        return (self.left, self.right, self.pairs) == (other.left, other.right, other.pairs)
+        return (self.left, self.right, self._table) == (other.left, other.right, other._table)
 
     def __hash__(self) -> int:
-        return hash((self.left, self.right, self.pairs))
+        return hash((self.left, self.right, self._table))
 
     def __repr__(self) -> str:
         return f"Relation(pairs={self.pairs!r})"
@@ -131,12 +143,21 @@ class Relation:
         return "\n".join(f"{a} -> {b}" for a, b in self.pairs) + ("\n" if self.pairs else "")
 
 
+def _from_table(left: StateMachine, right: StateMachine, table) -> Relation:
+    """The relation whose partner table is ``table``: one tuple of right
+    state indexes per left state index."""
+    relation = object.__new__(Relation)
+    relation.__dict__.update(left=left, right=right, _table=tuple(table))
+    return relation
+
+
 def _from_indices(left: StateMachine, right: StateMachine, indices) -> Relation:
     """The relation of the state-index pairs ``indices``, deduplicated and
     sorted, so in declaration order."""
-    relation = object.__new__(Relation)
-    relation.__dict__.update(left=left, right=right, _indices=tuple(sorted(set(indices))))
-    return relation
+    grouped = [[] for _ in left.states]
+    for a, b in indices:
+        grouped[a].append(b)
+    return _from_table(left, right, (tuple(sorted(set(bs))) for bs in grouped))
 
 
 def _to_indices(left: StateMachine, right: StateMachine, pairs) -> list:
@@ -167,10 +188,10 @@ def _same_machine(bound: StateMachine, given: StateMachine) -> bool:
 
 def _check_binding(relation: Relation, left: StateMachine, right: StateMachine) -> None:
     """Both endpoints match, and every pair names declared states: reading
-    ``_indices`` indexes a relation built from names, or raises."""
+    ``_table`` groups a relation built from names, or raises."""
     if not (_same_machine(relation.left, left) and _same_machine(relation.right, right)):
         raise MalformedRelation("relation is bound to different machines")
-    relation._indices
+    relation._table
 
 
 def inverse(relation: Relation) -> Relation:
@@ -182,15 +203,16 @@ def compose(first: Relation, second: Relation) -> Relation:
     """Relational composition; the shared middle machine must match."""
     if not _same_machine(first.right, second.left):
         raise EndpointMismatch("compose: middle machines differ")
-    by_middle: dict[int, list] = {}
-    for b, c in second._indices:
-        by_middle.setdefault(b, []).append(c)
-    combined = [(a, c) for a, b in first._indices for c in by_middle.get(b, ())]
-    return _from_indices(first.left, second.right, combined)
+    onward = second._table
+    return _from_table(
+        first.left,
+        second.right,
+        (tuple(sorted({c for b in partners for c in onward[b]})) for partners in first._table),
+    )
 
 
 def identity_relation(machine: StateMachine) -> Relation:
-    return _from_indices(machine, machine, [(i, i) for i in range(len(machine.states))])
+    return _from_table(machine, machine, ((i,) for i in range(len(machine.states))))
 
 
 class SimulationVerdict(Value):
@@ -209,67 +231,65 @@ class SimulationVerdict(Value):
         return self.valid
 
 
-def _partners(pairs) -> dict:
-    """state index -> the state indices it is paired with, in the order
-    of the index ``pairs``."""
-    partners: dict[int, list] = {}
-    for a, b in pairs:
-        partners.setdefault(a, []).append(b)
-    return partners
-
-
 def _check_step(
-    left: StateMachine, right: StateMachine, mode: ExternalAlphabet, partners: dict
+    left: StateMachine, right: StateMachine, mode: ExternalAlphabet, table: tuple
 ) -> SimulationVerdict:
     """Step condition only: every left transition from a related state is
     matched by a related right transition with equal external label.
 
-    Walks ``left``'s rows, each left state's partners in their
-    ``partners`` order, so the first failing (pair, transition) is the
-    first in that order; names are rendered only for it.  Rows sort by
-    source, so each partner's replies to a symbol are looked up once per
-    source."""
-    replies = successors(right, mode)
-    codes = _label_codes(right, mode, left.inputs, left.outputs)
-    landing = {a: frozenset(bs) for a, bs in partners.items()}
-    source = mine = found = None
-    for row in left._rows:
-        x1, u, y, x1_next = row
-        if x1 != source:
-            source, mine, found = x1, partners.get(x1), {}
-        if mine is None:
-            continue
-        symbol = codes[u][y]
-        options = found.get(symbol)
-        if options is None:
-            options = found[symbol] = [_replies(replies[x2], symbol) for x2 in mine]
-        targets = landing.get(x1_next, _NONE)
-        for x2, reply in zip(mine, options):
-            if targets.isdisjoint(reply):
-                return SimulationVerdict(
-                    False,
-                    failed_pair=(left.states[x1], right.states[x2]),
-                    failed_transition=left._transition(row),
-                )
+    Decided on the two successor tables by :func:`_matched`, the step
+    predicate of the greatest fixpoint, pair by pair in table order.  A
+    failing pair's left state is the first source whose rows fail, so
+    only its rows are walked, each state's partners in their ``table``
+    order, to report the first failing (pair, transition) in row order;
+    names are rendered only for it."""
+    moves, replies = successors(left, mode), successors(right, mode)
+    recode = _recode(left, right, mode)
+    landing = [frozenset(partners) if partners else _NONE for partners in table]
+    for a, partners in enumerate(table):
+        for b in partners:
+            if not _matched(moves[a], replies[b], recode, landing, backward=False):
+                return _first_failure(left, right, mode, table[a], landing, a)
     return SimulationVerdict(True)
 
 
-def _check_initial(left: StateMachine, right: StateMachine, partners: dict) -> SimulationVerdict:
+def _first_failure(
+    left: StateMachine, right: StateMachine, mode: ExternalAlphabet, mine: tuple,
+    landing: list, source: int,
+) -> SimulationVerdict:
+    """The first unmatched (pair, transition) of left state ``source``,
+    whose partners ``mine`` include one that fails: its rows in row order
+    (a built window machine emits them again, see
+    ``salca.AbstractMachine._row_groups``), each against every partner."""
+    replies = successors(right, mode)
+    codes = _label_codes(right, mode, left.inputs, left.outputs)
+    for row in next(islice(left._row_groups(), source, None)):
+        _, u, y, target = row
+        symbol = codes[u][y]
+        for b in mine:
+            if landing[target].isdisjoint(_replies(replies[b], symbol)):
+                return SimulationVerdict(
+                    False,
+                    failed_pair=(left.states[source], right.states[b]),
+                    failed_transition=left._transition(row),
+                )
+    raise AssertionError(f"no row of state {left.states[source]!r} fails its step check")
+
+
+def _check_initial(left: StateMachine, right: StateMachine, table: tuple) -> SimulationVerdict:
     right_initial = set(right._initial)
     for x0 in left._initial:
-        if right_initial.isdisjoint(partners.get(x0, ())):
+        if right_initial.isdisjoint(table[x0]):
             return SimulationVerdict(False, failed_initial=left.states[x0])
     return SimulationVerdict(True)
 
 
 def _check(
-    left: StateMachine, right: StateMachine, mode: ExternalAlphabet, pairs
+    left: StateMachine, right: StateMachine, mode: ExternalAlphabet, table: tuple
 ) -> SimulationVerdict:
-    """Initial and step condition, with the index ``pairs`` in a
-    relation's stored order."""
-    partners = _partners(pairs)
-    verdict = _check_initial(left, right, partners)
-    return _check_step(left, right, mode, partners) if verdict else verdict
+    """Initial and step condition of the partner ``table``."""
+    verdict = _check_initial(left, right, table)
+    return _check_step(left, right, mode, table) if verdict else verdict
 
 
 def verify_simulation(
@@ -288,10 +308,10 @@ def verify_simulation(
     """
     require_comparable(left, right, mode, "verify_simulation")
     _check_binding(relation, left, right)
-    verdict = _check(left, right, mode, relation._indices)
+    verdict = _check(left, right, mode, relation._table)
     if not verdict or not bisim:
         return verdict
-    back = _check(right, left, mode, inverse(relation)._indices)
+    back = _check(right, left, mode, inverse(relation)._table)
     if back:
         return back
     return SimulationVerdict(
@@ -319,7 +339,7 @@ def _matched(moves: tuple, replies: tuple, recode: tuple, partners: list, backwa
     ``successors``; ``recode`` carries the moves' symbol codes to the
     replies') that lands on a related pair: (target, reply), or (reply,
     target) when the moves are the right machine's; ``partners`` holds
-    each left state's related right states."""
+    each left state's related right states as a set."""
     for symbol, targets in moves:
         options = _replies(replies, recode[symbol])
         if not options:
@@ -370,7 +390,7 @@ def _greatest(
                 ):
                     related.discard(b)
                     changed = True
-    return _from_indices(left, right, [(a, b) for a, bs in enumerate(partners) for b in bs])
+    return _from_table(left, right, (tuple(sorted(related)) for related in partners))
 
 
 def greatest_simulation(
@@ -398,8 +418,7 @@ def simulates(left: StateMachine, right: StateMachine, mode: ExternalAlphabet) -
         return False
     if is_deterministic(right, mode):
         return True
-    relation = greatest_simulation(left, right, mode)
-    return bool(_check_initial(left, right, _partners(relation._indices)))
+    return bool(_check_initial(left, right, greatest_simulation(left, right, mode)._table))
 
 
 def greatest_bisimulation(
@@ -421,10 +440,10 @@ def bisimilar(left: StateMachine, right: StateMachine, mode: ExternalAlphabet) -
     require_comparable(left, right, mode, "greatest_bisimulation")
     if not behavior_equal(left, right, mode):
         return False
-    pairs = greatest_bisimulation(left, right, mode)._indices
+    relation = greatest_bisimulation(left, right, mode)
     return bool(
-        _check_initial(left, right, _partners(pairs))
-        and _check_initial(right, left, _partners((b, a) for a, b in pairs))
+        _check_initial(left, right, relation._table)
+        and _check_initial(right, left, inverse(relation)._table)
     )
 
 

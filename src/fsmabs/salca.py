@@ -18,7 +18,8 @@ witnesses decode codes into ``Window`` objects.
 ``build_abstract_machine`` emits each abstract row once, grouped by
 source window (:func:`_emission`), and keeps only the successor table it
 fills from them and their count; the machine's ``_rows`` are emitted
-again, from the source, when first read.  ``standard_realization``
+again, from the source, when first read, and its ``_row_groups`` on each
+call, without caching them.  ``standard_realization``
 stays the independent domino recipe, holding its rows.
 """
 
@@ -78,9 +79,16 @@ class AbstractMachine(StateMachine):
     @cached_property
     def _rows(self) -> tuple:
         """A built window machine's rows, emitted again from its source."""
+        return tuple(chain.from_iterable(self._row_groups()))
+
+    def _row_groups(self):
+        """The rows grouped by source state; a built window machine whose
+        ``_rows`` were not read emits them again from its source."""
+        if "_rows" in self.__dict__:
+            return super()._row_groups()
         machine, mode, spec = self._source
         position = {w: i for i, (w,) in enumerate(self.cells)}
-        return tuple(chain.from_iterable(_emission(machine, mode, spec, position)))
+        return _emission(machine, mode, spec, position)
 
     def codes_of(self, token: str) -> tuple[int, ...]:
         return self.cells[self._index(token)]

@@ -7,7 +7,9 @@ for behavioral inclusion, which reads the right machine's prefix DFA.
 ``naive_greatest_simulation`` and ``naive_greatest_bisimulation`` are
 plain removal loops over per-transition moves, with their own label
 projection; ``naive_verify_simulation`` checks a name relation
-transition by transition the same way.  The ``naive_*`` window
+transition by transition the same way, in the row and partner order
+the library's counterexamples follow, as the library did before it
+decided the step condition on successor tables.  The ``naive_*`` window
 fixpoints are the tuple-based ``Window`` forms of the integer-coded ones
 in ``fsmabs.behavior``, sorted by ``window_sort_key``, the reference
 canonical order; the ``naive_*`` refinement helpers scan all of delta

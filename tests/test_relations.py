@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -31,7 +32,7 @@ from fsmabs.relations import (
 )
 from fsmabs.salca import build_abstract_machine, is_future_unique, is_sbalc
 
-from .conftest import ACCEPTANCE_HEAD, UY, Y, reversed_labels
+from .conftest import ACCEPTANCE_HEAD, UY, Y, reversed_labels, sweep_machine
 from .oracles import (
     naive_greatest_bisimulation,
     naive_greatest_simulation,
@@ -290,48 +291,76 @@ def test_greatest_relations_match_naive_loops_across_declaration_orders(mode):
             assert verify_simulation(left, right, mode, identity, bisim=True), machine
 
 
-def _canonical_family(machine: StateMachine):
-    """Every canonical relation of ``machine`` at l <= 2."""
-    for l in (1, 2):
-        for mode in (Y, UY):
+def _relation_sites(machine: StateMachine, levels, modes):
+    """Every canonical relation of ``machine`` that the law battery checks
+    at ``levels`` and ``modes``, with its inverse."""
+    top = max(levels)
+    for mode in modes:
+        for l in levels:
             for m in range(l + 1):
-                yield canonical_relation(CanonicalKind.STATE_TO_ABSTRACT, machine, mode, l, m)
-                yield canonical_relation(CanonicalKind.L_STEP, machine, mode, l, m)
+                kinds = [CanonicalKind.STATE_TO_ABSTRACT]
+                if l < top:
+                    kinds.append(CanonicalKind.L_STEP)
                 if m < l:
-                    yield canonical_relation(CanonicalKind.M_STEP, machine, mode, l, m)
-        for kind in (
-            CanonicalKind.STATE_TO_QUOTIENT,
-            CanonicalKind.SALCA_TO_QUOTIENT,
-            CanonicalKind.RENAMING,
-        ):
-            yield canonical_relation(kind, machine, Y, l)
+                    kinds.append(CanonicalKind.M_STEP)
+                for kind in kinds:
+                    canon = canonical_relation(kind, machine, mode, l, m)
+                    yield canon
+                    yield inverse(canon)
+    for l in levels:
+        for kind in (CanonicalKind.STATE_TO_QUOTIENT, CanonicalKind.SALCA_TO_QUOTIENT,
+                     CanonicalKind.RENAMING):
+            canon = canonical_relation(kind, machine, Y, l)
+            yield canon
+            yield inverse(canon)
+
+
+def _verdicts_match_naive_check(machine: StateMachine, levels, modes, ends_of) -> dict:
+    """Counts of each kind of verdict over ``_relation_sites``; each
+    relation is carried onto each pair of machines ``ends_of(relation)``
+    yields and checked over both modes, one-sided and both ways.  The
+    whole verdict (first failing initial state, pair and transition, and
+    its direction) must equal the transition-by-transition reference."""
+    verdicts = dict.fromkeys(("holds", "initial", "step", "backward"), 0)
+    with scope():
+        for relation in _relation_sites(machine, levels, modes):
+            for ends in ends_of(relation):
+                carried = make_relation(*ends, relation.pairs)
+                for mode, bisim in itertools.product((Y, UY), (False, True)):
+                    got = verify_simulation(*ends, mode, carried, bisim=bisim)
+                    expected = naive_verify_simulation(*ends, mode, carried.pairs, bisim)
+                    assert got == expected, (machine, relation, ends, mode, bisim)
+                    if got.direction == "backward":
+                        verdicts["backward"] += 1
+                    elif got:
+                        verdicts["holds"] += 1
+                    else:
+                        verdicts["step" if got.failed_pair else "initial"] += 1
+    return verdicts
 
 
 def test_verify_simulation_matches_naive_check():
     # Each relation is also carried onto a copy of its left machine that
     # declares its labels in reverse order, so the left rows' labels get
-    # other codes in the right machine's codec; the whole verdict (first
-    # failing initial state, pair and transition, and its direction) must
-    # equal the transition-by-transition reference.
+    # other codes in the right machine's codec.
+    def ends_of(relation):
+        return (relation.left, relation.right), (reversed_labels(relation.left), relation.right)
+
     verdicts = dict.fromkeys(("holds", "initial", "step", "backward"), 0)
     for machine in machine_stream(ACCEPTANCE_HEAD):
-        with scope():
-            for canon in _canonical_family(machine):
-                for relation in (canon, inverse(canon)):
-                    left, right = relation.left, relation.right
-                    for ends in ((left, right), (reversed_labels(left), right)):
-                        carried = make_relation(*ends, relation.pairs)
-                        for mode, bisim in itertools.product((Y, UY), (False, True)):
-                            got = verify_simulation(*ends, mode, carried, bisim=bisim)
-                            expected = naive_verify_simulation(*ends, mode, carried.pairs, bisim)
-                            assert got == expected, (machine, relation, ends, mode, bisim)
-                            if got.direction == "backward":
-                                verdicts["backward"] += 1
-                            elif got:
-                                verdicts["holds"] += 1
-                            else:
-                                verdicts["step" if got.failed_pair else "initial"] += 1
+        for kind, count in _verdicts_match_naive_check(machine, (1, 2, 3), (Y, UY),
+                                                       ends_of).items():
+            verdicts[kind] += count
     assert min(verdicts.values()) > 0, verdicts
+
+
+def test_verify_simulation_matches_naive_check_on_sweep_machine():
+    # Sites over outputs only: the reference needs about a minute for the
+    # input/output sites at l = 4.
+    verdicts = _verdicts_match_naive_check(
+        sweep_machine(), (1, 2, 3, 4), (Y,), lambda relation: [(relation.left, relation.right)]
+    )
+    assert verdicts["step"] > 0 and verdicts["holds"] > 0, verdicts
 
 
 def _chain(initial, transitions) -> StateMachine:
@@ -528,3 +557,73 @@ def test_free_input_machine_is_alternating_ok():
     assert report.free_input
     assert report.input_inclusion
     assert report.alternating_ok
+
+
+# -- the partner table ------------------------------------------------------------------
+
+
+def _ring(prefix: str, size: int) -> StateMachine:
+    """``size`` states on a cycle, all initial, on one label."""
+    states = tuple(f"{prefix}{i}" for i in range(size))
+    return StateMachine(states, ("u",), ("y",), states,
+                        tuple((x, "u", "y", states[(i + 1) % size]) for i, x in enumerate(states)))
+
+
+def _random_pairs(rng, left: StateMachine, right: StateMachine) -> set:
+    density = rng.random()
+    return {(a, b) for a in range(len(left.states)) for b in range(len(right.states))
+            if rng.random() < density}
+
+
+def _named(left: StateMachine, right: StateMachine, pairs) -> tuple:
+    """The name pairs of the index ``pairs``, sorted by index: the oracle
+    of a relation's stored order."""
+    return tuple((left.states[a], right.states[b]) for a, b in sorted(pairs))
+
+
+def test_partner_table_matches_sorted_pairs_oracle():
+    rng = random.Random(2207)
+    for _ in range(150):
+        left, middle, right = (_ring(p, rng.randint(1, 6)) for p in "abc")
+        first, second = _random_pairs(rng, left, middle), _random_pairs(rng, middle, right)
+        shuffled = list(_named(left, middle, first))
+        rng.shuffle(shuffled)
+        relation = make_relation(left, middle, shuffled)
+        assert relation.pairs == _named(left, middle, first)
+        assert len(relation) == len(first)
+        for a, b in itertools.product(range(len(left.states)), range(len(middle.states))):
+            assert ((left.states[a], middle.states[b]) in relation) == ((a, b) in first)
+        assert ("nowhere", middle.states[0]) not in relation
+        twin = make_relation(left, middle, reversed(shuffled))
+        assert relation == twin and hash(relation) == hash(twin)
+        grown = make_relation(left, middle, [*shuffled, (left.states[-1], middle.states[-1])])
+        assert (relation == grown) == (len(grown) == len(relation))
+        assert relation != make_relation(left, left, [])
+        back = inverse(relation)
+        assert back.pairs == _named(middle, left, {(b, a) for a, b in first})
+        assert inverse(back) == relation
+        composed = compose(relation, make_relation(middle, right, _named(middle, right, second)))
+        assert composed.pairs == _named(
+            left, right, {(a, c) for a, b in first for b2, c in second if b == b2}
+        )
+
+
+def test_name_built_relation_keeps_its_order_for_counterexamples():
+    # The verdict of a relation built from shuffled name pairs follows the
+    # given order of each state's partners, as the transition-by-transition
+    # reference does.
+    rng = random.Random(22)
+    shuffled_failures = 0
+    for machine in list(machine_stream(ACCEPTANCE_HEAD))[:8]:
+        with scope():
+            for relation in _relation_sites(machine, (1, 2), (Y, UY)):
+                pairs = list(relation.pairs)
+                rng.shuffle(pairs)
+                given = Relation(relation.left, relation.right, pairs)
+                assert given.pairs == tuple(pairs)
+                for mode in (Y, UY):
+                    got = verify_simulation(given.left, given.right, mode, given)
+                    expected = naive_verify_simulation(given.left, given.right, mode, pairs)
+                    assert got == expected, (machine, relation, mode)
+                    shuffled_failures += got.failed_pair is not None
+    assert shuffled_failures > 0

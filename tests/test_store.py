@@ -5,7 +5,9 @@ The abstraction builder fills the successor table and keeps no rows;
 the liveness scan, a deterministic machine's prefix acceptor skips the
 subset construction, and the greatest fixpoint holds partner sets.  Each
 is checked here against the algorithm it replaced (``tests/oracles.py``),
-on the acceptance head and on the window-sweep machine.
+on the acceptance head and on the window-sweep machine.  The law battery
+checks its relations on the successor tables, so it leaves no row view
+and no pair list behind, and its memory peak per machine is bounded.
 """
 
 import tracemalloc
@@ -16,11 +18,12 @@ from fsmabs import cli
 from fsmabs.analysis import scope
 from fsmabs.behavior import IntervalSpec, is_deterministic, prefix_automaton, successors
 from fsmabs.errors import NotAccepted
-from fsmabs.fuzz import machine_stream
+from fsmabs.fuzz import FuzzConfig, _check, machine_stream
+from fsmabs.laws import check_laws
 from fsmabs.machine import StateMachine, _unreachable_and_dead, dumps
 from fsmabs.qba import build_quotient_machine
-from fsmabs.relations import greatest_bisimulation, greatest_simulation, simulates
-from fsmabs.salca import build_abstract_machine
+from fsmabs.relations import Relation, greatest_bisimulation, greatest_simulation, simulates
+from fsmabs.salca import AbstractMachine, build_abstract_machine
 
 from .conftest import ACCEPTANCE_HEAD, UY, Y, sweep_machine
 from .oracles import (
@@ -152,3 +155,41 @@ def test_greatest_fixpoints_at_scale():
             one_sided += simulation != bisimulation
         # the backward check decides some of these
         assert one_sided == 3
+
+
+#: The acceptance-battery stream (tests/test_acceptance.py BATTERY_CONFIG),
+#: cut after machine 23.
+BATTERY_HEAD = FuzzConfig(seed=20260809, count=24, max_states=6, max_inputs=3, max_outputs=3)
+
+
+def test_law_battery_memory_peak():
+    # CPython 3.11.7: 4.26 MB while relations were held as pair lists and
+    # checked on the rows, 3.10 MB on partner tables and successor tables.
+    machine = list(machine_stream(BATTERY_HEAD))[16]
+    tracemalloc.start()
+    try:
+        _check(machine, (1, 2, 3), True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.6e6
+
+
+def test_law_battery_keeps_no_row_views_or_pair_lists():
+    machine = list(machine_stream(BATTERY_HEAD))[23]
+    with scope() as current:
+        check_laws(machine, (1, 2, 3))
+        held = [
+            value
+            for owner, results in current._tables.values()
+            for value in (owner, *results.values())
+        ]
+        relations = [value for value in held if isinstance(value, Relation)]
+        relations += [r.__dict__["_inverse"] for r in relations if "_inverse" in r.__dict__]
+        built = [
+            value for value in held
+            if isinstance(value, AbstractMachine) and "_source" in value.__dict__
+        ]
+        assert len(built) >= 30 and len(relations) >= 80
+        assert [m for m in built if "_rows" in m.__dict__] == []
+        assert [r for r in relations if {"_indices", "pairs"} & r.__dict__.keys()] == []

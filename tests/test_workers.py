@@ -6,6 +6,7 @@ runs on a one-CPU host too.
 """
 
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -95,8 +96,9 @@ def test_worker_death_names_the_machine(monkeypatch):
 
 
 #: A caller with two workers: the first checks machine 0 and then waits
-#: for a task, while the second sleeps on machine 1.  Each worker prints
-#: its pid and machine index.
+#: for a task, while the second sleeps on machine 1.  Each worker writes
+#: its pid and machine index as one line, in one write, so the two lines
+#: cannot interleave on the shared pipe (``print`` may write in pieces).
 KILLED_CALLER = """
 import os, time
 import fsmabs.laws as laws
@@ -109,7 +111,7 @@ os.sched_getaffinity = lambda pid: {0, 1}
 
 def check_laws(machine, levels):
     index = 0 if machine == first else 1
-    print(os.getpid(), index, flush=True)
+    os.write(1, b"%d %d\\n" % (os.getpid(), index))
     if index == 1:
         time.sleep(60)
     return []
@@ -128,17 +130,34 @@ def _running(pid: int) -> bool:
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
+def _read_lines(stream, count: int, seconds: float) -> list:
+    """``count`` lines of the pipe ``stream``, read within ``seconds``."""
+    deadline = time.monotonic() + seconds
+    data = b""
+    while data.count(b"\n") < count:
+        left = deadline - time.monotonic()
+        if left <= 0 or not select.select([stream], [], [], left)[0]:
+            pytest.fail(f"read {data!r} of {count} lines within {seconds} s")
+        chunk = os.read(stream.fileno(), 4096)
+        if not chunk:
+            pytest.fail(f"the stream closed after {data!r}, short of {count} lines")
+        data += chunk
+    return data.decode().splitlines()
+
+
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
 def test_idle_worker_exits_when_its_caller_dies():
     """A killed caller closes the task pipes; the idle worker reads EOF
-    and exits, although the other worker is still busy."""
+    and exits, although the other worker is still busy.  The caller leads
+    a process group of its own, with its workers, and the whole group is
+    killed at the end, so no worker outlives the test."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     caller = subprocess.Popen([sys.executable, "-c", KILLED_CALLER], stdout=subprocess.PIPE,
-                              text=True, env=env)
+                              env=env, start_new_session=True)
     pids = {}
     try:
-        for _ in range(2):
-            pid, index = caller.stdout.readline().split()
+        for line in _read_lines(caller.stdout, 2, 60):
+            pid, index = line.split()
             pids[int(index)] = int(pid)
         assert len({caller.pid, *pids.values()}) == 3
         caller.kill()
@@ -148,11 +167,9 @@ def test_idle_worker_exits_when_its_caller_dies():
             time.sleep(0.05)
         assert not _running(pids[0])
     finally:
-        caller.kill()
+        try:
+            os.killpg(caller.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
         caller.wait(timeout=10)
         caller.stdout.close()
-        for pid in pids.values():
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
