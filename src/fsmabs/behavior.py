@@ -25,10 +25,9 @@ modules call the codec.  Every memoised result holds codes only, and
 the per-state maps (:func:`past_map`, :func:`future_map`,
 :func:`external_strings_map`) are tuples indexed by state declaration
 index, like the successor table.  ``Window`` objects are decoded where
-the API hands one out (``past_windows``, ``future_windows``,
-``external_strings``, ``DominoSet``, ``AbstractMachine.windows_of`` and
-predicate witnesses), and the codec renders each (code, length) name
-once.
+the API hands one out (``external_strings``, ``DominoSet``,
+``AbstractMachine.windows_of`` and predicate witnesses), and the codec
+renders each (code, length) name once.
 """
 
 from __future__ import annotations
@@ -107,10 +106,6 @@ class Window(Value):
 
     def __str__(self) -> str:
         return self.name
-
-
-def diamond_window(length: int) -> Window:
-    return Window((DIAMOND,) * length)
 
 
 class WindowCodec:
@@ -364,18 +359,6 @@ def future_map(machine: StateMachine, mode: ExternalAlphabet, k: int) -> tuple:
     )
 
 
-def past_windows(machine: StateMachine, mode: ExternalAlphabet, x: str, k: int) -> frozenset:
-    i = machine._index(x)
-    codec = window_codec(machine, mode)
-    return frozenset(codec.decode(w, k) for w in past_map(machine, mode, k)[i])
-
-
-def future_windows(machine: StateMachine, mode: ExternalAlphabet, x: str, k: int) -> frozenset:
-    i = machine._index(x)
-    codec = window_codec(machine, mode)
-    return frozenset(codec.decode(w, k) for w in future_map(machine, mode, k)[i])
-
-
 @derived
 def dominoes(machine: StateMachine, mode: ExternalAlphabet, n: int) -> DominoSet:
     """All n-long external windows the machine can exhibit.
@@ -442,17 +425,15 @@ def external_strings_map(
 class PrefixAutomaton(Value):
     """Deterministic, complete acceptor of a machine's finite prefixes.
 
-    Built by the subset construction over the external alphabet (read off
-    the successor table for a deterministic machine); state 0 is the
-    start and ``sink`` is the unique reject state.  Every non-sink
-    state is accepting (prefix languages are prefix-closed).  Each DFA
-    state is held as the set of its machine state indexes (``_members``);
-    ``subsets`` and ``to_dot`` render them as the machine's state names
-    (``_state_names``) when read; ``repr`` leaves those out.  An acceptor
-    read off a successor table holds its DFA states as machine state
-    indexes (``_found``, None for the sink) and makes their singleton
-    sets only when ``_members`` is first read: by equality, ``subsets``
-    and ``to_dot``, not by the inclusion walk.
+    Built by :func:`prefix_automaton`'s subset construction over the
+    external alphabet; state 0 is the start and ``sink`` is the unique
+    reject state.  Every non-sink state is accepting (prefix languages
+    are prefix-closed).  The library's acceptor holds each DFA state as
+    the ascending tuple of its machine state indexes (``_found``) and
+    makes their sets (``_members``) only when first read: by equality,
+    ``subsets`` and ``to_dot``, not by the inclusion walk.  ``subsets``
+    and ``to_dot`` render them as the machine's state names
+    (``_state_names``); ``repr`` leaves those out.
     """
 
     _fields = ("alphabet", "_members", "table", "sink")
@@ -467,8 +448,8 @@ class PrefixAutomaton(Value):
     @classmethod
     def _of_states(cls, alphabet: tuple, found: tuple, table: tuple, sink: int,
                    _state_names: tuple[str, ...]) -> "PrefixAutomaton":
-        """The acceptor whose DFA states are the machine states ``found``
-        (None for the sink), each standing for its singleton set."""
+        """The acceptor whose DFA states are the ascending tuples of
+        machine state indexes ``found`` (``()`` for the sink)."""
         acceptor = object.__new__(cls)
         acceptor.__dict__.update(
             alphabet=alphabet, _found=found, table=table, sink=sink,
@@ -478,7 +459,7 @@ class PrefixAutomaton(Value):
 
     @cached_property
     def _members(self) -> tuple[frozenset, ...]:
-        return tuple(frozenset() if x is None else frozenset((x,)) for x in self._found)
+        return tuple(map(frozenset, self._found))
 
     def _key(self) -> tuple:
         return (self.alphabet, self._members, self.table, self.sink, self._state_names)
@@ -529,68 +510,43 @@ class PrefixAutomaton(Value):
 
 @derived
 def prefix_automaton(machine: StateMachine, mode: ExternalAlphabet) -> PrefixAutomaton:
-    """The machine's prefix acceptor, by the subset construction; a
-    deterministic machine's is read off its successor table instead
-    (:func:`_deterministic_acceptor`), with the same numbering."""
+    """The machine's prefix acceptor, by one breadth-first subset
+    construction over the successor table.
+
+    Each DFA state is the ascending tuple of its machine state indexes:
+    the start is ``machine._initial`` and ``()`` the sink, appended last
+    when the walk never reaches it.  A one-state subset's row is read off
+    that state's successor row; a larger subset merges its members'
+    targets per symbol."""
     alphabet = window_codec(machine, mode).alphabet
     moves = successors(machine, mode)
-    if is_deterministic(machine, mode):
-        return _deterministic_acceptor(machine, alphabet, moves)
-    start = frozenset(machine._initial)
-    subsets = [start]
-    index = {start: 0}
-    frontier = deque([start])
-    rows: dict[frozenset, list] = {}
-    while frontier:
-        subset = frontier.popleft()
-        targets = [set() for _ in alphabet]
-        for x in subset:
-            for symbol, succ in moves[x]:
-                targets[symbol - 1].update(succ)
-        row = []
-        for succ in map(frozenset, targets):
-            if succ not in index:
-                index[succ] = len(subsets)
-                subsets.append(succ)
-                frontier.append(succ)
-            row.append(index[succ])
-        rows[subset] = row
-    empty = frozenset()
-    if empty not in index:
-        index[empty] = len(subsets)
-        subsets.append(empty)
-    sink = index[empty]
-    rows[empty] = [sink] * len(alphabet)
-    table = tuple(tuple(rows[s]) for s in subsets)
-    return PrefixAutomaton(alphabet, tuple(subsets), table, sink, machine.states)
-
-
-def _deterministic_acceptor(
-    machine: StateMachine, alphabet: tuple, moves: tuple
-) -> PrefixAutomaton:
-    """The subset construction's acceptor of a deterministic machine,
-    without subsets: every subset it reaches is a singleton or empty, so
-    the breadth-first walk runs over states (None for the empty subset,
-    the sink), numbered in the order the construction discovers them."""
-    found = [machine._initial[0]]
+    found = [machine._initial]
     index = {found[0]: 0}
     table = []
-    for x in found:
-        step = {} if x is None else dict(moves[x])
+    for subset in found:
+        if len(subset) == 1:
+            targets = [()] * len(alphabet)
+            for symbol, succ in moves[subset[0]]:
+                targets[symbol - 1] = succ if len(succ) == 1 else tuple(sorted(succ))
+        else:
+            merged = [set() for _ in alphabet]
+            for x in subset:
+                for symbol, succ in moves[x]:
+                    merged[symbol - 1].update(succ)
+            targets = [tuple(sorted(succ)) for succ in merged]
         row = []
-        for symbol in range(1, len(alphabet) + 1):
-            target = step.get(symbol)
-            key = target[0] if target else None
-            if key not in index:
-                index[key] = len(found)
+        for key in targets:
+            i = index.get(key)
+            if i is None:
+                i = index[key] = len(found)
                 found.append(key)
-            row.append(index[key])
+            row.append(i)
         table.append(tuple(row))
-    if None not in index:
-        index[None] = len(found)
-        found.append(None)
-        table.append((index[None],) * len(alphabet))
-    return PrefixAutomaton._of_states(alphabet, tuple(found), tuple(table), index[None],
+    if () not in index:
+        index[()] = len(found)
+        found.append(())
+        table.append((index[()],) * len(alphabet))
+    return PrefixAutomaton._of_states(alphabet, tuple(found), tuple(table), index[()],
                                       machine.states)
 
 

@@ -347,14 +347,6 @@ class StateMachine(Value):
         lo, hi = self._span(x)
         return tuple(self.inputs[u] for u in sorted({r[1] for r in self._rows[lo:hi]}))
 
-    def project_external(self, u: str, y: str):
-        """External symbol of a transition label under this machine's mode."""
-        if u not in self.inputs:
-            raise UnknownInput(f"input {u!r} not declared")
-        if y not in self.outputs:
-            raise UnknownOutput(f"output {y!r} not declared")
-        return self.external.project(u, y)
-
     # -- derived structure -------------------------------------------------
 
     def _reachable(self) -> list:
@@ -373,20 +365,9 @@ class StateMachine(Value):
                     stack.append(x2)
         return seen
 
-    def reachable_states(self) -> tuple[str, ...]:
-        return tuple(s for s, hit in zip(self.states, self._reachable()) if hit)
-
     def digest(self) -> str:
         """Short hash of the machine's file form, printed by reports."""
         return _sha256(dumps(self).encode("utf-8")).hexdigest()[:12]
-
-    def with_external(self, external: ExternalAlphabet) -> "StateMachine":
-        """This machine under another external mode."""
-        if external is self.external:
-            return self
-        return StateMachine._trusted(
-            self.states, self.inputs, self.outputs, self._initial, self._rows, external
-        )
 
 
 def _fill(machine, states, inputs, outputs, initial, external, **extra) -> None:

@@ -211,10 +211,6 @@ def compose(first: Relation, second: Relation) -> Relation:
     )
 
 
-def identity_relation(machine: StateMachine) -> Relation:
-    return _from_table(machine, machine, ((i,) for i in range(len(machine.states))))
-
-
 class SimulationVerdict(Value):
     """Whether a relation is a simulation; on failure, the first failing
     initial state or (pair, transition), and the side that failed."""

@@ -19,8 +19,9 @@ witnesses decode codes into ``Window`` objects.
 source window (:func:`_emission`), and keeps only the successor table it
 fills from them and their count; the machine's ``_rows`` are emitted
 again, from the source, when first read, and its ``_row_groups`` on each
-call, without caching them.  ``standard_realization``
-stays the independent domino recipe, holding its rows.
+call, without caching them; ``==`` and ``hash`` read the rows that way.
+``standard_realization`` stays the independent domino recipe, holding
+its rows.
 """
 
 from __future__ import annotations
@@ -90,15 +91,18 @@ class AbstractMachine(StateMachine):
         position = {w: i for i, (w,) in enumerate(self.cells)}
         return _emission(machine, mode, spec, position)
 
+    def _key(self) -> tuple:
+        """The compared fields, the rows read through ``_row_groups``, so
+        hashing or comparing a built window machine caches no row view."""
+        return (self.states, self.inputs, self.outputs, self._initial,
+                tuple(chain.from_iterable(self._row_groups())), self.external,
+                self.cells, self.window_length)
+
     def codes_of(self, token: str) -> tuple[int, ...]:
         return self.cells[self._index(token)]
 
     def windows_of(self, token: str) -> tuple[Window, ...]:
         return tuple(self.codec.decode(w, self.window_length) for w in self.codes_of(token))
-
-    def single_window_of(self, token: str) -> Window:
-        (only,) = self.windows_of(token)
-        return only
 
 
 def cell_token(codec: WindowCodec, codes, length: int) -> str:
@@ -112,18 +116,6 @@ def _initial_codes(machine: StateMachine, mode: ExternalAlphabet, spec: Interval
     so each code is that of the future."""
     futures = future_map(machine, mode, spec.m)
     return sorted(set().union(*(futures[x0] for x0 in machine._initial)))
-
-
-def initial_windows(
-    machine: StateMachine, mode: ExternalAlphabet, spec: IntervalSpec
-) -> tuple[Window, ...]:
-    """Abstract initial states: windows anchored at a run's time zero.
-
-    The past part is all diamonds (nothing before time zero) and the
-    future part ranges over the m-step futures of the initial states.
-    """
-    codec = window_codec(machine, mode)
-    return tuple(codec.decode(w, spec.l) for w in _initial_codes(machine, mode, spec))
 
 
 def _window_machine(

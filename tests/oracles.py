@@ -18,7 +18,11 @@ canonical partition order.  Two oracles keep the algorithms that faster
 ones replaced, on the library's own window codes: ``naive_abstract_rows``
 is the window join the abstraction builder used before it emitted each
 row once, and ``naive_prefix_automaton`` is the subset construction
-that deterministic machines now skip.
+over frozensets that the library's one construction over ascending
+index tuples replaced.  The test helpers ``past_windows``,
+``future_windows`` and ``initial_windows`` decode the library's own
+maps into ``Window`` sets; ``with_external``, ``diamond_window`` and
+``identity_relation`` build test inputs.
 """
 
 import random
@@ -31,12 +35,15 @@ from fsmabs.behavior import (
     Window,
     _label_codes,
     external_strings_map,
+    future_map,
+    past_map,
     prefix_automaton,
     successors,
     window_codec,
 )
 from fsmabs.machine import DIAMOND, ExternalAlphabet, StateMachine, validate
-from fsmabs.relations import SimulationVerdict
+from fsmabs.relations import Relation, SimulationVerdict, make_relation
+from fsmabs.salca import _initial_codes
 
 
 def window(text: str) -> Window:
@@ -57,16 +64,55 @@ def windows(*texts: str) -> set:
     return {window(t) for t in texts}
 
 
+def diamond_window(length: int) -> Window:
+    return Window((DIAMOND,) * length)
+
+
+def past_windows(machine: StateMachine, mode: ExternalAlphabet, x: str, k: int) -> frozenset:
+    """The k-long histories of runs reaching ``x``, decoded from the
+    library's past map."""
+    i = machine._index(x)
+    codec = window_codec(machine, mode)
+    return frozenset(codec.decode(w, k) for w in past_map(machine, mode, k)[i])
+
+
+def future_windows(machine: StateMachine, mode: ExternalAlphabet, x: str, k: int) -> frozenset:
+    """The k-long label sequences of paths from ``x``, decoded from the
+    library's future map."""
+    i = machine._index(x)
+    codec = window_codec(machine, mode)
+    return frozenset(codec.decode(w, k) for w in future_map(machine, mode, k)[i])
+
+
+def initial_windows(machine: StateMachine, mode: ExternalAlphabet, spec: IntervalSpec) -> tuple:
+    """The windows the window abstraction starts from, decoded: an
+    all-diamond past before an m-step future of an initial state."""
+    codec = window_codec(machine, mode)
+    return tuple(codec.decode(w, spec.l) for w in _initial_codes(machine, mode, spec))
+
+
+def with_external(machine: StateMachine, external: ExternalAlphabet) -> StateMachine:
+    """The machine under another external mode."""
+    if external is machine.external:
+        return machine
+    return StateMachine._trusted(
+        machine.states, machine.inputs, machine.outputs, machine._initial, machine._rows, external
+    )
+
+
+def identity_relation(machine: StateMachine) -> Relation:
+    return make_relation(machine, machine, [(x, x) for x in machine.states])
+
+
 def enumerate_prefixes(machine: StateMachine, mode: ExternalAlphabet, depth: int) -> set:
     """All external label strings of runs from an initial state, length <= depth."""
-    m = machine.with_external(mode)
     result = {()}
-    frontier = {(x0, ()) for x0 in m.initial}
+    frontier = {(x0, ()) for x0 in machine.initial}
     for _ in range(depth):
         nxt = set()
         for x, word in frontier:
-            for _, u, y, x2 in m.outgoing(x):
-                extended = word + (m.project_external(u, y),)
+            for _, u, y, x2 in machine.outgoing(x):
+                extended = word + (_project(mode, u, y),)
                 result.add(extended)
                 nxt.add((x2, extended))
         frontier = nxt
@@ -75,13 +121,12 @@ def enumerate_prefixes(machine: StateMachine, mode: ExternalAlphabet, depth: int
 
 def enumerate_runs(machine: StateMachine, mode: ExternalAlphabet, depth: int):
     """All runs of exactly ``depth`` steps as (state sequence, label sequence)."""
-    m = machine.with_external(mode)
-    runs = [((x0,), ()) for x0 in m.initial]
+    runs = [((x0,), ()) for x0 in machine.initial]
     for _ in range(depth):
         nxt = []
         for states, labels in runs:
-            for _, u, y, x2 in m.outgoing(states[-1]):
-                nxt.append((states + (x2,), labels + (m.project_external(u, y),)))
+            for _, u, y, x2 in machine.outgoing(states[-1]):
+                nxt.append((states + (x2,), labels + (_project(mode, u, y),)))
         runs = nxt
     return runs
 
@@ -168,7 +213,6 @@ def naive_behavior_included(
 ) -> InclusionVerdict:
     """Reference inclusion: breadth-first search of ``left``'s own states
     against ``right``'s prefix DFA for the shortest rejected prefix."""
-    left = left.with_external(mode)
     acceptor = prefix_automaton(right, mode)
     queue = deque()
     parents: dict = {}
@@ -181,7 +225,7 @@ def naive_behavior_included(
         pair = queue.popleft()
         x, acc = pair
         for _, u, y, x2 in left.outgoing(x):
-            symbol = left.project_external(u, y)
+            symbol = _project(mode, u, y)
             nxt = acceptor.step(acc, symbol)
             if nxt == acceptor.sink:
                 word = [symbol]

@@ -10,13 +10,10 @@ from fsmabs.behavior import (
     Window,
     behavior_equal,
     behavior_included,
-    diamond_window,
     dominoes,
     external_strings,
     external_strings_map,
-    future_windows,
     is_deterministic,
-    past_windows,
     prefix_automaton,
     saturation_check,
     successors,
@@ -32,14 +29,17 @@ from fsmabs.salca import build_abstract_machine
 from .conftest import ACCEPTANCE_HEAD, UY, Y, reversed_labels
 from .oracles import (
     _succ_by_symbol,
+    diamond_window,
     enumerate_prefixes,
     enumerate_visit_windows,
+    future_windows,
     naive_behavior_included,
     naive_dominoes,
     naive_external_strings_map,
     naive_future_map,
     naive_m_step_pairs,
     naive_past_map,
+    past_windows,
     window,
     window_sort_key,
     windows,
@@ -476,7 +476,7 @@ def test_window_codes_match_tuple_oracles_on_fuzz_corpus(mode):
                 realized = sorted({w for ws in expected.values() for w in ws}, key=key)
                 built = build_abstract_machine(machine, mode, spec)
                 assert built.states == tuple(w.name for w in realized)
-                assert tuple(built.single_window_of(tok) for tok in built.states) == tuple(realized)
+                assert tuple(map(built.windows_of, built.states)) == tuple((w,) for w in realized)
                 if m < l:
                     canon = canonical_relation(CanonicalKind.M_STEP, machine, mode, l, m)
                     assert set(canon.pairs) == naive_m_step_pairs(machine, mode, l, m)

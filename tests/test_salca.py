@@ -6,8 +6,6 @@ from fsmabs.behavior import (
     Window,
     behavior_equal,
     external_strings,
-    future_windows,
-    past_windows,
 )
 from fsmabs.errors import InvalidSpec, NotAccepted, UnknownState
 from fsmabs.fuzz import machine_stream
@@ -16,7 +14,6 @@ from fsmabs.qba import build_quotient_machine
 from fsmabs.salca import (
     AbstractMachine,
     build_abstract_machine,
-    initial_windows,
     is_async_l_complete,
     is_future_unique,
     is_sbalc,
@@ -25,7 +22,7 @@ from fsmabs.salca import (
 )
 
 from .conftest import ACCEPTANCE_HEAD, UY, Y
-from .oracles import enumerate_prefixes, window
+from .oracles import enumerate_prefixes, future_windows, initial_windows, past_windows, window
 
 
 # -- construction --------------------------------------------------------------
@@ -125,7 +122,7 @@ def test_initial_windows_anchor_at_time_zero():
 
 def test_window_map_tracks_states(fig_machine):
     a = build_abstract_machine(fig_machine, Y, IntervalSpec(2, 2))
-    assert a.single_window_of("y3.y4") == window("y3 y4")
+    assert a.windows_of("y3.y4") == (window("y3 y4"),)
     assert a.windows_of("y1.y2") == (window("y1 y2"),)
 
 
@@ -139,7 +136,7 @@ def test_undeclared_state_raises_unknown_state(fig_machine, token):
         build_quotient_machine(fig_machine, 2),
     )
     for built in abstractions:
-        for accessor in (built.codes_of, built.windows_of, built.single_window_of):
+        for accessor in (built.codes_of, built.windows_of):
             with pytest.raises(UnknownState):
                 accessor(token)
     for machine in (fig_machine, *abstractions):
@@ -327,5 +324,5 @@ def test_strict_past_machine_is_deterministic(fig_machine):
         for x in a.states:
             seen = {}
             for _, u, y, x2 in a.outgoing(x):
-                symbol = a.project_external(u, y)
+                symbol = Y.project(u, y)
                 assert seen.setdefault(symbol, x2) == x2

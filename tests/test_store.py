@@ -1,31 +1,49 @@
 """One transition store per window abstraction.
 
 The abstraction builder fills the successor table and keeps no rows;
-``_rows`` is emitted again when read.  The builder's abstractions skip
-the liveness scan, a deterministic machine's prefix acceptor skips the
-subset construction, and the greatest fixpoint holds partner sets.  Each
-is checked here against the algorithm it replaced (``tests/oracles.py``),
-on the acceptance head and on the window-sweep machine.  The law battery
-checks its relations on the successor tables, so it leaves no row view
-and no pair list behind, and its memory peak per machine is bounded.
+``_rows`` is emitted again when read, and hashing or comparing a built
+abstraction reads them without caching them.  The builder's
+abstractions skip the liveness scan, the prefix acceptor holds its DFA
+states as index tuples, and the greatest fixpoint holds partner sets.
+Each is checked here against the algorithm it replaced
+(``tests/oracles.py``), on the acceptance head, on wide machines and on
+the window-sweep machine.  The law battery checks its relations on the
+successor tables, so it leaves no row view and no pair list behind, and
+its memory peak per machine is bounded; so is the memory an acceptor
+holds.
 """
 
 import tracemalloc
+from itertools import chain
 
 import pytest
 
 from fsmabs import cli
 from fsmabs.analysis import scope
-from fsmabs.behavior import IntervalSpec, is_deterministic, prefix_automaton, successors
+from fsmabs.behavior import (
+    IntervalSpec,
+    PrefixAutomaton,
+    behavior_included,
+    is_deterministic,
+    prefix_automaton,
+    successors,
+)
 from fsmabs.errors import NotAccepted
 from fsmabs.fuzz import FuzzConfig, _check, machine_stream
 from fsmabs.laws import check_laws
 from fsmabs.machine import StateMachine, _unreachable_and_dead, dumps
 from fsmabs.qba import build_quotient_machine
-from fsmabs.relations import Relation, greatest_bisimulation, greatest_simulation, simulates
+from fsmabs.relations import (
+    CanonicalKind,
+    Relation,
+    canonical_relation,
+    greatest_bisimulation,
+    greatest_simulation,
+    simulates,
+)
 from fsmabs.salca import AbstractMachine, build_abstract_machine
 
-from .conftest import ACCEPTANCE_HEAD, UY, Y, sweep_machine
+from .conftest import ACCEPTANCE_HEAD, UY, Y, sweep_machine, wide_machine
 from .oracles import (
     naive_abstract_rows,
     naive_greatest_bisimulation,
@@ -67,21 +85,25 @@ def test_rows_view_equals_join_on_sweep_machine(l):
 
 
 def _acceptor_matches(machine: StateMachine, mode, l: int) -> tuple:
-    """The strict past's acceptor equals the subset construction's, and
-    so does the source's; the strict past's sink and number of states."""
+    """The acceptors of the strict past, the full future, the quotient
+    and the source equal the frozenset subset construction's; the strict
+    past's sink and number of states."""
     with scope():
         strict_past = build_abstract_machine(machine, mode, IntervalSpec(l, 0))
         assert is_deterministic(strict_past, mode)
         acceptor = prefix_automaton(strict_past, mode)
         assert acceptor == naive_prefix_automaton(strict_past, mode)
         assert all(len(members) <= 1 for members in acceptor._members)
-        assert prefix_automaton(machine, mode) == naive_prefix_automaton(machine, mode)
+        # nondeterministic machines, whose acceptors merge subsets
+        full_future = build_abstract_machine(machine, mode, IntervalSpec(l, l))
+        for other in (full_future, build_quotient_machine(machine, l), machine):
+            assert prefix_automaton(other, mode) == naive_prefix_automaton(other, mode)
         return acceptor.sink, len(acceptor.table)
 
 
 def test_deterministic_acceptor_on_acceptance_head():
     sinks = set()
-    for machine in machine_stream(ACCEPTANCE_HEAD):
+    for machine in [*machine_stream(ACCEPTANCE_HEAD), wide_machine(30, 1), wide_machine(60, 1)]:
         for mode in (Y, UY):
             for l in (1, 2, 3):
                 sink, size = _acceptor_matches(machine, mode, l)
@@ -93,6 +115,51 @@ def test_deterministic_acceptor_on_acceptance_head():
 @pytest.mark.parametrize("l", range(1, 7))
 def test_deterministic_acceptor_on_sweep_machine(l):
     _acceptor_matches(SWEEP, Y, l)
+
+
+def test_acceptor_memory_held():
+    # CPython 3.11.7: 2.85 MB with frozenset subsets and their index,
+    # 0.79 MB with ascending index tuples.
+    machine = wide_machine(60, 1)
+    with scope() as current:
+        successors(machine, Y)
+        tracemalloc.start()
+        try:
+            prefix_automaton(machine, Y)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.5e6
+        # the inclusion walk reads the tables, not the members' sets
+        strict_past = build_abstract_machine(machine, Y, IntervalSpec(2, 0))
+        assert behavior_included(machine, strict_past, Y)
+        assert behavior_included(strict_past, machine, Y).counterexample is not None
+        acceptors = [
+            value
+            for _, results in current._tables.values()
+            for value in results.values()
+            if isinstance(value, PrefixAutomaton)
+        ]
+        assert len(acceptors) == 2
+        assert [a for a in acceptors if "_members" in a.__dict__] == []
+
+
+def test_hashing_and_comparing_keep_no_row_views():
+    with scope():
+        relation = canonical_relation(CanonicalKind.L_STEP, SWEEP, Y, 6, 0)
+        hash(relation)
+        built = build_abstract_machine(SWEEP, Y, IntervalSpec(4, 2))
+        rows = chain.from_iterable(built._row_groups())
+        copy = AbstractMachine(
+            built.states, built.inputs, built.outputs, built.initial,
+            tuple(map(built._transition, rows)), built.external,
+            built.cells, built.codec, built.window_length,
+        )
+        assert copy == built and built == copy
+        assert hash(copy) == hash(built)
+        endpoints = [relation.left, relation.right, built]
+        assert all("_source" in m.__dict__ for m in endpoints)
+        assert [m for m in endpoints if "_rows" in m.__dict__] == []
 
 
 def test_comparison_keeps_one_store_per_window_abstraction():
