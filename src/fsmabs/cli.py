@@ -338,7 +338,7 @@ def cmd_fuzz(args) -> int:
     for index, name, detail, small in report.failures:
         lines.append(
             f"violation: machine {index} law {name}: {detail} "
-            f"(shrunk to {len(small.states)} states, {len(small._rows)} transitions)"
+            f"(shrunk to {len(small.states)} states, {small.row_count} transitions)"
         )
     sys.stdout.write("\n".join(lines) + "\n")
     return 1 if args.strict and report.failures else 0

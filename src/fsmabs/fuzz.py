@@ -1,11 +1,12 @@
 """Seeded random machine generation, law checking, and shrinking.
 
-Machines are generated in a factored form (per-state output sets and
-per-(state, input) successor sets) whose product is separable by
-construction; generation retries until the machine is also live and
-reachable.  Given one seed the sequence of machines is fully
-deterministic.  Only checking laws loads the law module: drawing
-machines needs no law.
+A machine is drawn as rows, the product of per-state outputs and
+per-(state, input) successors, so it is separable by construction;
+generation retries until it is also live and reachable.  A shrink
+candidate is a machine less one group of rows.  Both are built on the
+trusted row path (``StateMachine._trusted``).  Given one seed the
+sequence of machines is fully deterministic.  Only checking laws loads
+the law module: drawing machines needs no law.
 """
 
 from __future__ import annotations
@@ -36,43 +37,26 @@ class FuzzConfig(Value):
                              max_inputs=max_inputs, max_outputs=max_outputs, levels=levels)
 
 
-def _assemble(states, inputs, outputs, initial, admissible, successors):
-    transitions = []
-    for x in states:
-        for u in inputs:
-            for x2 in successors.get((x, u), ()):
-                for y in admissible[x]:
-                    transitions.append((x, u, y, x2))
-    return StateMachine(
-        states=tuple(states),
-        inputs=tuple(inputs),
-        outputs=tuple(outputs),
-        initial=tuple(initial),
-        transitions=tuple(transitions),
-    )
-
-
 def random_machine(rng: random.Random, config: FuzzConfig) -> StateMachine:
-    """One accepted machine; retries draws until live and reachable."""
+    """One accepted machine, drawn as rows; retries until live and reachable."""
     while True:
         n_states = rng.randint(1, config.max_states)
         n_inputs = rng.randint(1, config.max_inputs)
         n_outputs = rng.randint(1, config.max_outputs)
-        states = [f"s{i}" for i in range(n_states)]
-        inputs = [f"u{i}" for i in range(n_inputs)]
-        outputs = [f"y{i}" for i in range(n_outputs)]
-
-        admissible = {
-            x: rng.sample(outputs, rng.randint(1, min(2, n_outputs))) for x in states
-        }
-        successors = {}
-        for x in states:
-            enabled = rng.sample(inputs, rng.randint(1, n_inputs))
-            for u in enabled:
-                successors[(x, u)] = rng.sample(states, rng.randint(1, min(2, n_states)))
-        initial = rng.sample(states, rng.randint(1, n_states))
-
-        machine = _assemble(states, inputs, outputs, initial, admissible, successors)
+        admissible = [
+            rng.sample(range(n_outputs), rng.randint(1, min(2, n_outputs)))
+            for _ in range(n_states)
+        ]
+        rows = []
+        for x in range(n_states):
+            for u in rng.sample(range(n_inputs), rng.randint(1, n_inputs)):
+                for x2 in rng.sample(range(n_states), rng.randint(1, min(2, n_states))):
+                    rows.extend((x, u, y, x2) for y in admissible[x])
+        initial = sorted(rng.sample(range(n_states), rng.randint(1, n_states)))
+        machine = StateMachine._trusted(
+            tuple(f"s{i}" for i in range(n_states)), tuple(f"u{i}" for i in range(n_inputs)),
+            tuple(f"y{i}" for i in range(n_outputs)), initial, rows, ExternalAlphabet.OUTPUTS_ONLY,
+        )
         with scope():  # a rejected draw leaves nothing behind
             if validate(machine).accepted:
                 return machine
@@ -88,61 +72,54 @@ def machine_stream(config: FuzzConfig):
 # -- shrinking ----------------------------------------------------------------
 
 
-def _factored_form(machine: StateMachine):
-    admissible = {x: list(machine.admissible_outputs(x)) for x in machine.states}
-    successors = {}
-    for x in machine.states:
-        for u in machine.enabled_inputs(x):
-            successors[(x, u)] = list(machine.post_states(x, u))
-    return admissible, successors
-
-
 def _candidates(machine: StateMachine):
-    """Smaller accepted machines: drop a successor, an output, or a state."""
-    admissible, successors = _factored_form(machine)
+    """Smaller machines, each ``machine`` less one group of rows: one
+    successor of a (state, input) that has several; a whole (state,
+    input); one output of a state that has several; a state and every row
+    that touches it, the later states reindexed.  Pairs and states come
+    in name order, what each drops in declaration order.  On an accepted,
+    so separable, machine each candidate is the product of the smaller
+    outputs and successors."""
+    states, rows = machine.states, machine._rows
+    outputs = [set() for _ in states]
+    targets: dict = {}
+    for x, u, y, x2 in rows:
+        outputs[x].add(y)
+        targets.setdefault((x, u), set()).add(x2)
+    pairs = sorted(targets, key=lambda pair: (states[pair[0]], machine.inputs[pair[1]]))
 
-    def variant(adm, succ):
-        """The machine with its outputs and successors replaced."""
-        return _assemble(
-            machine.states, machine.inputs, machine.outputs, machine.initial, adm, succ
+    def less(kept, names=states, initial=machine._initial):
+        return StateMachine._trusted(
+            names, machine.inputs, machine.outputs, initial, kept, machine.external
         )
 
-    for key in sorted(successors):
-        if len(successors[key]) > 1:
-            for drop in successors[key]:
-                smaller = dict(successors)
-                smaller[key] = [s for s in successors[key] if s != drop]
-                yield variant(admissible, smaller)
-    for key in sorted(successors):
-        smaller = dict(successors)
-        del smaller[key]
-        yield variant(admissible, smaller)
-    for x in sorted(admissible):
-        if len(admissible[x]) > 1:
-            for drop in admissible[x]:
-                smaller = dict(admissible)
-                smaller[x] = [y for y in admissible[x] if y != drop]
-                yield variant(smaller, successors)
-    for victim in machine.states:
-        kept = [x for x in machine.states if x != victim]
-        initial = [x for x in machine.initial if x != victim]
-        if not kept or not initial:
+    for x, u in pairs:
+        if len(targets[x, u]) > 1:
+            for drop in sorted(targets[x, u]):
+                yield less([r for r in rows if r[:2] != (x, u) or r[3] != drop])
+    for x, u in pairs:
+        yield less([r for r in rows if r[:2] != (x, u)])
+    for x in sorted(range(len(states)), key=states.__getitem__):
+        if len(outputs[x]) > 1:
+            for drop in sorted(outputs[x]):
+                yield less([r for r in rows if r[0] != x or r[2] != drop])
+    for victim in range(len(states)):
+        initial = [x0 - (x0 > victim) for x0 in machine._initial if x0 != victim]
+        if len(states) == 1 or not initial:
             continue
-        smaller_succ = {
-            key: [s for s in value if s != victim]
-            for key, value in successors.items()
-            if key[0] != victim
-        }
-        smaller_succ = {k: v for k, v in smaller_succ.items() if v}
-        smaller_adm = {x: admissible[x] for x in kept}
-        yield _assemble(
-            kept, machine.inputs, machine.outputs, initial, smaller_adm, smaller_succ
+        yield less(
+            [(x - (x > victim), u, y, x2 - (x2 > victim))
+             for x, u, y, x2 in rows if victim not in (x, x2)],
+            states[:victim] + states[victim + 1:],
+            initial,
         )
 
 
 def shrink_counterexample(machine: StateMachine, law_name: str, levels) -> StateMachine:
     """Greedily minimize a machine while the named law still fails.
 
+    ``machine`` must be accepted, as stream machines are; the search moves
+    only to accepted candidates, whose :func:`_candidates` are row filters.
     Each candidate is checked in its own scope, so the derived data of a
     rejected candidate dies with it.
     """

@@ -8,10 +8,13 @@ iteration are deterministic.
 A machine stores delta as *rows*: integer 4-tuples (src, u, y, dst) over
 the declaration indexes of its states, inputs and outputs, deduplicated
 and sorted as plain integers.  The public constructor validates its name
-arguments and turns them into rows.  The abstraction builders use the
-trusted path ``StateMachine._trusted`` instead: their alphabets come from
-an already-validated machine and their state names are rendered by the
-window codec, so no name is checked again.  The enabled-set operators,
+arguments and turns them into rows; it serves outside input only, the
+file format (:func:`from_dict`) and public callers.  Every machine the
+program makes uses the trusted path ``StateMachine._trusted`` instead:
+the abstraction builders, whose alphabets come from an already-validated
+machine and whose state names are rendered by the window codec, and the
+fuzz stream's drawn and shrunk machines, built from index rows, so no
+name is checked again.  The enabled-set operators,
 the reachability and liveness scan and :func:`validate` read the rows;
 ``transitions``, the name 4-tuples in row order, is rendered on first
 read, by the file format, DOT output and callers that ask for it, and
@@ -80,8 +83,9 @@ def frozen(self, name, *value):
 class Value:
     """An immutable value with a frozen dataclass's ``==``, ``hash`` and
     ``repr`` over the fields ``_fields`` names, in order.  ``_key`` holds
-    the compared values; a class hashed and compared in hot loops spells
-    it out.  Instances of different classes never compare equal."""
+    the compared and shown values; a class hashed and compared in hot
+    loops spells it out.  Instances of different classes never compare
+    equal."""
 
     _fields: tuple[str, ...] = ()
 
@@ -97,7 +101,7 @@ class Value:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
         return f"{type(self).__qualname__}({shown})"
 
     __setattr__ = __delattr__ = frozen
@@ -256,8 +260,10 @@ class StateMachine(Value):
     @classmethod
     def _trusted(cls, states, inputs, outputs, initial, rows, external, **extra):
         """The machine of already-valid parts, without the name checks of
-        the constructor: ``inputs`` and ``outputs`` come from a validated
-        machine, ``states`` are distinct rendered names, ``initial`` are
+        the constructor: an abstraction, a machine the fuzz stream draws
+        or shrinks, or a forked worker's shrunk machine.  ``inputs`` and
+        ``outputs`` are distinct valid names, from a validated machine or
+        generated, ``states`` are distinct rendered names, ``initial`` are
         ascending state indexes and ``rows`` are index 4-tuples over
         them, in any order and possibly repeated, or None for a subclass
         that derives ``_rows`` when read.  ``extra`` sets the fields a

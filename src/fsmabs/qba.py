@@ -173,10 +173,9 @@ def fibers(machine: StateMachine, l: int) -> tuple:
 
 
 def fiber_partition(machine: StateMachine, l: int) -> Partition:
-    """The fibers at l as a partition in canonical form: members in
-    declaration order, cells in the order of their first member."""
-    cells = sorted(members for _, members in fibers(machine, l))
-    return Partition(tuple(tuple(machine.states[x] for x in cell) for cell in cells), level=l)
+    """The states grouped by their (l, l) window sets, the l-step futures,
+    as a partition in canonical form (:func:`_grouped`)."""
+    return _grouped(machine, external_strings_map(machine, _Y, IntervalSpec(l, l)), l)
 
 
 @derived

@@ -72,7 +72,6 @@ from .machine import (
     frozen,
     require_comparable,
     require_live_reachable,
-    to_dict,
 )
 from .qba import build_quotient_machine, fibers
 from .salca import build_abstract_machine
@@ -182,8 +181,15 @@ def make_relation(left: StateMachine, right: StateMachine, pairs) -> Relation:
 
 def _same_machine(bound: StateMachine, given: StateMachine) -> bool:
     """Whether ``given`` is the endpoint ``bound`` or has its content (the
-    fields the file format writes), as an equal machine reloaded has."""
-    return bound is given or to_dict(bound) == to_dict(given)
+    fields the file format writes), as an equal machine reloaded has.  The
+    rows are read through ``_row_groups``, so a built window machine
+    renders and caches no row view."""
+    if bound is given:
+        return True
+    if any(getattr(bound, name) != getattr(given, name)
+           for name in ("states", "inputs", "outputs", "_initial", "external")):
+        return False
+    return all(tuple(a) == tuple(b) for a, b in zip(bound._row_groups(), given._row_groups()))
 
 
 def _check_binding(relation: Relation, left: StateMachine, right: StateMachine) -> None:

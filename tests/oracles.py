@@ -19,15 +19,20 @@ ones replaced, on the library's own window codes: ``naive_abstract_rows``
 is the window join the abstraction builder used before it emitted each
 row once, and ``naive_prefix_automaton`` is the subset construction
 over frozensets that the library's one construction over ascending
-index tuples replaced.  The test helpers ``past_windows``,
-``future_windows`` and ``initial_windows`` decode the library's own
-maps into ``Window`` sets; ``with_external``, ``diamond_window`` and
+index tuples replaced.  ``naive_random_machine`` and
+``naive_shrink_candidates`` keep the name-level fuzz machines: each
+machine the product of per-state outputs and per-(state, input)
+successors, multiplied out by name through the validating constructor,
+as ``fsmabs.fuzz`` drew and shrank them before it worked on rows.  The
+test helpers ``past_windows``, ``future_windows`` and ``initial_windows``
+decode the library's own maps into ``Window`` sets; ``with_external``, ``diamond_window`` and
 ``identity_relation`` build test inputs.
 """
 
 import random
 from collections import deque
 
+from fsmabs.analysis import scope
 from fsmabs.behavior import (
     InclusionVerdict,
     IntervalSpec,
@@ -572,3 +577,91 @@ def naive_prefix_automaton(machine: StateMachine, mode: ExternalAlphabet) -> Pre
     rows[empty] = [sink] * len(alphabet)
     table = tuple(tuple(rows[s]) for s in subsets)
     return PrefixAutomaton(alphabet, tuple(subsets), table, sink, machine.states)
+
+
+# -- fuzz machines by name ------------------------------------------------------------
+
+
+def _naive_assemble(states, inputs, outputs, initial, admissible, successors) -> StateMachine:
+    """The product of per-state outputs and per-(state, input) successors,
+    built by name through the validating constructor."""
+    transitions = []
+    for x in states:
+        for u in inputs:
+            for x2 in successors.get((x, u), ()):
+                for y in admissible[x]:
+                    transitions.append((x, u, y, x2))
+    return StateMachine(tuple(states), tuple(inputs), tuple(outputs), tuple(initial),
+                        tuple(transitions))
+
+
+def naive_random_machine(rng: random.Random, config) -> StateMachine:
+    """``fuzz.random_machine`` drawn by name: the same random calls on name
+    lists, the product multiplied out by name."""
+    while True:
+        n_states = rng.randint(1, config.max_states)
+        n_inputs = rng.randint(1, config.max_inputs)
+        n_outputs = rng.randint(1, config.max_outputs)
+        states = [f"s{i}" for i in range(n_states)]
+        inputs = [f"u{i}" for i in range(n_inputs)]
+        outputs = [f"y{i}" for i in range(n_outputs)]
+        admissible = {
+            x: rng.sample(outputs, rng.randint(1, min(2, n_outputs))) for x in states
+        }
+        successors = {}
+        for x in states:
+            for u in rng.sample(inputs, rng.randint(1, n_inputs)):
+                successors[(x, u)] = rng.sample(states, rng.randint(1, min(2, n_states)))
+        initial = rng.sample(states, rng.randint(1, n_states))
+        machine = _naive_assemble(states, inputs, outputs, initial, admissible, successors)
+        with scope():
+            if validate(machine).accepted:
+                return machine
+
+
+def naive_shrink_candidates(machine: StateMachine):
+    """``fuzz._candidates`` by name: the machine split into its per-state
+    outputs and per-(state, input) successors, and each candidate the
+    product of a smaller split, in the same order."""
+    admissible = {x: list(machine.admissible_outputs(x)) for x in machine.states}
+    successors = {}
+    for x in machine.states:
+        for u in machine.enabled_inputs(x):
+            successors[(x, u)] = list(machine.post_states(x, u))
+
+    def variant(adm, succ):
+        return _naive_assemble(
+            machine.states, machine.inputs, machine.outputs, machine.initial, adm, succ
+        )
+
+    for key in sorted(successors):
+        if len(successors[key]) > 1:
+            for drop in successors[key]:
+                smaller = dict(successors)
+                smaller[key] = [s for s in successors[key] if s != drop]
+                yield variant(admissible, smaller)
+    for key in sorted(successors):
+        smaller = dict(successors)
+        del smaller[key]
+        yield variant(admissible, smaller)
+    for x in sorted(admissible):
+        if len(admissible[x]) > 1:
+            for drop in admissible[x]:
+                smaller = dict(admissible)
+                smaller[x] = [y for y in admissible[x] if y != drop]
+                yield variant(smaller, successors)
+    for victim in machine.states:
+        kept = [x for x in machine.states if x != victim]
+        initial = [x for x in machine.initial if x != victim]
+        if not kept or not initial:
+            continue
+        smaller_succ = {
+            key: [s for s in value if s != victim]
+            for key, value in successors.items()
+            if key[0] != victim
+        }
+        smaller_succ = {k: v for k, v in smaller_succ.items() if v}
+        smaller_adm = {x: admissible[x] for x in kept}
+        yield _naive_assemble(
+            kept, machine.inputs, machine.outputs, initial, smaller_adm, smaller_succ
+        )

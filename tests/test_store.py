@@ -8,9 +8,9 @@ states as index tuples, and the greatest fixpoint holds partner sets.
 Each is checked here against the algorithm it replaced
 (``tests/oracles.py``), on the acceptance head, on wide machines and on
 the window-sweep machine.  The law battery checks its relations on the
-successor tables, so it leaves no row view and no pair list behind, and
-its memory peak per machine is bounded; so is the memory an acceptor
-holds.
+successor tables, so it leaves no row view and no pair list behind,
+nor do ``repr`` and a relation's endpoint check; the battery's memory
+peak per machine is bounded; so is the memory an acceptor holds.
 """
 
 import tracemalloc
@@ -40,6 +40,7 @@ from fsmabs.relations import (
     greatest_bisimulation,
     greatest_simulation,
     simulates,
+    verify_simulation,
 )
 from fsmabs.salca import AbstractMachine, build_abstract_machine
 
@@ -160,6 +161,30 @@ def test_hashing_and_comparing_keep_no_row_views():
         endpoints = [relation.left, relation.right, built]
         assert all("_source" in m.__dict__ for m in endpoints)
         assert [m for m in endpoints if "_rows" in m.__dict__] == []
+
+
+def test_repr_keeps_no_row_view():
+    with scope():
+        built = build_abstract_machine(SWEEP, Y, IntervalSpec(6, 0))
+        text = repr(built)
+        assert "_rows" not in built.__dict__
+        built._rows
+        assert repr(built) == text
+
+
+def test_endpoint_binding_keeps_no_row_view():
+    """A relation bound to one build checks against an equal build from
+    another scope without rendering either machine."""
+    spec = IntervalSpec(5, 0)
+    with scope():
+        bound = build_abstract_machine(SWEEP, Y, spec)
+        relation = greatest_simulation(bound, bound, Y)
+    with scope():
+        equal = build_abstract_machine(SWEEP, Y, spec)
+        assert equal is not bound
+        assert verify_simulation(equal, equal, Y, relation)
+    held = [m for m in (bound, equal) for name in ("_rows", "transitions") if name in m.__dict__]
+    assert held == []
 
 
 def test_comparison_keeps_one_store_per_window_abstraction():
