@@ -260,15 +260,12 @@ class DominoSet:
 
 
 @derived
-def _label_codes(
-    target: StateMachine, mode: ExternalAlphabet, inputs: tuple, outputs: tuple
-) -> tuple:
-    """``codes[u][y]``: the code, in ``target``'s codec, of the external
-    symbol of the label (inputs[u], outputs[y]), so a row over these
-    alphabets finds its symbol by two indexings.  Compatible machines may
-    declare their alphabets in different orders."""
-    code = window_codec(target, mode).code
-    return tuple(tuple(code(mode.project(u, y)) for y in outputs) for u in inputs)
+def _label_codes(machine: StateMachine, mode: ExternalAlphabet) -> tuple:
+    """``codes[u][y]``: the code, in the machine's codec, of the external
+    symbol of its label (inputs[u], outputs[y]), so one of its rows finds
+    its symbol by two indexings."""
+    code = window_codec(machine, mode).code
+    return tuple(tuple(code(mode.project(u, y)) for y in machine.outputs) for u in machine.inputs)
 
 
 def _table_row(codes: tuple, rows) -> tuple:
@@ -296,7 +293,7 @@ def successors(machine: StateMachine, mode: ExternalAlphabet) -> tuple:
     """
     if machine._table is not None and mode is machine.external:
         return machine._table
-    codes = _label_codes(machine, mode, machine.inputs, machine.outputs)
+    codes = _label_codes(machine, mode)
     return tuple(_table_row(codes, rows) for rows in machine._row_groups())
 
 
@@ -428,8 +425,8 @@ class PrefixAutomaton(Value):
     Built by :func:`prefix_automaton`'s subset construction over the
     external alphabet; state 0 is the start and ``sink`` is the unique
     reject state.  Every non-sink state is accepting (prefix languages
-    are prefix-closed).  The library's acceptor holds each DFA state as
-    the ascending tuple of its machine state indexes (``_found``) and
+    are prefix-closed).  The acceptor holds each DFA state's machine state
+    indexes as given (``_found``; the library gives ascending tuples) and
     makes their sets (``_members``) only when first read: by equality,
     ``subsets`` and ``to_dot``, not by the inclusion walk.  ``subsets``
     and ``to_dot`` render them as the machine's state names
@@ -438,24 +435,12 @@ class PrefixAutomaton(Value):
 
     _fields = ("alphabet", "_members", "table", "sink")
 
-    def __init__(self, alphabet: tuple, _members: tuple[frozenset, ...],
+    def __init__(self, alphabet: tuple, _members: tuple,
                  table: tuple[tuple[int, ...], ...], sink: int, _state_names: tuple[str, ...]):
         self.__dict__.update(
-            alphabet=alphabet, _members=_members, table=table, sink=sink,
+            alphabet=alphabet, _found=_members, table=table, sink=sink,
             _state_names=_state_names, _columns={s: i for i, s in enumerate(alphabet)},
         )
-
-    @classmethod
-    def _of_states(cls, alphabet: tuple, found: tuple, table: tuple, sink: int,
-                   _state_names: tuple[str, ...]) -> "PrefixAutomaton":
-        """The acceptor whose DFA states are the ascending tuples of
-        machine state indexes ``found`` (``()`` for the sink)."""
-        acceptor = object.__new__(cls)
-        acceptor.__dict__.update(
-            alphabet=alphabet, _found=found, table=table, sink=sink,
-            _state_names=_state_names, _columns={s: i for i, s in enumerate(alphabet)},
-        )
-        return acceptor
 
     @cached_property
     def _members(self) -> tuple[frozenset, ...]:
@@ -546,8 +531,7 @@ def prefix_automaton(machine: StateMachine, mode: ExternalAlphabet) -> PrefixAut
         index[()] = len(found)
         found.append(())
         table.append((index[()],) * len(alphabet))
-    return PrefixAutomaton._of_states(alphabet, tuple(found), tuple(table), index[()],
-                                      machine.states)
+    return PrefixAutomaton(alphabet, tuple(found), tuple(table), index[()], machine.states)
 
 
 #: The derived functions whose results on a machine no window length

@@ -5,12 +5,16 @@ returns None on success or a short description of the first violation.
 The random-machine driver treats any violation as a defect in this
 package, never as an interesting finding about the machine.
 
-The twelve canonical-relation laws are rows of one table, read by one
-checker (:func:`_relation_law`): at each site (mode, l, m) of a site
-grid, the canonical relation of the row's kind, or its inverse, is a
-simulation exactly when the row's predicate holds (always, when the row
-has none); a violation reports the first site where verdict and
-predicate disagree.  The other laws are written out as functions.
+Every law but one is a row of one table (``LAWS``), read by one checker
+(:func:`_site_law`): it visits the sites (mode, l, m) of the row's site
+grid in order, and at the first site where the row's ``broken`` check
+is truthy it reports the row's detail template, formatted with that
+site and with what the check returned there.  The twelve
+canonical-relation rows share one check (:func:`_relation_law`): the
+canonical relation of the row's kind, or its inverse, is a simulation
+exactly when the row's predicate holds (always, when the row has none).
+The exception is ``refinement-chain``, whose steps are refinement rounds
+from the output partition, not sites; it is written out as a function.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from .qba import (
 )
 from .relations import (
     CanonicalKind,
-    _window_positions,
     bisimilar,
     canonical_relation,
     compose,
@@ -55,15 +58,12 @@ from .salca import (
     is_sbalc,
     joint_fu_sbalc,
     standard_realization,
+    window_positions,
 )
 
 _Y = ExternalAlphabet.OUTPUTS_ONLY
 _UY = ExternalAlphabet.INPUT_OUTPUT_PAIRS
 _BOTH = (_Y, _UY)
-
-
-def _anchors(l: int):
-    return range(l + 1)
 
 
 def _paired_levels(levels):
@@ -76,11 +76,11 @@ def _paired_levels(levels):
 
 
 def _all_anchors(levels):
-    return ((mode, l, m) for mode in _BOTH for l in levels for m in _anchors(l))
+    return ((mode, l, m) for mode in _BOTH for l in levels for m in range(l + 1))
 
 
 def _paired_anchors(levels):
-    return ((mode, l, m) for mode in _BOTH for l in _paired_levels(levels) for m in _anchors(l))
+    return ((mode, l, m) for mode in _BOTH for l in _paired_levels(levels) for m in range(l + 1))
 
 
 def _shifted_anchors(levels):
@@ -88,38 +88,41 @@ def _shifted_anchors(levels):
     return ((mode, l, m) for mode in _BOTH for l in levels for m in range(l))
 
 
+def _later_anchors(levels):
+    """Anchors m >= 1, compared with the strict past at m = 0."""
+    return ((mode, l, m) for mode in _BOTH for l in levels for m in range(1, l + 1))
+
+
+def _strict_pasts(levels):
+    return ((mode, l, 0) for mode in _BOTH for l in levels)
+
+
+def _paired_strict_pasts(levels):
+    return ((mode, l, 0) for mode in _BOTH for l in _paired_levels(levels))
+
+
 def _output_levels(levels):
+    """One site per level; the laws of this grid that read another mode
+    than outputs-only name it themselves."""
     return ((_Y, l, 0) for l in levels)
 
 
-def law_realization(machine: StateMachine, levels) -> str | None:
-    """All window anchors realize the same behavior as the strict past."""
-    for mode in _BOTH:
-        for l in levels:
-            reference = build_abstract_machine(machine, mode, IntervalSpec(l, 0))
-            for m in range(1, l + 1):  # m = 0 is the reference itself
-                other = build_abstract_machine(machine, mode, IntervalSpec(l, m))
-                if not behavior_equal(other, reference, mode):
-                    return f"behavior differs at mode={mode.value} l={l} m={m}"
-    return None
+# -- site checks that loop or have two outcomes, and the predicates they share --
 
 
-def law_standard_realization(machine: StateMachine, levels) -> str | None:
-    """The domino recipe equals the strict-past build over pairs.
+def _standard_realization_differs(machine, mode, l, m) -> bool:
+    """The domino recipe differs from the strict-past build over pairs.
 
     The build's rows are emitted again for the comparison, not read from
     its cached row view, and no derived data of the recipe's machine is
     memoised, so neither outlives the check."""
-    for l in levels:
-        std = standard_realization(machine, l)
-        built = build_abstract_machine(machine, _UY, IntervalSpec(l, 0))
-        if (
-            std.states != built.states
-            or std._initial != built._initial
-            or std._rows != tuple(chain.from_iterable(built._row_groups()))
-        ):
-            return f"standard realization differs at l={l}"
-    return None
+    std = standard_realization(machine, l)
+    built = build_abstract_machine(machine, _UY, IntervalSpec(l, 0))
+    return (
+        std.states != built.states
+        or std._initial != built._initial
+        or std._rows != tuple(chain.from_iterable(built._row_groups()))
+    )
 
 
 def anchored_unique_extension(
@@ -135,69 +138,28 @@ def anchored_unique_extension(
     return _unique_extensions(machine, mode, spec.l, spec.l - spec.m)
 
 
-def law_quotient_behavior_included(machine: StateMachine, levels) -> str | None:
-    """Quotient behavior is contained in the window-closure behavior."""
-    for l in levels:
-        quotient = build_quotient_machine(machine, l)
-        closure = build_abstract_machine(machine, _Y, IntervalSpec(l, 0))
-        if not behavior_included(quotient, closure, _Y):
-            return f"quotient behavior escapes closure at l={l}"
-    return None
-
-
-def law_uniqueness_implies_consistency(machine: StateMachine, levels) -> str | None:
-    for l in levels:
-        if is_future_unique(machine, _Y, IntervalSpec(l, l)) and not is_domino_consistent(
-            machine, l
-        ):
-            return f"future unique but not domino consistent at l={l}"
-    return None
-
-
-def law_domino_transition_triples(machine: StateMachine, levels) -> str | None:
-    """Projected abstract transitions match the overlapping-domino form."""
-    # Each domino is split into head and tail once per (mode, l); only the
-    # label position and the abstraction's position table depend on m.  The
-    # abstraction's triples are read off its successor table, whose symbol
-    # codes are those of the machine's codec.
-    for mode in _BOTH:
-        codec = window_codec(machine, mode)
-        for l in levels:
-            head_of = codec.restrictor(l + 1, 0, l - 1)
-            tail_of = codec.restrictor(l + 1, 1, l)
-            split = [(w, head_of(w), tail_of(w)) for w in dominoes(machine, mode, l + 1).codes]
-            for m in _anchors(l):
-                built = build_abstract_machine(machine, mode, IntervalSpec(l, m))
-                triples = {
-                    (x, symbol, x2)
-                    for x, row in enumerate(successors(built, mode))
-                    for symbol, targets in row
-                    for x2 in targets
-                }
-                at = _window_positions(built)
-                label_of = codec.restrictor(l + 1, l - m, l - m)
-                expected = set()
-                for domino, head, tail in split:
-                    head, tail = at.get(head), at.get(tail)
-                    if head is not None and tail is not None:
-                        expected.add((head, label_of(domino), tail))
-                if triples != expected:
-                    return f"domino triples differ at mode={mode.value} l={l} m={m}"
-    return None
-
-
-def law_saturation_equals_behavior_equality(machine: StateMachine, levels) -> str | None:
-    for mode in _BOTH:
-        for l in _paired_levels(levels):
-            lhs = saturation_check(machine, mode, l)
-            rhs = behavior_equal(
-                build_abstract_machine(machine, mode, IntervalSpec(l, 0)),
-                build_abstract_machine(machine, mode, IntervalSpec(l + 1, 0)),
-                mode,
-            )
-            if lhs != rhs:
-                return f"saturation mismatch at mode={mode.value} l={l}"
-    return None
+def _domino_triples_differ(machine, mode, l, m) -> bool:
+    """Projected abstract transitions differ from the overlapping-domino
+    form.  The abstraction's triples are read off its successor table,
+    whose symbol codes are those of the machine's codec."""
+    codec = window_codec(machine, mode)
+    head_of = codec.restrictor(l + 1, 0, l - 1)
+    tail_of = codec.restrictor(l + 1, 1, l)
+    label_of = codec.restrictor(l + 1, l - m, l - m)
+    built = build_abstract_machine(machine, mode, IntervalSpec(l, m))
+    at = window_positions(built)
+    expected = set()
+    for domino in dominoes(machine, mode, l + 1).codes:
+        head, tail = at.get(head_of(domino)), at.get(tail_of(domino))
+        if head is not None and tail is not None:
+            expected.add((head, label_of(domino), tail))
+    triples = {
+        (x, symbol, x2)
+        for x, row in enumerate(successors(built, mode))
+        for symbol, targets in row
+        for x2 in targets
+    }
+    return triples != expected
 
 
 def _conjunction(machine: StateMachine, mode: ExternalAlphabet, l: int, m: int) -> bool:
@@ -207,121 +169,88 @@ def _conjunction(machine: StateMachine, mode: ExternalAlphabet, l: int, m: int) 
     )
 
 
-def law_joint_predicate_equals_conjunction(machine: StateMachine, levels) -> str | None:
-    """Literal claim: the joint predicate equals future uniqueness at the
-    next anchor together with window completeness at this one.  Distinct
-    initial branches behind a shared diamond prefix break the forward
-    direction; see ``law_joint_predicate_implications``."""
-    for mode, l, m in _shifted_anchors(levels):
-        if joint_fu_sbalc(machine, mode, IntervalSpec(l, m)) != _conjunction(machine, mode, l, m):
-            return f"joint predicate mismatch at mode={mode.value} l={l} m={m}"
-    return None
-
-
-def law_joint_predicate_implications(machine: StateMachine, levels) -> str | None:
+def _broken_implication(machine, mode, l, m) -> str | None:
     """The implication chain that does hold: unrestricted unique extension
     implies the conjunction, which implies anchored unique extension."""
-    for mode, l, m in _shifted_anchors(levels):
-        joint = joint_fu_sbalc(machine, mode, IntervalSpec(l, m))
-        conj = _conjunction(machine, mode, l, m)
-        anchored = anchored_unique_extension(machine, mode, IntervalSpec(l, m))
-        if joint and not conj:
-            return f"joint without conjunction at mode={mode.value} l={l} m={m}"
-        if conj and not anchored:
-            return f"conjunction without anchored form at mode={mode.value} l={l} m={m}"
+    joint = joint_fu_sbalc(machine, mode, IntervalSpec(l, m))
+    conj = _conjunction(machine, mode, l, m)
+    anchored = anchored_unique_extension(machine, mode, IntervalSpec(l, m))
+    if joint and not conj:
+        return "joint without conjunction"
+    if conj and not anchored:
+        return "conjunction without anchored form"
     return None
 
 
-def law_partition_fibers(machine: StateMachine, levels) -> str | None:
-    """Refinement cells coincide with future-window fibers.
-
-    Literal claim; fails when a state's successors spread over several
-    cells whose window sets union to another cell's window set.  The
-    containment direction (``law_partition_refines_fibers``) always holds.
-    """
-    for l in levels:
-        partition = partition_at(machine, l)
-        if {frozenset(c) for c in partition.cells} != {
-            frozenset(c) for c in fiber_partition(machine, l).cells
-        }:
-            return f"partition/fiber mismatch at l={l}"
+def _cell_across_fibers(machine, mode, l, m) -> tuple | None:
+    """A refinement cell contained in no future-window fiber."""
+    fibers = [frozenset(c) for c in fiber_partition(machine, l).cells]
+    for cell in partition_at(machine, l).cells:
+        if not any(frozenset(cell) <= fiber for fiber in fibers):
+            return cell
     return None
 
 
-def law_partition_refines_fibers(machine: StateMachine, levels) -> str | None:
-    """Every refinement cell is contained in one future-window fiber."""
-    for l in levels:
-        fibers = [frozenset(c) for c in fiber_partition(machine, l).cells]
-        for cell in partition_at(machine, l).cells:
-            if not any(frozenset(cell) <= fiber for fiber in fibers):
-                return f"cell {cell} crosses fibers at l={l}"
-    return None
-
-
-def law_renaming_under_uniqueness(machine: StateMachine, levels) -> str | None:
+def _broken_renaming(machine, mode, l, m) -> str | None:
     """With a unique future window per state, the quotient is the window
     machine up to renaming, and the canonical relations compose."""
-    for l in levels:
-        if not is_future_unique(machine, _Y, IntervalSpec(l, l)):
-            continue
-        renaming = canonical_relation(CanonicalKind.RENAMING, machine, _Y, l)
-        if not verify_simulation(renaming.left, renaming.right, _Y, renaming, bisim=True):
-            return f"renaming not a bisimulation at l={l}"
-        abstract = canonical_relation(CanonicalKind.STATE_TO_ABSTRACT, machine, _Y, l, l)
-        quotient = canonical_relation(CanonicalKind.STATE_TO_QUOTIENT, machine, l=l)
-        composed = compose(abstract, renaming)
-        if composed._table != quotient._table:
-            return f"composition identity broken at l={l}"
+    if not is_future_unique(machine, _Y, IntervalSpec(l, l)):
+        return None
+    renaming = canonical_relation(CanonicalKind.RENAMING, machine, _Y, l)
+    if not verify_simulation(renaming.left, renaming.right, _Y, renaming, bisim=True):
+        return "renaming not a bisimulation"
+    abstract = canonical_relation(CanonicalKind.STATE_TO_ABSTRACT, machine, _Y, l, l)
+    quotient = canonical_relation(CanonicalKind.STATE_TO_QUOTIENT, machine, l=l)
+    if compose(abstract, renaming)._table != quotient._table:
+        return "composition identity broken"
     return None
 
 
-def law_ordering_under_uniqueness(machine: StateMachine, levels) -> str | None:
+def _broken_ordering(machine, mode, l, m) -> str | None:
     """With a unique future window per state: quotient and full-future
     machines are bisimilar and both are simulated by the strict past."""
-    for l in levels:
-        if not is_future_unique(machine, _Y, IntervalSpec(l, l)):
-            continue
-        full_future = build_abstract_machine(machine, _Y, IntervalSpec(l, l))
-        quotient = build_quotient_machine(machine, l)
-        strict_past = build_abstract_machine(machine, _Y, IntervalSpec(l, 0))
-        if not bisimilar(quotient, full_future, _Y):
-            return f"quotient/full-future not bisimilar at l={l}"
-        if not simulates(full_future, strict_past, _Y):
-            return f"full-future not below strict past at l={l}"
+    if not is_future_unique(machine, _Y, IntervalSpec(l, l)):
+        return None
+    full_future = build_abstract_machine(machine, _Y, IntervalSpec(l, l))
+    quotient = build_quotient_machine(machine, l)
+    strict_past = build_abstract_machine(machine, _Y, IntervalSpec(l, 0))
+    if not bisimilar(quotient, full_future, _Y):
+        return "quotient/full-future not bisimilar"
+    if not simulates(full_future, strict_past, _Y):
+        return "full-future not below strict past"
     return None
 
 
-def law_strict_past_deterministic(machine: StateMachine, levels) -> str | None:
-    for mode in _BOTH:
-        for l in levels:
-            strict_past = build_abstract_machine(machine, mode, IntervalSpec(l, 0))
-            if not is_deterministic(strict_past, mode):
-                return f"strict past nondeterministic at mode={mode.value} l={l}"
+def _domino_escape(machine, mode, n, m) -> str | None:
+    """An (n + 1)-domino whose head or tail is not an n-domino."""
+    codec = window_codec(machine, mode)
+    smaller = dominoes(machine, mode, n).code_set
+    head_of = codec.restrictor(n + 1, 0, n - 1)
+    tail_of = codec.restrictor(n + 1, 1, n)
+    for w in dominoes(machine, mode, n + 1).codes:
+        head = head_of(w)
+        if head != 0 and head not in smaller:  # 0: the all-diamond window
+            return f"head {codec.name(head, n)}"
+        if tail_of(w) not in smaller:
+            return f"tail of {codec.name(w, n + 1)}"
     return None
 
 
-def law_domino_monotone(machine: StateMachine, levels) -> str | None:
-    for mode in _BOTH:
-        codec = window_codec(machine, mode)
-        for n in levels:
-            smaller = dominoes(machine, mode, n).code_set
-            head_of = codec.restrictor(n + 1, 0, n - 1)
-            tail_of = codec.restrictor(n + 1, 1, n)
-            for w in dominoes(machine, mode, n + 1).codes:
-                head = head_of(w)
-                if head != 0 and head not in smaller:  # 0: the all-diamond window
-                    return f"head {codec.name(head, n)} escapes at mode={mode.value} n={n}"
-                if tail_of(w) not in smaller:
-                    return f"tail of {codec.name(w, n + 1)} escapes at mode={mode.value} n={n}"
-    return None
-
-
-def law_partition_output_uniform(machine: StateMachine, levels) -> str | None:
-    for l in levels:
-        for cell in partition_at(machine, l).cells:
-            signatures = {tuple(machine.admissible_outputs(x)) for x in cell}
-            if len(signatures) != 1:
-                return f"cell {cell} not output uniform at l={l}"
+def _broken_containment(machine, mode, l, m) -> str | None:
+    """A quotient row whose output does not head its source cell, or whose
+    target's truncations escape the source's tails."""
+    quotient = build_quotient_machine(machine, l)
+    codec = quotient.codec
+    first_of = codec.restrictor(l, 0, 0)
+    tail_of = codec.restrictor(l, 1, l - 1)
+    head_of = codec.restrictor(l, 0, l - 2)
+    for x, _, y, x2 in quotient._rows:
+        src, dst = quotient.cells[x], quotient.cells[x2]
+        output = quotient.outputs[y]
+        if codec.code(output) not in set(map(first_of, src)):
+            return f"output {output} not heading source cell"
+        if l >= 2 and not set(map(head_of, dst)) <= set(map(tail_of, src)):
+            return "target truncations escape source tail"
     return None
 
 
@@ -343,23 +272,6 @@ def law_refinement_chain(machine: StateMachine, levels) -> str | None:
     return "no fixed point within |X| rounds"
 
 
-def law_quotient_transition_containments(machine: StateMachine, levels) -> str | None:
-    for l in levels:
-        quotient = build_quotient_machine(machine, l)
-        codec = quotient.codec
-        first_of = codec.restrictor(l, 0, 0)
-        tail_of = codec.restrictor(l, 1, l - 1)
-        head_of = codec.restrictor(l, 0, l - 2)
-        for x, _, y, x2 in quotient._rows:
-            src, dst = quotient.cells[x], quotient.cells[x2]
-            output = quotient.outputs[y]
-            if codec.code(output) not in set(map(first_of, src)):
-                return f"output {output} not heading source cell at l={l}"
-            if l >= 2 and not set(map(head_of, dst)) <= set(map(tail_of, src)):
-                return f"target truncations escape source tail at l={l}"
-    return None
-
-
 class Law(Value):
     """A named law: ``check(machine, levels)`` returns None or the first violation."""
 
@@ -369,7 +281,20 @@ class Law(Value):
         self.__dict__.update(name=name, check=check)
 
 
-# -- the canonical-relation laws -------------------------------------------------
+def _site_law(name, sites, broken, detail) -> Law:
+    """The law that ``broken(machine, mode, l, m)`` is falsy at every site
+    of ``sites(levels)``.  ``detail`` is formatted with the first site
+    where it is not: its ``mode``, ``l`` and ``m``, and as ``found`` what
+    ``broken`` returned there."""
+
+    def check(machine: StateMachine, levels) -> str | None:
+        for mode, l, m in sites(levels):
+            found = broken(machine, mode, l, m)
+            if found:
+                return detail.format(mode=mode.value, l=l, m=m, found=found)
+        return None
+
+    return Law(name, check)
 
 
 def _forward(canon):
@@ -381,21 +306,17 @@ def _backward(canon):
 
 
 def _relation_law(name, kind, sites, direction, expected, detail) -> Law:
-    """The law that at every site (mode, l, m) of ``sites(levels)`` the
-    ``kind`` relation, taken in ``direction``, verifies over the site's
-    mode iff ``expected(machine, mode, IntervalSpec(l, m))`` holds
-    (always, when None).  ``detail`` is formatted with the first failing
-    site's ``mode``, ``l`` and ``m``."""
+    """The law that at every site (mode, l, m) the ``kind`` relation,
+    taken in ``direction``, verifies over the site's mode iff
+    ``expected(machine, mode, IntervalSpec(l, m))`` holds (always, when
+    None)."""
 
-    def check(machine: StateMachine, levels) -> str | None:
-        for mode, l, m in sites(levels):
-            left, right, relation = direction(canonical_relation(kind, machine, mode, l, m))
-            holds = bool(verify_simulation(left, right, mode, relation))
-            if holds != (expected is None or bool(expected(machine, mode, IntervalSpec(l, m)))):
-                return detail.format(mode=mode.value, l=l, m=m)
-        return None
+    def broken(machine: StateMachine, mode, l, m) -> bool:
+        left, right, relation = direction(canonical_relation(kind, machine, mode, l, m))
+        holds = bool(verify_simulation(left, right, mode, relation))
+        return holds != (expected is None or bool(expected(machine, mode, IntervalSpec(l, m))))
 
-    return Law(name, check)
+    return _site_law(name, sites, broken, detail)
 
 
 _TO_ABSTRACT = CanonicalKind.STATE_TO_ABSTRACT
@@ -404,13 +325,21 @@ _SALCA_TO_QUOTIENT = CanonicalKind.SALCA_TO_QUOTIENT
 _AT_SITE = " at mode={mode} l={l} m={m}"
 _AT_LEVEL = " at l={l}"
 
-# Each relation row: name, canonical kind, site grid, direction, expected
-# predicate (None: always holds), detail template.  The
-# predicates are lambdas so that, like ``verify_simulation``, they are
-# looked up as module globals when a law runs, not when the table is built.
+
+# Each site row: name, site grid, broken check, detail template; each
+# relation row: name, canonical kind, site grid, direction, expected
+# predicate (None: always holds), detail template.  The checks and
+# predicates call the functions they use by their module-global names,
+# so that, like ``verify_simulation``, these are looked up when a law
+# runs, not when the table is built.
 LAWS: tuple[Law, ...] = (
-    Law("realization-all-anchors", law_realization),
-    Law("standard-realization", law_standard_realization),
+    _site_law("realization-all-anchors", _later_anchors,
+              lambda machine, mode, l, m: not behavior_equal(
+                  build_abstract_machine(machine, mode, IntervalSpec(l, m)),
+                  build_abstract_machine(machine, mode, IntervalSpec(l, 0)), mode),
+              "behavior differs" + _AT_SITE),
+    _site_law("standard-realization", _output_levels, _standard_realization_differs,
+              "standard realization differs" + _AT_LEVEL),
     # A state relates to the windows around it; this is a simulation iff the
     # machine is future unique.  Each abstract step w -> w' exists under the
     # (u, y) of every concrete row x -> x' with w around x and w' around x',
@@ -459,7 +388,12 @@ LAWS: tuple[Law, ...] = (
     _relation_law("quotient-backward-stability", _TO_QUOTIENT, _output_levels, _backward,
                   lambda machine, _, s: is_fixed_point(machine, fiber_partition(machine, s.l)),
                   "quotient stability iff broken" + _AT_LEVEL),
-    Law("quotient-behavior-included", law_quotient_behavior_included),
+    # Quotient behavior is contained in the window-closure behavior.
+    _site_law("quotient-behavior-included", _output_levels,
+              lambda machine, _, l, m: not behavior_included(
+                  build_quotient_machine(machine, l),
+                  build_abstract_machine(machine, _Y, IntervalSpec(l, 0)), _Y),
+              "quotient behavior escapes closure" + _AT_LEVEL),
     # Window-to-cell membership verifies iff the machine is domino consistent.
     _relation_law("salca-quotient-forward", _SALCA_TO_QUOTIENT, _output_levels, _forward,
                   lambda machine, _, s: is_domino_consistent(machine, s.l),
@@ -468,20 +402,55 @@ LAWS: tuple[Law, ...] = (
     _relation_law("salca-quotient-backward", _SALCA_TO_QUOTIENT, _output_levels, _backward,
                   lambda machine, _, s: is_future_unique(machine, _Y, IntervalSpec(s.l, s.l)),
                   "salca-to-quotient inverse iff broken" + _AT_LEVEL),
-    Law("uniqueness-implies-consistency", law_uniqueness_implies_consistency),
-    Law("domino-transition-triples", law_domino_transition_triples),
-    Law("saturation-equals-behavior-equality", law_saturation_equals_behavior_equality),
-    Law("joint-predicate-conjunction", law_joint_predicate_equals_conjunction),
-    Law("joint-predicate-implications", law_joint_predicate_implications),
-    Law("partition-fibers", law_partition_fibers),
-    Law("partition-refines-fibers", law_partition_refines_fibers),
-    Law("renaming-under-uniqueness", law_renaming_under_uniqueness),
-    Law("ordering-under-uniqueness", law_ordering_under_uniqueness),
-    Law("strict-past-deterministic", law_strict_past_deterministic),
-    Law("domino-monotone", law_domino_monotone),
-    Law("partition-output-uniform", law_partition_output_uniform),
+    _site_law("uniqueness-implies-consistency", _output_levels,
+              lambda machine, _, l, m: is_future_unique(machine, _Y, IntervalSpec(l, l))
+              and not is_domino_consistent(machine, l),
+              "future unique but not domino consistent" + _AT_LEVEL),
+    _site_law("domino-transition-triples", _all_anchors, _domino_triples_differ,
+              "domino triples differ" + _AT_SITE),
+    _site_law("saturation-equals-behavior-equality", _paired_strict_pasts,
+              lambda machine, mode, l, m: saturation_check(machine, mode, l) != behavior_equal(
+                  build_abstract_machine(machine, mode, IntervalSpec(l, 0)),
+                  build_abstract_machine(machine, mode, IntervalSpec(l + 1, 0)), mode),
+              "saturation mismatch at mode={mode} l={l}"),
+    # Literal claim: the joint predicate equals future uniqueness at the
+    # next anchor together with window completeness at this one.  Distinct
+    # initial branches behind a shared diamond prefix break the forward
+    # direction; the implications row holds.
+    _site_law("joint-predicate-conjunction", _shifted_anchors,
+              lambda machine, mode, l, m: joint_fu_sbalc(machine, mode, IntervalSpec(l, m))
+              != _conjunction(machine, mode, l, m),
+              "joint predicate mismatch" + _AT_SITE),
+    _site_law("joint-predicate-implications", _shifted_anchors, _broken_implication,
+              "{found}" + _AT_SITE),
+    # Literal claim: refinement cells coincide with future-window fibers.
+    # Fails when a state's successors spread over several cells whose window
+    # sets union to another cell's window set; the containment row holds.
+    _site_law("partition-fibers", _output_levels,
+              lambda machine, _, l, m: {frozenset(c) for c in partition_at(machine, l).cells}
+              != {frozenset(c) for c in fiber_partition(machine, l).cells},
+              "partition/fiber mismatch" + _AT_LEVEL),
+    _site_law("partition-refines-fibers", _output_levels, _cell_across_fibers,
+              "cell {found} crosses fibers" + _AT_LEVEL),
+    _site_law("renaming-under-uniqueness", _output_levels, _broken_renaming,
+              "{found}" + _AT_LEVEL),
+    _site_law("ordering-under-uniqueness", _output_levels, _broken_ordering,
+              "{found}" + _AT_LEVEL),
+    _site_law("strict-past-deterministic", _strict_pasts,
+              lambda machine, mode, l, m: not is_deterministic(
+                  build_abstract_machine(machine, mode, IntervalSpec(l, 0)), mode),
+              "strict past nondeterministic at mode={mode} l={l}"),
+    _site_law("domino-monotone", _strict_pasts, _domino_escape,
+              "{found} escapes at mode={mode} n={l}"),
+    _site_law("partition-output-uniform", _output_levels,
+              lambda machine, _, l, m: next((
+                  cell for cell in partition_at(machine, l).cells
+                  if len({tuple(machine.admissible_outputs(x)) for x in cell}) != 1
+              ), None),
+              "cell {found} not output uniform" + _AT_LEVEL),
     Law("refinement-chain", law_refinement_chain),
-    Law("quotient-transition-containments", law_quotient_transition_containments),
+    _site_law("quotient-transition-containments", _output_levels, _broken_containment,
+              "{found}" + _AT_LEVEL),
 )
 
 

@@ -77,9 +77,9 @@ def _grouped(machine: StateMachine, keys, level: int) -> Partition:
 
 
 def initial_partition(machine: StateMachine) -> Partition:
-    """Group states by their exact admissible-output set."""
+    """Group states by their exact admissible-output set: the 1-fibers."""
     require_accepted(machine, "initial_partition")
-    return _grouped(machine, future_map(machine, _Y, 1), level=1)
+    return fiber_partition(machine, 1)
 
 
 def refine(machine: StateMachine, partition: Partition) -> Partition:
@@ -173,9 +173,11 @@ def fibers(machine: StateMachine, l: int) -> tuple:
 
 
 def fiber_partition(machine: StateMachine, l: int) -> Partition:
-    """The states grouped by their (l, l) window sets, the l-step futures,
-    as a partition in canonical form (:func:`_grouped`)."""
-    return _grouped(machine, external_strings_map(machine, _Y, IntervalSpec(l, l)), l)
+    """The :func:`fibers` as a partition in canonical form: their
+    ascending member tuples, sorted by first member."""
+    names = machine.states
+    cells = sorted(members for _, members in fibers(machine, l))
+    return Partition(tuple(tuple(names[x] for x in members) for members in cells), l)
 
 
 @derived

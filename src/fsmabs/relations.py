@@ -74,7 +74,7 @@ from .machine import (
     require_live_reachable,
 )
 from .qba import build_quotient_machine, fibers
-from .salca import build_abstract_machine
+from .salca import build_abstract_machine, window_positions
 
 _Y = ExternalAlphabet.OUTPUTS_ONLY
 _NONE: frozenset = frozenset()
@@ -251,23 +251,24 @@ def _check_step(
     for a, partners in enumerate(table):
         for b in partners:
             if not _matched(moves[a], replies[b], recode, landing, backward=False):
-                return _first_failure(left, right, mode, table[a], landing, a)
+                return _first_failure(left, right, mode, recode, table[a], landing, a)
     return SimulationVerdict(True)
 
 
 def _first_failure(
-    left: StateMachine, right: StateMachine, mode: ExternalAlphabet, mine: tuple,
-    landing: list, source: int,
+    left: StateMachine, right: StateMachine, mode: ExternalAlphabet, recode: tuple,
+    mine: tuple, landing: list, source: int,
 ) -> SimulationVerdict:
     """The first unmatched (pair, transition) of left state ``source``,
     whose partners ``mine`` include one that fails: its rows in row order
     (a built window machine emits them again, see
-    ``salca.AbstractMachine._row_groups``), each against every partner."""
+    ``salca.AbstractMachine._row_groups``), each against every partner.
+    ``recode`` carries the left machine's symbol codes to the right's."""
     replies = successors(right, mode)
-    codes = _label_codes(right, mode, left.inputs, left.outputs)
+    codes = _label_codes(left, mode)
     for row in next(islice(left._row_groups(), source, None)):
         _, u, y, target = row
-        symbol = codes[u][y]
+        symbol = recode[codes[u][y]]
         for b in mine:
             if landing[target].isdisjoint(_replies(replies[b], symbol)):
                 return SimulationVerdict(
@@ -481,14 +482,14 @@ def _canonical_relation(
         spec = IntervalSpec(l, m)
         right = build_abstract_machine(machine, mode, spec)
         emap = external_strings_map(machine, mode, spec)
-        at = _window_positions(right)
+        at = window_positions(right)
         pairs = [(x, at[w]) for x, windows in enumerate(emap) for w in windows]
         return _from_indices(machine, right, pairs)
 
     if kind is CanonicalKind.L_STEP:
         left = build_abstract_machine(machine, mode, IntervalSpec(l + 1, m))
         right = build_abstract_machine(machine, mode, IntervalSpec(l, m))
-        at = _window_positions(right)
+        at = window_positions(right)
         tail_of = codec.restrictor(l + 1, 1, l)
         pairs = []
         for a, (window,) in enumerate(left.cells):
@@ -504,8 +505,8 @@ def _canonical_relation(
         right = build_abstract_machine(machine, mode, IntervalSpec(l, m))
         up = external_strings_map(machine, mode, IntervalSpec(l, m + 1))
         down = external_strings_map(machine, mode, IntervalSpec(l, m))
-        left_at = _window_positions(left)
-        right_at = _window_positions(right)
+        left_at = window_positions(left)
+        right_at = window_positions(right)
         tail_of = codec.restrictor(l, 1, l - 1)
         head_of = codec.restrictor(l, 0, l - 2)
         pairs = []
@@ -528,7 +529,7 @@ def _canonical_relation(
     if kind in (CanonicalKind.SALCA_TO_QUOTIENT, CanonicalKind.RENAMING):
         left = build_abstract_machine(machine, _Y, IntervalSpec(l, l))
         right = build_quotient_machine(machine, l)
-        at = _window_positions(left)
+        at = window_positions(left)
         pairs = []
         for cell, codes in enumerate(right.cells):
             if kind is CanonicalKind.RENAMING and len(codes) != 1:
@@ -537,11 +538,6 @@ def _canonical_relation(
         return _from_indices(left, right, pairs)
 
     raise InvalidSpec(f"unknown canonical relation kind {kind!r}")
-
-
-def _window_positions(abstraction) -> dict:
-    """window code -> state index, for a window-state machine."""
-    return {w: i for i, (w,) in enumerate(abstraction.cells)}
 
 
 class ControlReport(Value):

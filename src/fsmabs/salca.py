@@ -88,8 +88,7 @@ class AbstractMachine(StateMachine):
         if "_rows" in self.__dict__:
             return super()._row_groups()
         machine, mode, spec = self._source
-        position = {w: i for i, (w,) in enumerate(self.cells)}
-        return _emission(machine, mode, spec, position)
+        return _emission(machine, mode, spec, window_positions(self))
 
     def _key(self) -> tuple:
         """The compared fields, the rows read through ``_row_groups``, so
@@ -103,6 +102,11 @@ class AbstractMachine(StateMachine):
 
     def windows_of(self, token: str) -> tuple[Window, ...]:
         return tuple(self.codec.decode(w, self.window_length) for w in self.codes_of(token))
+
+
+def window_positions(abstraction: AbstractMachine) -> dict:
+    """window code -> state index, for a window-state machine."""
+    return {w: i for i, (w,) in enumerate(abstraction.cells)}
 
 
 def cell_token(codec: WindowCodec, codes, length: int) -> str:
@@ -162,7 +166,7 @@ def _emission(machine: StateMachine, mode: ExternalAlphabet, spec: IntervalSpec,
     label (p, u, y), and each source's rows are sorted.
     """
     l, m = spec.l, spec.m
-    codes = _label_codes(machine, mode, machine.inputs, machine.outputs)
+    codes = _label_codes(machine, mode)
     base = window_codec(machine, mode).base
     span = base ** (l - 1)
     width = len(machine.outputs)
@@ -238,7 +242,7 @@ def build_abstract_machine(
     emap = external_strings_map(machine, mode, spec)
     realized = sorted(set().union(*emap))
     position = {w: i for i, w in enumerate(realized)}
-    codes = _label_codes(machine, mode, machine.inputs, machine.outputs)
+    codes = _label_codes(machine, mode)
     table = []
     count = 0
     for rows in _emission(machine, mode, spec, position):
@@ -265,7 +269,7 @@ def standard_realization(machine: StateMachine, l: int) -> AbstractMachine:
     codec = window_codec(machine, mode)
     label_of = {
         code: (u, y)
-        for u, row in enumerate(_label_codes(machine, mode, machine.inputs, machine.outputs))
+        for u, row in enumerate(_label_codes(machine, mode))
         for y, code in enumerate(row)
     }
     states = sorted({0, *dominoes(machine, mode, l).codes})

@@ -536,7 +536,7 @@ def naive_abstract_rows(machine: StateMachine, mode: ExternalAlphabet, spec: Int
             by_overlap.setdefault((head_of(w), last), []).append(i)
         sources.append(by_label)
         targets.append(by_overlap)
-    codes = _label_codes(machine, mode, machine.inputs, machine.outputs)
+    codes = _label_codes(machine, mode)
     return [
         (src, u, y, dst)
         for x, u, y, x2 in machine._rows

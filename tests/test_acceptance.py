@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from fsmabs.analysis import scope
 from fsmabs.behavior import IntervalSpec, behavior_included, dominoes, external_strings
 from fsmabs.cli import main as cli_main
 from fsmabs.fuzz import FuzzConfig, run_fuzz
@@ -405,3 +406,42 @@ def test_criterion_5_greatest_simulation_matches_exhaustive_search():
         assert _step_closed(left, right, greatest)
         pairs_checked += 1
     note(f"criterion 5c (greatest simulation vs exhaustive search, {pairs_checked} pairs): PASS")
+
+
+# -- criterion 6: the coincidence condition, both ways -----------------------------
+
+
+def _coincides(relation) -> bool:
+    """Whether the window-to-cell ``relation``, from the full-future machine
+    to the quotient, is a bijection f that carries the initial states and
+    the rows of the one exactly onto those of the other."""
+    full_future, quotient = relation.left, relation.right
+    if any(len(partners) != 1 for partners in relation._table):
+        return False
+    f = [cell for (cell,) in relation._table]
+    if sorted(f) != list(range(len(quotient.states))):
+        return False
+    rows = {(f[x], u, y, f[x2]) for x, u, y, x2 in itertools.chain(*full_future._row_groups())}
+    return {f[x] for x in full_future._initial} == set(quotient._initial) and rows == set(
+        itertools.chain(*quotient._row_groups())
+    )
+
+
+def test_criterion_6_coincidence_iff_future_unique(battery):
+    """The paper's coincidence condition in both directions: the quotient
+    and the full-future machine are the same machine up to renaming
+    exactly when the source is future unique over the full future window.
+    Coincidence is decided by the window-to-cell relation alone."""
+    report, _ = battery
+    coincide = cases = 0
+    for machine in report.machines:
+        with scope():
+            for l in report.config.levels:
+                relation = canonical_relation(CanonicalKind.SALCA_TO_QUOTIENT, machine, Y, l)
+                same = _coincides(relation)
+                unique = bool(is_future_unique(machine, Y, IntervalSpec(l, l)))
+                assert same == unique, (machine_io.to_dict(machine), l)
+                coincide += same
+                cases += 1
+    note(f"criterion 6 (coincidence iff future unique): {coincide} of {cases} coincide")
+    assert (cases, coincide) == (900, 409)

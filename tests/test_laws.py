@@ -3,6 +3,7 @@ documenting where the literal partition/fiber claims genuinely diverge."""
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -240,3 +241,139 @@ def test_relation_law_failures_pinned(monkeypatch):
             results.append(check_laws(machine, (1, 2, 3)))
     digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
     assert digest == FLIPPED_BATTERY_DIGEST
+
+
+#: sha256 of the JSON list of ``check_laws(m, (1, 2, 3))`` over the first
+#: 40 battery machines with the laws' callees perturbed
+#: (``_perturb_callees``).
+PERTURBED_BATTERY_DIGEST = "8ab36ac1b788a33c7548bf25e79611688c6c67e6add6f624463a6833feeb4577"
+
+
+def _perturb_callees(monkeypatch):
+    """Patch the ``laws`` module globals the laws call: negate predicate
+    and ordering verdicts on a key of machine size and window length, and
+    hand the laws altered partitions, successor tables, domino sets,
+    standard realizations and quotient cells."""
+    from fsmabs.behavior import DominoSet
+    from fsmabs.qba import Partition
+    from fsmabs.salca import AbstractMachine
+
+    def size(machine):
+        return len(machine.states)
+
+    def flip(name, key):
+        real = getattr(laws, name)
+
+        def flipped(*args, **kwargs):
+            return bool(real(*args, **kwargs)) != bool(key(*args))
+
+        monkeypatch.setattr(laws, name, flipped)
+
+    flip("verify_simulation",
+         lambda left, right, mode, relation: (len(relation) + size(right)) % 3 == 0)
+    flip("behavior_equal", lambda a, b, mode: size(a) % 2 == 1)
+    flip("behavior_included", lambda a, b, mode: (size(a) + size(b)) % 3 == 0)
+    flip("is_deterministic", lambda machine, mode: size(machine) % 4 == 1)
+    flip("saturation_check", lambda machine, mode, l: (size(machine) + l) % 2 == 0)
+    flip("is_future_unique", lambda machine, mode, s: (size(machine) + s.l + s.m) % 5 == 0)
+    flip("is_sbalc", lambda machine, mode, s: (size(machine) + s.l) % 3 == 0)
+    flip("joint_fu_sbalc", lambda machine, mode, s: (size(machine) + s.l + s.m) % 3 == 1)
+    flip("is_domino_consistent", lambda machine, l: (size(machine) + l) % 2 == 0)
+    flip("is_fixed_point", lambda machine, p: (size(machine) + len(p)) % 3 == 0)
+    flip("bisimilar", lambda a, b, mode: size(b) % 3 == 0)
+    flip("simulates", lambda a, b, mode: size(a) % 3 == 1)
+    flip("_unique_extensions", lambda machine, mode, l, k: (size(machine) + l + k) % 4 == 0)
+
+    def merged(partition):
+        """The partition with its first two cells joined."""
+        cells = partition.cells
+        if len(cells) < 2:
+            return partition
+        return Partition((cells[0] + cells[1],) + cells[2:], partition.level)
+
+    def patch(name, wrap):
+        monkeypatch.setattr(laws, name, wrap(getattr(laws, name)))
+
+    patch("partition_at", lambda real: lambda machine, l: (
+        merged(real(machine, l)) if (size(machine) + l) % 3 == 2 else real(machine, l)))
+    patch("refine", lambda real: lambda machine, p: (
+        merged(real(machine, p)) if (size(machine) + p.level) % 4 == 3 else real(machine, p)))
+
+    def split_fibers(real):
+        def fiber_partition(machine, l):
+            partition = real(machine, l)
+            if (size(machine) + l) % 4 != 1:
+                return partition
+            for i, cell in enumerate(partition.cells):
+                if len(cell) > 1:
+                    cells = partition.cells[:i] + (cell[:-1], cell[-1:]) + partition.cells[i + 1:]
+                    return Partition(cells, partition.level)
+            return partition
+
+        return fiber_partition
+
+    patch("fiber_partition", split_fibers)
+
+    def short_dominoes(real):
+        def dominoes(machine, mode, n):
+            found = real(machine, mode, n)
+            if (size(machine) + n) % 3 != 1:
+                return found
+            middle = len(found.codes) // 2
+            codes = found.codes[:middle] + found.codes[middle + 1:]
+            return DominoSet(found.length, codes, found.codec)
+
+        return dominoes
+
+    patch("dominoes", short_dominoes)
+
+    def clipped_successors(real):
+        def successors(machine, mode):
+            table = real(machine, mode)
+            if size(machine) % 5 != 2:
+                return table
+            return table[:-1] + (table[-1][1:],)
+
+        return successors
+
+    patch("successors", clipped_successors)
+    patch("standard_realization", lambda real: lambda machine, l: (
+        real(machine, l - 1) if l > 1 and (size(machine) + l) % 3 == 0 else real(machine, l)))
+
+    def rotated_quotient(real):
+        def build_quotient_machine(machine, l):
+            quotient = real(machine, l)
+            if (size(machine) + l) % 2 == 0 or len(quotient.cells) < 2:
+                return quotient
+            return AbstractMachine._trusted(
+                quotient.states, quotient.inputs, quotient.outputs, quotient._initial,
+                quotient._rows, quotient.external, cells=quotient.cells[1:] + quotient.cells[:1],
+                codec=quotient.codec, window_length=quotient.window_length,
+            )
+
+        return build_quotient_machine
+
+    patch("build_quotient_machine", rotated_quotient)
+
+
+def test_perturbed_battery_pinned(monkeypatch):
+    """With the laws' callees perturbed, every law fails somewhere in 40
+    battery machines, and every law whose steps are sites fails past its
+    first site on some machine; the digest pins each law's site order,
+    short-circuits and detail text."""
+    _perturb_callees(monkeypatch)
+    results = []
+    for machine in machine_stream(FuzzConfig(seed=20260809, count=40)):
+        with scope():
+            results.append(check_laws(machine, (1, 2, 3)))
+    failing = {}
+    for failures in results:
+        for name, detail in failures:
+            failing.setdefault(name, []).append(detail)
+    assert set(failing) == {law.name for law in LAWS}
+    past_first = re.compile(r"mode=uy|\b[ln]=[23]\b")
+    for name, details in failing.items():
+        if name != "refinement-chain":
+            assert any(past_first.search(detail) for detail in details), name
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert digest == PERTURBED_BATTERY_DIGEST
