@@ -40,6 +40,7 @@ from .relations import (
     greatest_simulation,
     inverse,
     simulates,
+    simulation_holds,
     verify_simulation,
 )
 from .salca import (
@@ -91,6 +92,7 @@ __all__ = [
     "refinement_fixpoint",
     "saturation_check",
     "simulates",
+    "simulation_holds",
     "standard_realization",
     "validate",
     "verify_simulation",

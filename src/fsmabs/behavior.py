@@ -427,10 +427,10 @@ class PrefixAutomaton(Value):
     reject state.  Every non-sink state is accepting (prefix languages
     are prefix-closed).  The acceptor holds each DFA state's machine state
     indexes as given (``_found``; the library gives ascending tuples) and
-    makes their sets (``_members``) only when first read: by equality,
-    ``subsets`` and ``to_dot``, not by the inclusion walk.  ``subsets``
-    and ``to_dot`` render them as the machine's state names
-    (``_state_names``); ``repr`` leaves those out.
+    makes their sets (``_members``) only when first read: by equality
+    and ``to_dot``, not by the inclusion walk.  ``to_dot`` renders them
+    as the machine's state names (``_state_names``); ``repr`` leaves
+    those out.
     """
 
     _fields = ("alphabet", "_members", "table", "sink")
@@ -448,12 +448,6 @@ class PrefixAutomaton(Value):
 
     def _key(self) -> tuple:
         return (self.alphabet, self._members, self.table, self.sink, self._state_names)
-
-    @property
-    def subsets(self) -> tuple[frozenset, ...]:
-        """Each DFA state's set of machine state names."""
-        names = self._state_names
-        return tuple(frozenset(names[i] for i in members) for members in self._members)
 
     @property
     def start(self) -> int:

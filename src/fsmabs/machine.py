@@ -567,5 +567,7 @@ def machines_compatible(
     left: StateMachine, right: StateMachine, external: ExternalAlphabet
 ) -> bool:
     """Whether both machines project onto the same non-empty external alphabet."""
+    if left.inputs == right.inputs and left.outputs == right.outputs:
+        return bool(external.alphabet(left.inputs, left.outputs))
     alpha = set(external.alphabet(left.inputs, left.outputs))
     return bool(alpha) and alpha == set(external.alphabet(right.inputs, right.outputs))

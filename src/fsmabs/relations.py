@@ -11,14 +11,17 @@ fixpoints, :func:`inverse` (the table grouped by right state, built once
 per relation), :func:`compose` and the canonical relations, built from
 window codes, stay on indexes throughout.
 
-``verify_simulation`` decides the step condition on the two machines'
-successor tables ``behavior.successors`` with :func:`_matched`, the step
-predicate of the greatest fixpoint.  Only when a pair fails does it walk
-rows, those of the failing pair's left state, to report the first
-unmatched (pair, transition): transitions in canonical order, each
-state's partners in the relation's stored order; only that
-counterexample is rendered as names.  A window abstraction's rows are
-emitted again for that walk, not cached.  The successor table is built
+``simulation_holds`` and ``verify_simulation`` decide the step
+condition on the two machines' successor tables ``behavior.successors``
+with :func:`_matched`, the step predicate of the greatest fixpoint.
+``simulation_holds`` stops there with the verdict.  Only when a pair
+fails does ``verify_simulation`` walk rows, those of the failing pair's
+left state, to report the first unmatched (pair, transition):
+transitions in canonical order, each state's partners in the relation's
+stored order; only that counterexample is rendered as names.  A window
+abstraction's rows are emitted again for that walk, not cached.
+Machines that declare equal label tuples, as an abstraction and its
+source do, share their symbol codes.  The successor table is built
 once per (machine, mode) and memoised per scope like all derived data
 (a window abstraction's builder fills it); its symbol codes are the
 digits of ``behavior.window_codec``.  The greatest fixpoint holds its
@@ -233,43 +236,46 @@ class SimulationVerdict(Value):
         return self.valid
 
 
-def _check_step(
+def _failing_source(
     left: StateMachine, right: StateMachine, mode: ExternalAlphabet, table: tuple
-) -> SimulationVerdict:
-    """Step condition only: every left transition from a related state is
-    matched by a related right transition with equal external label.
-
-    Decided on the two successor tables by :func:`_matched`, the step
-    predicate of the greatest fixpoint, pair by pair in table order.  A
-    failing pair's left state is the first source whose rows fail, so
-    only its rows are walked, each state's partners in their ``table``
-    order, to report the first failing (pair, transition) in row order;
-    names are rendered only for it."""
+) -> int | None:
+    """The first left state (index) with a partner whose step fails, or
+    None when the step condition holds: every left transition from a
+    related state is matched by a related right transition with equal
+    external label.  Decided on the two successor tables alone by
+    :func:`_matched`, the step predicate of the greatest fixpoint, pair
+    by pair in table order."""
     moves, replies = successors(left, mode), successors(right, mode)
     recode = _recode(left, right, mode)
-    landing = [frozenset(partners) if partners else _NONE for partners in table]
+    landing = _landing(table)
     for a, partners in enumerate(table):
         for b in partners:
             if not _matched(moves[a], replies[b], recode, landing, backward=False):
-                return _first_failure(left, right, mode, recode, table[a], landing, a)
-    return SimulationVerdict(True)
+                return a
+    return None
+
+
+def _landing(table: tuple) -> list:
+    """Each left state's partners in ``table`` as a set."""
+    return [frozenset(partners) if partners else _NONE for partners in table]
 
 
 def _first_failure(
-    left: StateMachine, right: StateMachine, mode: ExternalAlphabet, recode: tuple,
-    mine: tuple, landing: list, source: int,
+    left: StateMachine, right: StateMachine, mode: ExternalAlphabet, table: tuple, source: int
 ) -> SimulationVerdict:
     """The first unmatched (pair, transition) of left state ``source``,
-    whose partners ``mine`` include one that fails: its rows in row order
-    (a built window machine emits them again, see
-    ``salca.AbstractMachine._row_groups``), each against every partner.
-    ``recode`` carries the left machine's symbol codes to the right's."""
+    which :func:`_failing_source` found: its rows in row order (a built
+    window machine emits them again, see
+    ``salca.AbstractMachine._row_groups``), each against every partner in
+    its ``table`` order; names are rendered only for that pair."""
     replies = successors(right, mode)
+    recode = _recode(left, right, mode)
     codes = _label_codes(left, mode)
+    landing = _landing(table)
     for row in next(islice(left._row_groups(), source, None)):
         _, u, y, target = row
         symbol = recode[codes[u][y]]
-        for b in mine:
+        for b in table[source]:
             if landing[target].isdisjoint(_replies(replies[b], symbol)):
                 return SimulationVerdict(
                     False,
@@ -279,20 +285,34 @@ def _first_failure(
     raise AssertionError(f"no row of state {left.states[source]!r} fails its step check")
 
 
-def _check_initial(left: StateMachine, right: StateMachine, table: tuple) -> SimulationVerdict:
+def _unrelated_initial(left: StateMachine, right: StateMachine, table: tuple) -> int | None:
+    """The first initial left state (index) related to no initial right
+    state, or None."""
     right_initial = set(right._initial)
     for x0 in left._initial:
         if right_initial.isdisjoint(table[x0]):
-            return SimulationVerdict(False, failed_initial=left.states[x0])
-    return SimulationVerdict(True)
+            return x0
+    return None
+
+
+def _holds(left: StateMachine, right: StateMachine, mode: ExternalAlphabet, table: tuple) -> bool:
+    """Whether the partner ``table`` meets the initial and step condition."""
+    return (_unrelated_initial(left, right, table) is None
+            and _failing_source(left, right, mode, table) is None)
 
 
 def _check(
     left: StateMachine, right: StateMachine, mode: ExternalAlphabet, table: tuple
 ) -> SimulationVerdict:
-    """Initial and step condition of the partner ``table``."""
-    verdict = _check_initial(left, right, table)
-    return _check_step(left, right, mode, table) if verdict else verdict
+    """Initial and step condition of the partner ``table``, with the first
+    failure named."""
+    x0 = _unrelated_initial(left, right, table)
+    if x0 is not None:
+        return SimulationVerdict(False, failed_initial=left.states[x0])
+    source = _failing_source(left, right, mode, table)
+    if source is None:
+        return SimulationVerdict(True)
+    return _first_failure(left, right, mode, table, source)
 
 
 def verify_simulation(
@@ -322,6 +342,22 @@ def verify_simulation(
     )
 
 
+def simulation_holds(
+    left: StateMachine,
+    right: StateMachine,
+    mode: ExternalAlphabet,
+    relation: Relation,
+    bisim: bool = False,
+) -> bool:
+    """Whether :func:`verify_simulation` holds, decided on the successor
+    tables alone, with its gates: no counterexample is looked for."""
+    require_comparable(left, right, mode, "simulation_holds")
+    _check_binding(relation, left, right)
+    if not _holds(left, right, mode, relation._table):
+        return False
+    return not bisim or _holds(right, left, mode, inverse(relation)._table)
+
+
 def _replies(row: tuple, symbol: int) -> tuple:
     """The targets of ``symbol`` in a row of ``successors``, or ()."""
     for code, targets in row:
@@ -332,7 +368,11 @@ def _replies(row: tuple, symbol: int) -> tuple:
 
 def _recode(source: StateMachine, target: StateMachine, mode: ExternalAlphabet) -> tuple:
     """``source`` symbol code -> the same symbol's code for ``target``;
-    compatible machines may declare their alphabets in different orders."""
+    compatible machines may declare their alphabets in different orders.
+    Machines declaring equal label tuples, as every abstraction and its
+    source do, share their codes: the identity, without a codec."""
+    if source.inputs == target.inputs and source.outputs == target.outputs:
+        return tuple(range(len(mode.alphabet(source.inputs, source.outputs)) + 1))
     theirs, ours = window_codec(source, mode), window_codec(target, mode)
     return tuple(ours.code(theirs.symbol(digit)) for digit in range(theirs.base))
 
@@ -421,7 +461,7 @@ def simulates(left: StateMachine, right: StateMachine, mode: ExternalAlphabet) -
         return False
     if is_deterministic(right, mode):
         return True
-    return bool(_check_initial(left, right, greatest_simulation(left, right, mode)._table))
+    return _unrelated_initial(left, right, greatest_simulation(left, right, mode)._table) is None
 
 
 def greatest_bisimulation(
@@ -444,9 +484,9 @@ def bisimilar(left: StateMachine, right: StateMachine, mode: ExternalAlphabet) -
     if not behavior_equal(left, right, mode):
         return False
     relation = greatest_bisimulation(left, right, mode)
-    return bool(
-        _check_initial(left, right, relation._table)
-        and _check_initial(right, left, inverse(relation)._table)
+    return (
+        _unrelated_initial(left, right, relation._table) is None
+        and _unrelated_initial(right, left, inverse(relation)._table) is None
     )
 
 
@@ -483,8 +523,8 @@ def _canonical_relation(
         right = build_abstract_machine(machine, mode, spec)
         emap = external_strings_map(machine, mode, spec)
         at = window_positions(right)
-        pairs = [(x, at[w]) for x, windows in enumerate(emap) for w in windows]
-        return _from_indices(machine, right, pairs)
+        # Each state's windows ascend, and so do their positions.
+        return _from_table(machine, right, (tuple(at[w] for w in windows) for windows in emap))
 
     if kind is CanonicalKind.L_STEP:
         left = build_abstract_machine(machine, mode, IntervalSpec(l + 1, m))

@@ -4,6 +4,7 @@ documenting where the literal partition/fiber claims genuinely diverge."""
 import hashlib
 import json
 import re
+from itertools import islice
 
 import pytest
 
@@ -17,7 +18,7 @@ from fsmabs.machine import StateMachine, validate
 from fsmabs.qba import is_fixed_point, partition_at
 from fsmabs.relations import CanonicalKind, canonical_relation, inverse, verify_simulation
 
-from .conftest import UY, Y, five_state_machine, self_loop_machine
+from .conftest import ACCEPTANCE_HEAD, UY, Y, five_state_machine, self_loop_machine
 from .literal_laws import LITERAL_COMPANIONS
 
 #: Literal forms whose equivalences do not hold on every accepted machine;
@@ -140,6 +141,52 @@ def test_diamond_prefix_counterexample_is_genuine():
     assert "joint-predicate-implications" not in failed
 
 
+def small_diamond_prefix_counterexample() -> StateMachine:
+    """The fewest-state form of the diamond-prefix counterexample: two
+    initial states emit different first outputs into the same state."""
+    return StateMachine(
+        states=("s0", "s1"),
+        inputs=("u0",),
+        outputs=("y0", "y1"),
+        initial=("s0", "s1"),
+        transitions=(
+            ("s0", "u0", "y0", "s0"),
+            ("s1", "u0", "y1", "s0"),
+        ),
+    )
+
+
+def test_small_diamond_prefix_counterexample_is_genuine():
+    machine = small_diamond_prefix_counterexample()
+    assert validate(machine).accepted
+    failed = dict(check_laws(machine, (1, 2, 3)))
+    # Their companions, anchor-shift-backward-anchored and
+    # joint-predicate-implications, hold.
+    assert set(failed) == {"anchor-shift-backward", "joint-predicate-conjunction"}
+    for detail in failed.values():
+        assert detail.endswith(" at mode=y l=2 m=1"), detail
+
+
+def test_laws_search_for_no_relation_counterexample(monkeypatch):
+    """The relation laws need a verdict, not a witness: over the head of
+    the acceptance stream no law names a failing (pair, transition)."""
+    from fsmabs import relations
+
+    calls = 0
+    real = relations._first_failure
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(relations, "_first_failure", counted)
+    for machine in islice(machine_stream(ACCEPTANCE_HEAD), 10):
+        with scope():
+            check_laws(machine, (1, 2, 3))
+    assert calls == 0
+
+
 def test_forward_maps_verify_alike_over_outputs_and_full_labels(corpus):
     """``state-to-abstract-forward`` and ``quotient-forward`` check over the
     site's mode: at the outputs-only sites, full (u, y) labels give the same
@@ -228,13 +275,13 @@ def test_relation_law_failures_pinned(monkeypatch):
     """Negating the verdict of every odd-sized relation makes the relation
     laws fail on varied sites, which pins each law's site order and
     detail text."""
-    real = laws.verify_simulation
+    real = laws.simulation_holds
 
     def flipped(left, right, mode, relation, **kwargs):
-        verdict = bool(real(left, right, mode, relation, **kwargs))
+        verdict = real(left, right, mode, relation, **kwargs)
         return verdict != (len(relation) % 2 == 1)
 
-    monkeypatch.setattr(laws, "verify_simulation", flipped)
+    monkeypatch.setattr(laws, "simulation_holds", flipped)
     results = []
     for machine in machine_stream(FuzzConfig(seed=20260809, count=20)):
         with scope():
@@ -269,7 +316,7 @@ def _perturb_callees(monkeypatch):
 
         monkeypatch.setattr(laws, name, flipped)
 
-    flip("verify_simulation",
+    flip("simulation_holds",
          lambda left, right, mode, relation: (len(relation) + size(right)) % 3 == 0)
     flip("behavior_equal", lambda a, b, mode: size(a) % 2 == 1)
     flip("behavior_included", lambda a, b, mode: (size(a) + size(b)) % 3 == 0)

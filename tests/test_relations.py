@@ -27,6 +27,7 @@ from fsmabs.relations import (
     inverse,
     make_relation,
     simulates,
+    simulation_holds,
     verify_simulation,
 )
 from fsmabs.salca import build_abstract_machine, is_future_unique, is_sbalc
@@ -320,7 +321,8 @@ def _verdicts_match_naive_check(machine: StateMachine, levels, modes, ends_of) -
     relation is carried onto each pair of machines ``ends_of(relation)``
     yields and checked over both modes, one-sided and both ways.  The
     whole verdict (first failing initial state, pair and transition, and
-    its direction) must equal the transition-by-transition reference."""
+    its direction) must equal the transition-by-transition reference, and
+    ``simulation_holds`` its truth value."""
     verdicts = dict.fromkeys(("holds", "initial", "step", "backward"), 0)
     with scope():
         for relation in _relation_sites(machine, levels, modes):
@@ -330,6 +332,8 @@ def _verdicts_match_naive_check(machine: StateMachine, levels, modes, ends_of) -
                     got = verify_simulation(*ends, mode, carried, bisim=bisim)
                     expected = naive_verify_simulation(*ends, mode, carried.pairs, bisim)
                     assert got == expected, (machine, relation, ends, mode, bisim)
+                    holds = simulation_holds(*ends, mode, carried, bisim=bisim)
+                    assert holds == bool(expected), (machine, relation, ends, mode, bisim)
                     if got.direction == "backward":
                         verdicts["backward"] += 1
                     elif got:
