@@ -40,7 +40,6 @@ from .relations import (
     greatest_simulation,
     inverse,
     simulates,
-    simulation_holds,
     verify_simulation,
 )
 from .salca import (
@@ -92,7 +91,6 @@ __all__ = [
     "refinement_fixpoint",
     "saturation_check",
     "simulates",
-    "simulation_holds",
     "standard_realization",
     "validate",
     "verify_simulation",

@@ -245,6 +245,10 @@ def cmd_build(args) -> int:
         if args.m is None:
             raise FsmabsError("--m is required for --kind salca")
         built = build_abstract_machine(machine, mode, IntervalSpec(args.l, args.m))
+    elif args.m is not None:
+        raise FsmabsError("--m applies to --kind salca only")
+    elif mode is not _Y:
+        raise FsmabsError("the quotient is outputs-only; --external uy applies to --kind salca only")
     else:
         built = build_quotient_machine(machine, args.l)
     out = Path(args.out)

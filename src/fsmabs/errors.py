@@ -30,7 +30,8 @@ class IncompatibleAlphabets(FsmabsError):
 
 
 class InvalidSpec(FsmabsError):
-    """An (l, m) window interval is out of range for the operation."""
+    """An argument is out of range for the operation: an (l, m) window
+    interval, a relation kind, a law name."""
 
 
 class InvalidPartition(FsmabsError):

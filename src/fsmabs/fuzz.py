@@ -125,7 +125,9 @@ def shrink_counterexample(machine: StateMachine, law_name: str, levels) -> State
     """
     from .laws import LAWS
 
-    law = next(l for l in LAWS if l.name == law_name)
+    law = next((l for l in LAWS if l.name == law_name), None)
+    if law is None:
+        raise InvalidSpec(f"unknown law {law_name!r}")
 
     def still_fails(candidate: StateMachine) -> bool:
         with scope():

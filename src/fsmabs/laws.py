@@ -49,7 +49,7 @@ from .relations import (
     compose,
     inverse,
     simulates,
-    simulation_holds,
+    verify_simulation,
 )
 from .salca import (
     _unique_extensions,
@@ -197,7 +197,7 @@ def _broken_renaming(machine, mode, l, m) -> str | None:
     if not is_future_unique(machine, _Y, IntervalSpec(l, l)):
         return None
     renaming = canonical_relation(CanonicalKind.RENAMING, machine, _Y, l)
-    if not simulation_holds(renaming.left, renaming.right, _Y, renaming, bisim=True):
+    if not verify_simulation(renaming.left, renaming.right, _Y, renaming, bisim=True):
         return "renaming not a bisimulation"
     abstract = canonical_relation(CanonicalKind.STATE_TO_ABSTRACT, machine, _Y, l, l)
     quotient = canonical_relation(CanonicalKind.STATE_TO_QUOTIENT, machine, l=l)
@@ -313,7 +313,8 @@ def _relation_law(name, kind, sites, direction, expected, detail) -> Law:
 
     def broken(machine: StateMachine, mode, l, m) -> bool:
         left, right, relation = direction(canonical_relation(kind, machine, mode, l, m))
-        holds = simulation_holds(left, right, mode, relation)
+        # bool(): a verdict never equals a bool, so compare its truth value
+        holds = bool(verify_simulation(left, right, mode, relation))
         return holds != (expected is None or bool(expected(machine, mode, IntervalSpec(l, m))))
 
     return _site_law(name, sites, broken, detail)
@@ -330,7 +331,7 @@ _AT_LEVEL = " at l={l}"
 # relation row: name, canonical kind, site grid, direction, expected
 # predicate (None: always holds), detail template.  The checks and
 # predicates call the functions they use by their module-global names,
-# so that, like ``simulation_holds``, these are looked up when a law
+# so that, like ``verify_simulation``, these are looked up when a law
 # runs, not when the table is built.
 LAWS: tuple[Law, ...] = (
     _site_law("realization-all-anchors", _later_anchors,

@@ -11,15 +11,16 @@ fixpoints, :func:`inverse` (the table grouped by right state, built once
 per relation), :func:`compose` and the canonical relations, built from
 window codes, stay on indexes throughout.
 
-``simulation_holds`` and ``verify_simulation`` decide the step
-condition on the two machines' successor tables ``behavior.successors``
-with :func:`_matched`, the step predicate of the greatest fixpoint.
-``simulation_holds`` stops there with the verdict.  Only when a pair
-fails does ``verify_simulation`` walk rows, those of the failing pair's
-left state, to report the first unmatched (pair, transition):
-transitions in canonical order, each state's partners in the relation's
-stored order; only that counterexample is rendered as names.  A window
-abstraction's rows are emitted again for that walk, not cached.
+``verify_simulation`` is the one relation check.  It decides the
+initial and step conditions on the two machines' successor tables
+``behavior.successors`` with :func:`_matched`, the step predicate of
+the greatest fixpoint, and looks for no counterexample.  A verdict that
+failed a step finds its witness when first read: it walks the rows of
+the failing pair's left state to the first unmatched (pair,
+transition), transitions in canonical order, each state's partners in
+the relation's stored order, and renders only that counterexample as
+names.  A window abstraction's rows are emitted again for that walk,
+not cached.  The laws read only the truth value, so they never walk.
 Machines that declare equal label tuples, as an abstraction and its
 source do, share their symbol codes.  The successor table is built
 once per (machine, mode) and memoised per scope like all derived data
@@ -74,7 +75,6 @@ from .machine import (
     Value,
     frozen,
     require_comparable,
-    require_live_reachable,
 )
 from .qba import build_quotient_machine, fibers
 from .salca import build_abstract_machine, window_positions
@@ -222,7 +222,13 @@ def compose(first: Relation, second: Relation) -> Relation:
 
 class SimulationVerdict(Value):
     """Whether a relation is a simulation; on failure, the first failing
-    initial state or (pair, transition), and the side that failed."""
+    initial state or (pair, transition), and the side that failed.
+
+    A verdict that :func:`verify_simulation` makes on a failed step knows
+    only its failing left state: its ``failed_pair`` and
+    ``failed_transition`` are found by :func:`_first_failure` when either
+    is first read (``==``, ``hash`` and ``repr`` read both), in the scope
+    active then, and cached on the verdict."""
 
     _fields = ("valid", "failed_initial", "failed_pair", "failed_transition", "direction")
 
@@ -234,6 +240,18 @@ class SimulationVerdict(Value):
 
     def __bool__(self) -> bool:
         return self.valid
+
+    @cached_property
+    def _witness(self) -> tuple:
+        return _first_failure(*self._search)
+
+    @cached_property
+    def failed_pair(self) -> tuple:
+        return self._witness[0]
+
+    @cached_property
+    def failed_transition(self) -> tuple:
+        return self._witness[1]
 
 
 def _failing_source(
@@ -262,12 +280,12 @@ def _landing(table: tuple) -> list:
 
 def _first_failure(
     left: StateMachine, right: StateMachine, mode: ExternalAlphabet, table: tuple, source: int
-) -> SimulationVerdict:
-    """The first unmatched (pair, transition) of left state ``source``,
-    which :func:`_failing_source` found: its rows in row order (a built
-    window machine emits them again, see
+) -> tuple:
+    """The first unmatched (pair, transition), as names, of left state
+    ``source``, which :func:`_failing_source` found: its rows in row order
+    (a built window machine emits them again, see
     ``salca.AbstractMachine._row_groups``), each against every partner in
-    its ``table`` order; names are rendered only for that pair."""
+    its ``table`` order."""
     replies = successors(right, mode)
     recode = _recode(left, right, mode)
     codes = _label_codes(left, mode)
@@ -277,11 +295,7 @@ def _first_failure(
         symbol = recode[codes[u][y]]
         for b in table[source]:
             if landing[target].isdisjoint(_replies(replies[b], symbol)):
-                return SimulationVerdict(
-                    False,
-                    failed_pair=(left.states[source], right.states[b]),
-                    failed_transition=left._transition(row),
-                )
+                return (left.states[source], right.states[b]), left._transition(row)
     raise AssertionError(f"no row of state {left.states[source]!r} fails its step check")
 
 
@@ -295,24 +309,21 @@ def _unrelated_initial(left: StateMachine, right: StateMachine, table: tuple) ->
     return None
 
 
-def _holds(left: StateMachine, right: StateMachine, mode: ExternalAlphabet, table: tuple) -> bool:
-    """Whether the partner ``table`` meets the initial and step condition."""
-    return (_unrelated_initial(left, right, table) is None
-            and _failing_source(left, right, mode, table) is None)
-
-
 def _check(
-    left: StateMachine, right: StateMachine, mode: ExternalAlphabet, table: tuple
+    left: StateMachine, right: StateMachine, mode: ExternalAlphabet, table: tuple, direction: str
 ) -> SimulationVerdict:
-    """Initial and step condition of the partner ``table``, with the first
-    failure named."""
+    """Initial and step condition of the partner ``table``, decided on the
+    successor tables; a failed step's witness is found when read."""
     x0 = _unrelated_initial(left, right, table)
     if x0 is not None:
-        return SimulationVerdict(False, failed_initial=left.states[x0])
+        return SimulationVerdict(False, failed_initial=left.states[x0], direction=direction)
     source = _failing_source(left, right, mode, table)
     if source is None:
         return SimulationVerdict(True)
-    return _first_failure(left, right, mode, table, source)
+    verdict = object.__new__(SimulationVerdict)
+    verdict.__dict__.update(valid=False, failed_initial=None, direction=direction,
+                            _search=(left, right, mode, table, source))
+    return verdict
 
 
 def verify_simulation(
@@ -331,31 +342,10 @@ def verify_simulation(
     """
     require_comparable(left, right, mode, "verify_simulation")
     _check_binding(relation, left, right)
-    verdict = _check(left, right, mode, relation._table)
+    verdict = _check(left, right, mode, relation._table, "forward")
     if not verdict or not bisim:
         return verdict
-    back = _check(right, left, mode, inverse(relation)._table)
-    if back:
-        return back
-    return SimulationVerdict(
-        False, back.failed_initial, back.failed_pair, back.failed_transition, "backward"
-    )
-
-
-def simulation_holds(
-    left: StateMachine,
-    right: StateMachine,
-    mode: ExternalAlphabet,
-    relation: Relation,
-    bisim: bool = False,
-) -> bool:
-    """Whether :func:`verify_simulation` holds, decided on the successor
-    tables alone, with its gates: no counterexample is looked for."""
-    require_comparable(left, right, mode, "simulation_holds")
-    _check_binding(relation, left, right)
-    if not _holds(left, right, mode, relation._table):
-        return False
-    return not bisim or _holds(right, left, mode, inverse(relation)._table)
+    return _check(right, left, mode, inverse(relation)._table, "backward")
 
 
 def _replies(row: tuple, symbol: int) -> tuple:
@@ -608,8 +598,7 @@ def control_compatibility(
 ) -> ControlReport:
     """Evaluate the control-oriented conditions for ``abstraction`` over
     ``machine`` under ``relation`` (from concrete to abstract states)."""
-    require_live_reachable(machine, "control_compatibility")
-    require_live_reachable(abstraction, "control_compatibility")
+    require_comparable(machine, abstraction, mode, "control_compatibility")
     _check_binding(relation, machine, abstraction)
 
     input_violation = None

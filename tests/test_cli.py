@@ -133,6 +133,22 @@ def test_build_roundtrip(fig_path, tmp_path, capsys):
     assert built.initial == ("y1.y2", "y1.y4")
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--m", "1"), "error: --m applies to --kind salca only"),
+        (("--external", "uy"),
+         "error: the quotient is outputs-only; --external uy applies to --kind salca only"),
+    ],
+)
+def test_build_qba_rejects_salca_flags(fig_path, tmp_path, capsys, flags, message):
+    out = tmp_path / "q.json"
+    code, text, err = run(capsys, "build", fig_path, "--kind", "qba", "--l", "2", *flags,
+                          "--out", out)
+    assert (code, text, err) == (2, "", message + "\n")
+    assert not out.exists()
+
+
 def test_build_deterministic(fig_path, tmp_path, capsys):
     first = tmp_path / "one.json"
     second = tmp_path / "two.json"

@@ -11,7 +11,7 @@ import pytest
 from fsmabs import laws
 from fsmabs.analysis import scope
 from fsmabs.behavior import IntervalSpec, external_strings
-from fsmabs.errors import NotAccepted
+from fsmabs.errors import InvalidSpec, NotAccepted
 from fsmabs.fuzz import FuzzConfig, machine_stream, run_fuzz, shrink_counterexample
 from fsmabs.laws import LAWS, Law, check_laws, fiber_partition
 from fsmabs.machine import StateMachine, validate
@@ -222,6 +222,11 @@ def test_shrinking_preserves_failure():
     assert len(small.transitions) <= len(machine.transitions)
 
 
+def test_shrinking_names_an_unknown_law():
+    with pytest.raises(InvalidSpec, match="^unknown law 'no-such-law'$"):
+        shrink_counterexample(frozen_fiber_counterexample(), "no-such-law", levels=(2,))
+
+
 def test_shrinking_propagates_a_crashing_law(monkeypatch):
     def crash(machine, levels):
         raise RuntimeError("law crashed")
@@ -275,13 +280,13 @@ def test_relation_law_failures_pinned(monkeypatch):
     """Negating the verdict of every odd-sized relation makes the relation
     laws fail on varied sites, which pins each law's site order and
     detail text."""
-    real = laws.simulation_holds
+    real = laws.verify_simulation
 
     def flipped(left, right, mode, relation, **kwargs):
-        verdict = real(left, right, mode, relation, **kwargs)
+        verdict = bool(real(left, right, mode, relation, **kwargs))
         return verdict != (len(relation) % 2 == 1)
 
-    monkeypatch.setattr(laws, "simulation_holds", flipped)
+    monkeypatch.setattr(laws, "verify_simulation", flipped)
     results = []
     for machine in machine_stream(FuzzConfig(seed=20260809, count=20)):
         with scope():
@@ -316,7 +321,7 @@ def _perturb_callees(monkeypatch):
 
         monkeypatch.setattr(laws, name, flipped)
 
-    flip("simulation_holds",
+    flip("verify_simulation",
          lambda left, right, mode, relation: (len(relation) + size(right)) % 3 == 0)
     flip("behavior_equal", lambda a, b, mode: size(a) % 2 == 1)
     flip("behavior_included", lambda a, b, mode: (size(a) + size(b)) % 3 == 0)
