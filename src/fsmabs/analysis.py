@@ -29,6 +29,12 @@ data, which is freed when the block ends.
 
 A result computed in one scope is never returned in another: a scope
 does not read the entries of the scope around it.
+
+A lazy view lives with its object and touches no scope after the object
+is made.  A built window machine's rows and a failed simulation
+verdict's witness are computed when first read, from the derived data
+their object took from its scope when it was made, so reading them
+later, in another scope or none, adds no entry to any scope.
 """
 
 from __future__ import annotations

@@ -322,6 +322,8 @@ def cmd_compare(args) -> int:
 def cmd_fuzz(args) -> int:
     from .fuzz import FuzzConfig, run_fuzz  # only `fuzz` loads the law and fuzz modules
 
+    if args.l < 1:
+        raise InvalidSpec(f"window length l must be >= 1, got {args.l}")
     config = FuzzConfig(
         seed=args.seed,
         count=args.count,

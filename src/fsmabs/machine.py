@@ -23,8 +23,9 @@ so is ``initial``, from the ascending state indexes ``_initial``.
 A window abstraction made by ``salca.build_abstract_machine`` keeps only
 its successor table (``_table``, under its own mode) and its row count
 (``row_count``); its ``_rows`` are emitted again from the source machine
-on first read; its ``_row_groups``, the rows grouped by source state,
-are emitted from the source on each call and cache no row view.  Such a
+and the maps the build held on first read; its ``_row_groups``, the rows
+grouped by source state, are emitted the same way on each call and
+cache no row view; neither looks anything up in a scope.  Such a
 machine is live and reachable by construction (``_live_reachable``), so
 :func:`require_live_reachable` does not scan it.
 """

@@ -18,7 +18,7 @@ from .analysis import derived
 from .behavior import IntervalSpec, dominoes, external_strings_map, future_map, window_codec
 from .errors import InvalidPartition, InvalidSpec
 from .machine import ExternalAlphabet, StateMachine, Value, require_accepted
-from .salca import AbstractMachine, PredicateResult, cell_token
+from .salca import AbstractMachine, PredicateResult, _window_machine, cell_token
 
 _Y = ExternalAlphabet.OUTPUTS_ONLY
 
@@ -191,22 +191,16 @@ def build_quotient_machine(machine: StateMachine, l: int) -> AbstractMachine:
     if l < 1:
         raise InvalidSpec(f"build_quotient_machine requires l >= 1, got {l}")
     require_accepted(machine, "build_quotient_machine")
-    codec = window_codec(machine, _Y)
     groups = fibers(machine, l)
     cell_at = [0] * len(machine.states)
     for cell, (_, members) in enumerate(groups):
         for x in members:
             cell_at[x] = cell
-    return AbstractMachine._trusted(
-        tuple(cell_token(codec, codes, l) for codes, _ in groups),
-        machine.inputs,
-        machine.outputs,
+    return _window_machine(
+        machine, _Y, l,
+        tuple(codes for codes, _ in groups),
         sorted({cell_at[x0] for x0 in machine._initial}),
         ((cell_at[x], u, y, cell_at[x2]) for x, u, y, x2 in machine._rows),
-        _Y,
-        cells=tuple(codes for codes, _ in groups),
-        codec=codec,
-        window_length=l,
     )
 
 

@@ -15,12 +15,15 @@ window codes, stay on indexes throughout.
 initial and step conditions on the two machines' successor tables
 ``behavior.successors`` with :func:`_matched`, the step predicate of
 the greatest fixpoint, and looks for no counterexample.  A verdict that
-failed a step finds its witness when first read: it walks the rows of
-the failing pair's left state to the first unmatched (pair,
-transition), transitions in canonical order, each state's partners in
-the relation's stored order, and renders only that counterexample as
-names.  A window abstraction's rows are emitted again for that walk,
-not cached.  The laws read only the truth value, so they never walk.
+failed a step holds what its check built (the failing left state, its
+partners, the right successor table, the symbol recoding, the partner
+sets and the left label codes) and finds its witness from them when
+first read, in no scope: it walks the rows of the failing left state to
+the first unmatched (pair, transition), transitions in canonical order,
+each state's partners in the relation's stored order, and renders only
+that counterexample as names.  A window abstraction's rows are emitted
+again for that walk, from what the abstraction holds, not cached.  The
+laws read only the truth value, so they never walk.
 Machines that declare equal label tuples, as an abstraction and its
 source do, share their symbol codes.  The successor table is built
 once per (machine, mode) and memoised per scope like all derived data
@@ -224,11 +227,12 @@ class SimulationVerdict(Value):
     """Whether a relation is a simulation; on failure, the first failing
     initial state or (pair, transition), and the side that failed.
 
-    A verdict that :func:`verify_simulation` makes on a failed step knows
-    only its failing left state: its ``failed_pair`` and
-    ``failed_transition`` are found by :func:`_first_failure` when either
-    is first read (``==``, ``hash`` and ``repr`` read both), in the scope
-    active then, and cached on the verdict."""
+    A verdict that :func:`verify_simulation` makes on a failed step holds
+    the tables its check built for the failing left state: its
+    ``failed_pair`` and ``failed_transition`` are found from them by
+    :func:`_first_failure` when either is first read (``==``, ``hash``
+    and ``repr`` read both), touching no scope, and cached on the
+    verdict."""
 
     _fields = ("valid", "failed_initial", "failed_pair", "failed_transition", "direction")
 
@@ -254,46 +258,26 @@ class SimulationVerdict(Value):
         return self._witness[1]
 
 
-def _failing_source(
-    left: StateMachine, right: StateMachine, mode: ExternalAlphabet, table: tuple
-) -> int | None:
-    """The first left state (index) with a partner whose step fails, or
-    None when the step condition holds: every left transition from a
-    related state is matched by a related right transition with equal
-    external label.  Decided on the two successor tables alone by
-    :func:`_matched`, the step predicate of the greatest fixpoint, pair
-    by pair in table order."""
-    moves, replies = successors(left, mode), successors(right, mode)
-    recode = _recode(left, right, mode)
-    landing = _landing(table)
-    for a, partners in enumerate(table):
-        for b in partners:
-            if not _matched(moves[a], replies[b], recode, landing, backward=False):
-                return a
-    return None
-
-
 def _landing(table: tuple) -> list:
     """Each left state's partners in ``table`` as a set."""
     return [frozenset(partners) if partners else _NONE for partners in table]
 
 
 def _first_failure(
-    left: StateMachine, right: StateMachine, mode: ExternalAlphabet, table: tuple, source: int
+    left: StateMachine, right: StateMachine, source: int, partners: tuple, replies: tuple,
+    recode: tuple, landing: list, codes: tuple,
 ) -> tuple:
     """The first unmatched (pair, transition), as names, of left state
-    ``source``, which :func:`_failing_source` found: its rows in row order
-    (a built window machine emits them again, see
-    ``salca.AbstractMachine._row_groups``), each against every partner in
-    its ``table`` order."""
-    replies = successors(right, mode)
-    recode = _recode(left, right, mode)
-    codes = _label_codes(left, mode)
-    landing = _landing(table)
+    ``source``, from what :func:`_check` built when its step failed: the
+    state's ``partners`` in table order, the right successor table
+    ``replies``, ``recode``, the partner sets ``landing`` and the left
+    label ``codes``.  The state's rows are walked in row order (a built
+    window machine emits them again from what it holds, see
+    ``salca.AbstractMachine._row_groups``), each against every partner."""
     for row in next(islice(left._row_groups(), source, None)):
         _, u, y, target = row
         symbol = recode[codes[u][y]]
-        for b in table[source]:
+        for b in partners:
             if landing[target].isdisjoint(_replies(replies[b], symbol)):
                 return (left.states[source], right.states[b]), left._transition(row)
     raise AssertionError(f"no row of state {left.states[source]!r} fails its step check")
@@ -313,17 +297,28 @@ def _check(
     left: StateMachine, right: StateMachine, mode: ExternalAlphabet, table: tuple, direction: str
 ) -> SimulationVerdict:
     """Initial and step condition of the partner ``table``, decided on the
-    successor tables; a failed step's witness is found when read."""
+    two successor tables by :func:`_matched`, the step predicate of the
+    greatest fixpoint, pair by pair in table order: every left transition
+    from a related state is matched by a related right transition with
+    equal external label.  A failed step's verdict holds what the witness
+    walk needs, and finds the witness when read."""
     x0 = _unrelated_initial(left, right, table)
     if x0 is not None:
         return SimulationVerdict(False, failed_initial=left.states[x0], direction=direction)
-    source = _failing_source(left, right, mode, table)
-    if source is None:
-        return SimulationVerdict(True)
-    verdict = object.__new__(SimulationVerdict)
-    verdict.__dict__.update(valid=False, failed_initial=None, direction=direction,
-                            _search=(left, right, mode, table, source))
-    return verdict
+    moves, replies = successors(left, mode), successors(right, mode)
+    recode = _recode(left, right, mode)
+    landing = _landing(table)
+    for a, partners in enumerate(table):
+        for b in partners:
+            if not _matched(moves[a], replies[b], recode, landing, backward=False):
+                verdict = object.__new__(SimulationVerdict)
+                verdict.__dict__.update(
+                    valid=False, failed_initial=None, direction=direction,
+                    _search=(left, right, a, partners, replies, recode, landing,
+                             _label_codes(left, mode)),
+                )
+                return verdict
+    return SimulationVerdict(True)
 
 
 def verify_simulation(
@@ -521,12 +516,9 @@ def _canonical_relation(
         right = build_abstract_machine(machine, mode, IntervalSpec(l, m))
         at = window_positions(right)
         tail_of = codec.restrictor(l + 1, 1, l)
-        pairs = []
-        for a, (window,) in enumerate(left.cells):
-            shrunk = at.get(tail_of(window))
-            if shrunk is not None:
-                pairs.append((a, shrunk))
-        return _from_indices(left, right, pairs)
+        # The tail of a realized (l + 1, m) window is a realized (l, m)
+        # window around the same state: one partner per left state.
+        return _from_table(left, right, ((at[tail_of(w)],) for (w,) in left.cells))
 
     if kind is CanonicalKind.M_STEP:
         if m >= l:

@@ -18,10 +18,12 @@ witnesses decode codes into ``Window`` objects.
 ``build_abstract_machine`` emits each abstract row once, grouped by
 source window (:func:`_emission`), and keeps only the successor table it
 fills from them and their count; the machine's ``_rows`` are emitted
-again, from the source, when first read, and its ``_row_groups`` on each
-call, without caching them; ``==`` and ``hash`` read the rows that way.
-``standard_realization`` stays the independent domino recipe, holding
-its rows.
+again when first read, and its ``_row_groups`` on each call, without
+caching them; ``==`` and ``hash`` read the rows that way.  The emission
+reads only what the machine holds (``_source``), so a late read touches
+no scope.  Window-state and quotient machines share one constructor,
+:func:`_window_machine`.  ``standard_realization`` stays the
+independent domino recipe, holding its rows.
 """
 
 from __future__ import annotations
@@ -55,9 +57,10 @@ class AbstractMachine(StateMachine):
     window for window-state machines, a whole cell of windows for quotient
     machines.  The builders construct it through the trusted path
     (``StateMachine._trusted``), from rows over state positions or, for
-    ``build_abstract_machine``, from its successor table and the recipe
-    ``_source`` (source machine, mode, interval) that emits the rows when
-    ``_rows`` is read.  ``codec`` is neither compared nor shown.
+    ``build_abstract_machine``, from its successor table and ``_source``
+    (source machine, label codes, codec radix, interval, past and future
+    maps), all that :func:`_emission` reads to emit the rows again.
+    ``codec`` is neither compared nor shown.
     """
 
     _fields = StateMachine._fields + ("cells", "window_length")
@@ -87,8 +90,7 @@ class AbstractMachine(StateMachine):
         ``_rows`` were not read emits them again from its source."""
         if "_rows" in self.__dict__:
             return super()._row_groups()
-        machine, mode, spec = self._source
-        return _emission(machine, mode, spec, window_positions(self))
+        return _emission(*self._source, window_positions(self))
 
     def _key(self) -> tuple:
         """The compared fields, the rows read through ``_row_groups``, so
@@ -123,37 +125,29 @@ def _initial_codes(machine: StateMachine, mode: ExternalAlphabet, spec: Interval
 
 
 def _window_machine(
-    machine: StateMachine,
-    mode: ExternalAlphabet,
-    length: int,
-    windows,
-    initial,
-    rows,
+    machine: StateMachine, mode: ExternalAlphabet, length: int, cells: tuple, initial, rows,
     **extra,
 ) -> AbstractMachine:
-    """The abstraction whose states are the given ascending ``length``-window
-    codes, named by the codec; ``initial`` and ``rows`` are over the
-    states' positions in ``windows``, ``initial`` ascending; ``extra``
-    sets further fields."""
+    """The abstraction whose states are the given cells, ascending tuples
+    of ``length``-window codes in state order, each named by
+    :func:`cell_token`; ``initial`` and ``rows`` are over the states'
+    positions, ``initial`` ascending; ``extra`` sets further fields."""
     codec = window_codec(machine, mode)
     return AbstractMachine._trusted(
-        tuple(codec.name(w, length) for w in windows),
-        machine.inputs,
-        machine.outputs,
-        initial,
-        rows,
-        mode,
-        cells=tuple((w,) for w in windows),
-        codec=codec,
-        window_length=length,
-        **extra,
+        tuple(cell_token(codec, codes, length) for codes in cells),
+        machine.inputs, machine.outputs, initial, rows, mode,
+        cells=cells, codec=codec, window_length=length, **extra,
     )
 
 
-def _emission(machine: StateMachine, mode: ExternalAlphabet, spec: IntervalSpec, position):
+def _emission(machine: StateMachine, codes: tuple, base: int, spec: IntervalSpec,
+              past: tuple, future: tuple, position):
     """The window abstraction's rows, each once, grouped by source: one
-    sorted list of rows per state, in state order.  ``position`` maps the
-    ascending realized windows to their state positions.
+    sorted list of rows per state, in state order.  ``codes`` is the
+    machine's ``_label_codes``, ``base`` its codec's radix, ``past`` and
+    ``future`` its ``past_map`` at l - m and ``future_map`` at m, and
+    ``position`` maps the ascending realized windows to their state
+    positions; the emission reads nothing else.
 
     A concrete row (x, u, y, x2) with label code c gives the abstract rows
     whose (l + 1)-window is p.c.f, for every history p of x of length
@@ -166,8 +160,6 @@ def _emission(machine: StateMachine, mode: ExternalAlphabet, spec: IntervalSpec,
     label (p, u, y), and each source's rows are sorted.
     """
     l, m = spec.l, spec.m
-    codes = _label_codes(machine, mode)
-    base = window_codec(machine, mode).base
     span = base ** (l - 1)
     width = len(machine.outputs)
     if m in (0, l):
@@ -177,8 +169,7 @@ def _emission(machine: StateMachine, mode: ExternalAlphabet, spec: IntervalSpec,
         for x, u, y, x2 in machine._rows:
             masks[x2 if m else x] |= 1 << (u * width + y)
         labels: dict = {}
-        around = future_map(machine, mode, l) if m else past_map(machine, mode, l)
-        for mask, windows in zip(masks, around):
+        for mask, windows in zip(masks, future if m else past):
             for w in windows:
                 labels[w] = labels.get(w, 0) | mask
         decoded = [divmod(label, width) for label in range(len(machine.inputs) * width)]
@@ -205,7 +196,6 @@ def _emission(machine: StateMachine, mode: ExternalAlphabet, spec: IntervalSpec,
                 if labels[f] >> label & 1
             ]
     else:
-        past, future = past_map(machine, mode, l - m), future_map(machine, mode, m)
         merged: dict = {}
         for x, u, y, x2 in machine._rows:
             for p in past[x]:
@@ -239,19 +229,22 @@ def build_abstract_machine(
     :func:`_emission` one source window at a time, and the row count.
     """
     require_accepted(machine, "build_abstract_machine")
-    emap = external_strings_map(machine, mode, spec)
-    realized = sorted(set().union(*emap))
+    realized = sorted(set().union(*external_strings_map(machine, mode, spec)))
     position = {w: i for i, w in enumerate(realized)}
     codes = _label_codes(machine, mode)
+    source = (
+        machine, codes, window_codec(machine, mode).base, spec,
+        past_map(machine, mode, spec.l - spec.m), future_map(machine, mode, spec.m),
+    )
     table = []
     count = 0
-    for rows in _emission(machine, mode, spec, position):
+    for rows in _emission(*source, position):
         count += len(rows)
         table.append(_table_row(codes, rows))
     initial = [position[w] for w in _initial_codes(machine, mode, spec)]
     return _window_machine(
-        machine, mode, spec.l, realized, initial, None,
-        _table=tuple(table), row_count=count, _live_reachable=True, _source=(machine, mode, spec),
+        machine, mode, spec.l, tuple((w,) for w in realized), initial, None,
+        _table=tuple(table), row_count=count, _live_reachable=True, _source=source,
     )
 
 
@@ -282,7 +275,7 @@ def standard_realization(machine: StateMachine, l: int) -> AbstractMachine:
         u, y = label_of[last_of(domino)]
         rows.append((position[head_of(domino)], u, y, position[tail_of(domino)]))
     # The all-diamond window, code 0, is the first state and the only initial one.
-    return _window_machine(machine, mode, l, states, (0,), rows)
+    return _window_machine(machine, mode, l, tuple((w,) for w in states), (0,), rows)
 
 
 class PredicateResult(Value):

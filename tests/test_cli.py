@@ -321,7 +321,7 @@ def test_fuzz_rejects_window_length_zero(capsys):
     code, out, err = run(capsys, "fuzz", "--count", "1", "--l", "0")
     assert code == 2
     assert out == ""
-    assert "levels must be window lengths >= 1" in err
+    assert err == "error: window length l must be >= 1, got 0\n"
 
 
 def test_missing_file(capsys):

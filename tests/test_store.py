@@ -10,7 +10,9 @@ Each is checked here against the algorithm it replaced
 the window-sweep machine.  The law battery checks its relations on the
 successor tables, so it leaves no row view and no pair list behind,
 nor do ``repr`` and a relation's endpoint check; the battery's memory
-peak per machine is bounded; so is the memory an acceptor holds.
+peak per machine is bounded; so is the memory an acceptor holds.  The
+rows of a built abstraction and the witness of a failed verdict, read
+after their scope has ended, add nothing to the scope active then.
 """
 
 import tracemalloc
@@ -18,7 +20,7 @@ from itertools import chain
 
 import pytest
 
-from fsmabs import cli
+from fsmabs import analysis, cli
 from fsmabs.analysis import scope
 from fsmabs.behavior import (
     IntervalSpec,
@@ -31,7 +33,7 @@ from fsmabs.behavior import (
 from fsmabs.errors import NotAccepted
 from fsmabs.fuzz import FuzzConfig, _check, machine_stream
 from fsmabs.laws import check_laws
-from fsmabs.machine import StateMachine, _unreachable_and_dead, dumps
+from fsmabs.machine import StateMachine, _unreachable_and_dead, dumps, to_dict
 from fsmabs.qba import build_quotient_machine
 from fsmabs.relations import (
     CanonicalKind,
@@ -161,6 +163,29 @@ def test_hashing_and_comparing_keep_no_row_views():
         endpoints = [relation.left, relation.right, built]
         assert all("_source" in m.__dict__ for m in endpoints)
         assert [m for m in endpoints if "_rows" in m.__dict__] == []
+
+
+def test_late_views_touch_no_scope(fig_machine):
+    """A built window machine's rows and a failed verdict's witness, read
+    after the scope they were made in has ended, are computed from what
+    the objects hold: the active scope gains no entry."""
+    with scope():
+        built = build_abstract_machine(fig_machine, Y, IntervalSpec(2, 1))
+        canon = canonical_relation(CanonicalKind.STATE_TO_ABSTRACT, fig_machine, Y, 2, 2)
+        verdict = verify_simulation(canon.left, canon.right, Y, canon)
+    with scope():
+        rebuilt = build_abstract_machine(fig_machine, Y, IntervalSpec(2, 1))
+    before = len(analysis._active.get())
+    shown, hashed = repr(built), hash(built)
+    assert built == rebuilt and hash(rebuilt) == hashed
+    first = built.states[0]
+    assert built.outgoing(first) == tuple(t for t in built.transitions if t[0] == first)
+    assert to_dict(built)["transitions"] == [list(t) for t in built.transitions]
+    assert repr(built) == shown
+    assert not verdict and verdict.failed_pair == ("x3", "y3.y4")
+    assert verdict.failed_transition == ("x3", "u3", "y3", "x2")
+    assert "failed_pair=('x3', 'y3.y4')" in repr(verdict)
+    assert len(analysis._active.get()) == before
 
 
 def test_repr_keeps_no_row_view():
