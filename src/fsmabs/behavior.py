@@ -32,6 +32,7 @@ renders each (code, length) name once.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from functools import cached_property
 
@@ -193,11 +194,18 @@ def window_codec(machine: StateMachine, mode: ExternalAlphabet) -> WindowCodec:
 
 
 class IntervalSpec(Value):
-    """Anchored window interval: l symbols, of which m lie in the future."""
+    """Anchored window interval: l symbols, of which m lie in the future.
+
+    The one rule for window lengths and anchors: integers, l >= 1 and
+    0 <= m <= l; :func:`window_length` checks a bare length by it."""
 
     _fields = ("l", "m")
 
     def __init__(self, l: int, m: int):
+        try:
+            l, m = operator.index(l), operator.index(m)
+        except TypeError:
+            raise InvalidSpec(f"l and m must be integers, got l={l!r}, m={m!r}") from None
         if l < 1:
             raise InvalidSpec(f"window length l must be >= 1, got {l}")
         if not 0 <= m <= l:
@@ -206,6 +214,11 @@ class IntervalSpec(Value):
 
     def _key(self) -> tuple:
         return (self.l, self.m)
+
+
+def window_length(l: int) -> int:
+    """``l`` checked as a window length by the :class:`IntervalSpec` rule."""
+    return IntervalSpec(l, 0).l
 
 
 class DominoSet:
@@ -345,14 +358,14 @@ def future_map(machine: StateMachine, mode: ExternalAlphabet, k: int) -> tuple:
         return (frozenset((0,)),) * len(machine.states)
     shorter = future_map(machine, mode, k - 1)
     lead = window_codec(machine, mode).base ** (k - 1)
-    return tuple(
-        frozenset(
-            symbol * lead + tail
-            for symbol, targets in row
-            for x2 in targets
-            for tail in shorter[x2]
-        )
-        for row in successors(machine, mode)
+    return tuple(_step_futures(row, shorter, lead) for row in successors(machine, mode))
+
+
+def _step_futures(row: tuple, shorter: tuple, lead: int) -> frozenset:
+    """One state's (k + 1)-futures, from its successor table ``row`` and
+    the k-future map ``shorter``; ``lead`` is the codec radix to the power k."""
+    return frozenset(
+        symbol * lead + tail for symbol, targets in row for x2 in targets for tail in shorter[x2]
     )
 
 
@@ -362,8 +375,7 @@ def dominoes(machine: StateMachine, mode: ExternalAlphabet, n: int) -> DominoSet
 
     Includes diamond-prefixed windows from positions before time zero.
     """
-    if n < 1:
-        raise InvalidSpec(f"domino length must be >= 1, got {n}")
+    n = window_length(n)
     require_accepted(machine, "dominoes")
     codec = window_codec(machine, mode)
     past = past_map(machine, mode, n - 1)
@@ -628,8 +640,7 @@ def saturation_check(machine: StateMachine, mode: ExternalAlphabet, l: int) -> b
     all-diamond) joins into a realizable (l+2)-window; equivalently the
     window-closure behaviors at horizons l and l + 1 coincide.
     """
-    if l < 1:
-        raise InvalidSpec(f"saturation_check requires l >= 1, got {l}")
+    l = window_length(l)
     require_accepted(machine, "saturation_check")
     base = window_codec(machine, mode).base
     span = base**l

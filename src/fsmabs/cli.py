@@ -15,8 +15,8 @@ from pathlib import Path
 
 from . import machine as machine_io
 from .analysis import scope
-from .behavior import LEVEL_FREE, IntervalSpec, behavior_included
-from .errors import FsmabsError, InvalidSpec
+from .behavior import LEVEL_FREE, IntervalSpec, behavior_included, window_length
+from .errors import FsmabsError
 from .machine import ExternalAlphabet, StateMachine, to_dot, validate
 from .qba import (
     Partition,
@@ -64,8 +64,7 @@ def build_report(machine: StateMachine, mode: ExternalAlphabet, l_max: int,
     level's derived data is freed before the next level is built and the
     report's is freed when it returns.
     """
-    if l_max < 1:
-        raise InvalidSpec(f"window length l must be >= 1, got {l_max}")
+    l_max = window_length(l_max)
     max_steps = refinement_budget(machine, max_steps)
     properties = []
     levels = []
@@ -322,15 +321,13 @@ def cmd_compare(args) -> int:
 def cmd_fuzz(args) -> int:
     from .fuzz import FuzzConfig, run_fuzz  # only `fuzz` loads the law and fuzz modules
 
-    if args.l < 1:
-        raise InvalidSpec(f"window length l must be >= 1, got {args.l}")
     config = FuzzConfig(
         seed=args.seed,
         count=args.count,
         max_states=args.max_states,
         max_inputs=args.max_inputs,
         max_outputs=args.max_outputs,
-        levels=tuple(range(1, args.l + 1)),
+        levels=tuple(range(1, window_length(args.l) + 1)),
     )
     report = run_fuzz(config, shrink=not args.no_shrink)
     out_dir = Path(args.out) if args.out else None

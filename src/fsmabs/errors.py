@@ -30,8 +30,8 @@ class IncompatibleAlphabets(FsmabsError):
 
 
 class InvalidSpec(FsmabsError):
-    """An argument is out of range for the operation: an (l, m) window
-    interval, a relation kind, a law name."""
+    """An argument is out of range for the operation: a window length or
+    anchor (``behavior.IntervalSpec``), a relation kind, a law name."""
 
 
 class InvalidPartition(FsmabsError):

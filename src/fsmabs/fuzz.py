@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 
 from .analysis import scope
+from .behavior import window_length
 from .errors import FsmabsError, InvalidSpec
 from .machine import ExternalAlphabet, StateMachine, Value, validate
 
@@ -31,8 +32,9 @@ class FuzzConfig(Value):
             raise InvalidSpec("max_inputs and max_outputs must be in 1..4")
         if count < 0:
             raise InvalidSpec("count must be >= 0")
-        if not levels or min(levels) < 1:
-            raise InvalidSpec(f"levels must be window lengths >= 1, got {levels}")
+        if not levels:
+            raise InvalidSpec("levels must be window lengths >= 1, got ()")
+        levels = tuple(map(window_length, levels))
         self.__dict__.update(seed=seed, count=count, max_states=max_states,
                              max_inputs=max_inputs, max_outputs=max_outputs, levels=levels)
 

@@ -15,7 +15,8 @@ rendered names joined by '|'.  The algorithms work on state indexes; a
 from __future__ import annotations
 
 from .analysis import derived
-from .behavior import IntervalSpec, dominoes, external_strings_map, future_map, window_codec
+from .behavior import (IntervalSpec, dominoes, external_strings_map, future_map, successors,
+                       window_codec, window_length)
 from .errors import InvalidPartition, InvalidSpec
 from .machine import ExternalAlphabet, StateMachine, Value, require_accepted
 from .salca import AbstractMachine, PredicateResult, _window_machine, cell_token
@@ -151,8 +152,7 @@ def refinement_fixpoint(machine: StateMachine, max_steps: int | None = None):
 def partition_at(machine: StateMachine, l: int) -> Partition:
     """The l-th partition of the refinement chain: one refinement round
     on the (memoised) partition at level l - 1."""
-    if l < 1:
-        raise InvalidSpec(f"partition level must be >= 1, got {l}")
+    l = window_length(l)
     if l == 1:
         return initial_partition(machine)
     return refine(machine, partition_at(machine, l - 1))
@@ -188,8 +188,7 @@ def build_quotient_machine(machine: StateMachine, l: int) -> AbstractMachine:
     mirror the concrete ones cell-to-cell.  Outputs stay in the original
     output alphabet (the external view is outputs-only).
     """
-    if l < 1:
-        raise InvalidSpec(f"build_quotient_machine requires l >= 1, got {l}")
+    l = window_length(l)
     require_accepted(machine, "build_quotient_machine")
     groups = fibers(machine, l)
     cell_at = [0] * len(machine.states)
@@ -208,19 +207,23 @@ def build_quotient_machine(machine: StateMachine, l: int) -> AbstractMachine:
 def is_domino_consistent(machine: StateMachine, l: int) -> PredicateResult:
     """Every window extension compatible with a cell is realizable from
     some member of that cell.  Witness on failure: (window, cell token)."""
-    if l < 1:
-        raise InvalidSpec(f"is_domino_consistent requires l >= 1, got {l}")
+    l = window_length(l)
     require_accepted(machine, "is_domino_consistent")
     codec = window_codec(machine, _Y)
-    long_futures = future_map(machine, _Y, l + 1)
+    # a domino is an (l + 1)-future of x iff its first symbol steps x to a
+    # state of which its last l symbols are a future
+    steps = [dict(row) for row in successors(machine, _Y)]
+    futures = future_map(machine, _Y, l)
+    lead = codec.base**l
     ordered_cells = [(codes, frozenset(codes), members) for codes, members in fibers(machine, l)]
     prefix_of = codec.restrictor(l + 1, 0, l - 1)
     for domino in dominoes(machine, _Y, l + 1).codes:
         prefix = prefix_of(domino)
+        first, rest = divmod(domino, lead)
         for codes, code_set, members in ordered_cells:
             if prefix not in code_set:
                 continue
-            if not any(domino in long_futures[x] for x in members):
+            if not any(rest in futures[x2] for x in members for x2 in steps[x].get(first, ())):
                 return PredicateResult(
                     False, (codec.decode(domino, l + 1), cell_token(codec, codes, l))
                 )

@@ -494,17 +494,16 @@ def canonical_relation(
     """The comparison relation of the given kind, whose endpoint machines
     are built as needed from ``machine`` (derived data, memoised per
     machine)."""
-    return _canonical_relation(machine, kind, mode, l, m)
+    return _canonical_relation(machine, kind, mode, IntervalSpec(l, m))
 
 
 @derived
 def _canonical_relation(
-    machine: StateMachine, kind: CanonicalKind, mode: ExternalAlphabet, l: int, m: int
+    machine: StateMachine, kind: CanonicalKind, mode: ExternalAlphabet, spec: IntervalSpec
 ) -> Relation:
-    codec = window_codec(machine, mode)
+    l, m = spec.l, spec.m
 
     if kind is CanonicalKind.STATE_TO_ABSTRACT:
-        spec = IntervalSpec(l, m)
         right = build_abstract_machine(machine, mode, spec)
         emap = external_strings_map(machine, mode, spec)
         at = window_positions(right)
@@ -513,22 +512,22 @@ def _canonical_relation(
 
     if kind is CanonicalKind.L_STEP:
         left = build_abstract_machine(machine, mode, IntervalSpec(l + 1, m))
-        right = build_abstract_machine(machine, mode, IntervalSpec(l, m))
+        right = build_abstract_machine(machine, mode, spec)
         at = window_positions(right)
-        tail_of = codec.restrictor(l + 1, 1, l)
+        tail_of = window_codec(machine, mode).restrictor(l + 1, 1, l)
         # The tail of a realized (l + 1, m) window is a realized (l, m)
         # window around the same state: one partner per left state.
         return _from_table(left, right, ((at[tail_of(w)],) for (w,) in left.cells))
 
     if kind is CanonicalKind.M_STEP:
-        if m >= l:
-            raise InvalidSpec("m-step relation requires m < l")
-        left = build_abstract_machine(machine, mode, IntervalSpec(l, m + 1))
-        right = build_abstract_machine(machine, mode, IntervalSpec(l, m))
-        up = external_strings_map(machine, mode, IntervalSpec(l, m + 1))
-        down = external_strings_map(machine, mode, IntervalSpec(l, m))
+        shifted = IntervalSpec(l, m + 1)  # the anchor m + 1 exists: m < l
+        left = build_abstract_machine(machine, mode, shifted)
+        right = build_abstract_machine(machine, mode, spec)
+        up = external_strings_map(machine, mode, shifted)
+        down = external_strings_map(machine, mode, spec)
         left_at = window_positions(left)
         right_at = window_positions(right)
+        codec = window_codec(machine, mode)
         tail_of = codec.restrictor(l, 1, l - 1)
         head_of = codec.restrictor(l, 0, l - 2)
         pairs = []

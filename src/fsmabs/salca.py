@@ -37,15 +37,17 @@ from .behavior import (
     Window,
     WindowCodec,
     _label_codes,
+    _step_futures,
     _table_row,
     behavior_equal,
     dominoes,
     external_strings_map,
     future_map,
     past_map,
+    successors,
     window_codec,
+    window_length,
 )
-from .errors import InvalidSpec
 from .machine import ExternalAlphabet, StateMachine, Value, require_accepted
 
 
@@ -255,8 +257,7 @@ def standard_realization(machine: StateMachine, l: int) -> AbstractMachine:
     appending any realizable (l+1)-window advances the state by one
     symbol.  Componentwise identical to the m = 0 window-state build.
     """
-    if l < 1:
-        raise InvalidSpec(f"standard_realization requires l >= 1, got {l}")
+    l = window_length(l)
     require_accepted(machine, "standard_realization")
     mode = ExternalAlphabet.INPUT_OUTPUT_PAIRS
     codec = window_codec(machine, mode)
@@ -322,14 +323,17 @@ def is_sbalc(
     codec = window_codec(machine, mode)
     emap = external_strings_map(machine, mode, spec)
     l, m = spec.l, spec.m
-    futures = future_map(machine, mode, m + 1)
+    futures = future_map(machine, mode, m)
+    lead = codec.base**m
     # A window of x extends through x iff its last m + 1 symbols are a
     # future of x: its past part is already a history of x.
     head_of = codec.restrictor(l + 1, 0, l - 1)
     tail_of = codec.restrictor(l + 1, l - m, l)
     split = [(w, head_of(w), tail_of(w)) for w in dominoes(machine, mode, l + 1).codes]
-    for x, (around, extensions) in enumerate(zip(emap, futures)):
+    for x, (around, row) in enumerate(zip(emap, successors(machine, mode))):
         windows = frozenset(around)
+        # x's (m + 1)-futures, made one state at a time and not kept
+        extensions = _step_futures(row, futures, lead)
         for domino, head, tail in split:
             if head in windows and tail not in extensions:
                 return PredicateResult(False, (machine.states[x], codec.decode(domino, l + 1)))
@@ -338,10 +342,9 @@ def is_sbalc(
 
 def is_async_l_complete(machine: StateMachine, mode: ExternalAlphabet, l: int) -> bool:
     """Whether the machine's behavior already equals its l-window closure."""
-    if l < 1:
-        raise InvalidSpec(f"is_async_l_complete requires l >= 1, got {l}")
+    spec = IntervalSpec(l, 0)
     require_accepted(machine, "is_async_l_complete")
-    abstraction = build_abstract_machine(machine, mode, IntervalSpec(l, 0))
+    abstraction = build_abstract_machine(machine, mode, spec)
     return behavior_equal(machine, abstraction, mode)
 
 
@@ -353,8 +356,7 @@ def joint_fu_sbalc(machine: StateMachine, mode: ExternalAlphabet, spec: Interval
     completeness at anchor m; the converse can fail across diamond-padded
     windows (see the contested laws in the laws module).
     """
-    if spec.m >= spec.l:
-        raise InvalidSpec("joint_fu_sbalc requires m < l")
+    IntervalSpec(spec.l, spec.m + 1)  # the anchor m + 1 exists: m < l
     require_accepted(machine, "joint_fu_sbalc")
     return _unique_extensions(machine, mode, spec.l, spec.l)
 

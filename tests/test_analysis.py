@@ -12,15 +12,29 @@ import fsmabs.cli as cli
 import fsmabs.fuzz as fuzz
 import fsmabs.qba as qba
 from fsmabs.analysis import scope
-from fsmabs.behavior import LEVEL_FREE, IntervalSpec, external_strings_map
+from fsmabs.behavior import (
+    LEVEL_FREE,
+    IntervalSpec,
+    dominoes,
+    external_strings,
+    external_strings_map,
+    future_map,
+    saturation_check,
+)
 from fsmabs.cli import build_report
 from fsmabs.errors import InvalidSpec
 from fsmabs.fuzz import FuzzConfig, machine_stream, run_fuzz, shrink_counterexample
 from fsmabs.laws import check_laws, fiber_partition
 from fsmabs.machine import validate
-from fsmabs.qba import build_quotient_machine, fibers, partition_at
+from fsmabs.qba import build_quotient_machine, fibers, is_domino_consistent, partition_at
 from fsmabs.relations import CanonicalKind, canonical_relation
-from fsmabs.salca import build_abstract_machine
+from fsmabs.salca import (
+    build_abstract_machine,
+    is_async_l_complete,
+    is_sbalc,
+    joint_fu_sbalc,
+    standard_realization,
+)
 
 from .conftest import Y
 
@@ -213,3 +227,95 @@ def test_report_checks_max_steps_before_any_level(fig_machine):
         with pytest.raises(InvalidSpec, match="max_steps must be >= 1, got 0"):
             build_report(fig_machine, Y, 3, 0)
     assert len(outer) == 0
+
+
+def _fuzz_command(l):
+    args = cli.make_parser().parse_args(["fuzz", "--count", "1"])
+    args.l = l
+    return cli.cmd_fuzz(args)
+
+
+#: Every entry that takes a bare window length, as a function of it.
+LENGTH_ENTRIES = {
+    "IntervalSpec": lambda machine, l: IntervalSpec(l, 0),
+    "dominoes": lambda machine, l: dominoes(machine, Y, l),
+    "saturation_check": lambda machine, l: saturation_check(machine, Y, l),
+    "standard_realization": lambda machine, l: standard_realization(machine, l),
+    "is_async_l_complete": lambda machine, l: is_async_l_complete(machine, Y, l),
+    "build_quotient_machine": lambda machine, l: build_quotient_machine(machine, l),
+    "is_domino_consistent": lambda machine, l: is_domino_consistent(machine, l),
+    "partition_at": lambda machine, l: partition_at(machine, l),
+    "FuzzConfig": lambda machine, l: FuzzConfig(levels=(l,)),
+    "build_report": lambda machine, l: build_report(machine, Y, l),
+    "cmd_fuzz": lambda machine, l: _fuzz_command(l),
+    "build_abstract_machine": lambda machine, l: build_abstract_machine(
+        machine, Y, IntervalSpec(l, 0)),
+    "canonical_relation": lambda machine, l: canonical_relation(
+        CanonicalKind.STATE_TO_ABSTRACT, machine, Y, l, 0),
+    "external_strings": lambda machine, l: external_strings(machine, Y, "x1", IntervalSpec(l, 0)),
+}
+
+#: Every entry that takes an anchor, as a function of it, at l = 2.
+ANCHOR_ENTRIES = {
+    "IntervalSpec": lambda machine, m: IntervalSpec(2, m),
+    "build_abstract_machine": lambda machine, m: build_abstract_machine(
+        machine, Y, IntervalSpec(2, m)),
+    "canonical_relation": lambda machine, m: canonical_relation(
+        CanonicalKind.STATE_TO_ABSTRACT, machine, Y, 2, m),
+    "external_strings": lambda machine, m: external_strings(machine, Y, "x1", IntervalSpec(2, m)),
+}
+
+
+def _refused_in_a_fresh_scope(call, message: str) -> None:
+    with scope() as fresh:
+        with pytest.raises(InvalidSpec) as refused:
+            call()
+        assert len(fresh) == 0
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("l", [0, -1, 2.5, "2"])
+@pytest.mark.parametrize("entry", LENGTH_ENTRIES)
+def test_window_length_refused_before_any_derived_data(fig_machine, entry, l):
+    """A bad length raises the rule's one message for its kind, before
+    anything is derived; a non-integer one never reaches a map."""
+    if isinstance(l, int):
+        message = f"window length l must be >= 1, got {l}"
+    else:
+        message = f"l and m must be integers, got l={l!r}, m=0"
+    _refused_in_a_fresh_scope(lambda: LENGTH_ENTRIES[entry](fig_machine, l), message)
+
+
+@pytest.mark.parametrize("m", [-1, 3, 0.5])
+@pytest.mark.parametrize("entry", ANCHOR_ENTRIES)
+def test_anchor_refused_before_any_derived_data(fig_machine, entry, m):
+    if isinstance(m, int):
+        message = f"future length m must satisfy 0 <= m <= l, got m={m}"
+    else:
+        message = f"l and m must be integers, got l=2, m={m!r}"
+    _refused_in_a_fresh_scope(lambda: ANCHOR_ENTRIES[entry](fig_machine, m), message)
+
+
+@pytest.mark.parametrize("shift", [
+    lambda machine: canonical_relation(CanonicalKind.M_STEP, machine, Y, 2, 2),
+    lambda machine: joint_fu_sbalc(machine, Y, IntervalSpec(2, 2)),
+], ids=["m-step", "joint_fu_sbalc"])
+def test_anchor_shift_refused_at_the_last_anchor(fig_machine, shift):
+    """The anchor-shifting entries check the shifted anchor m + 1 by the
+    same rule."""
+    message = "future length m must satisfy 0 <= m <= l, got m=3"
+    _refused_in_a_fresh_scope(lambda: shift(fig_machine), message)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_completeness_checks_read_no_longer_future(fig_machine, l):
+    """``is_sbalc`` at the full future and domino consistency decide
+    whether an (l + 1)-window's tail is a future from the successor rows
+    and the l-future map: no (l + 1)-future map is made."""
+    for check in (lambda: is_sbalc(fig_machine, Y, IntervalSpec(l, l)),
+                  lambda: is_domino_consistent(fig_machine, l)):
+        with scope() as fresh:
+            check()
+            lengths = [args[-1] for function, args in fresh.results(fig_machine)
+                       if function is future_map]
+        assert lengths and max(lengths) <= l

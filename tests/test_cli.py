@@ -310,18 +310,17 @@ def test_build_salca_requires_anchor(fig_path, tmp_path, capsys):
     assert "--m" in err
 
 
-def test_report_rejects_window_length_zero(fig_path, capsys):
-    code, out, err = run(capsys, "report", fig_path, "--l", "0")
-    assert code == 2
-    assert out == ""
-    assert "window length l must be >= 1, got 0" in err
-
-
-def test_fuzz_rejects_window_length_zero(capsys):
-    code, out, err = run(capsys, "fuzz", "--count", "1", "--l", "0")
-    assert code == 2
-    assert out == ""
-    assert err == "error: window length l must be >= 1, got 0\n"
+@pytest.mark.parametrize("argv", [
+    ("report", "{machine}"),
+    ("compare", "{machine}"),
+    ("build", "{machine}", "--kind", "salca", "--m", "0", "--out", "{out}"),
+    ("build", "{machine}", "--kind", "qba", "--out", "{out}"),
+    ("fuzz", "--count", "1"),
+], ids=["report", "compare", "build-salca", "build-qba", "fuzz"])
+def test_window_length_zero_has_one_message(argv, fig_path, tmp_path, capsys):
+    argv = [a.format(machine=fig_path, out=tmp_path / "x.json") for a in argv]
+    code, out, err = run(capsys, *argv, "--l", "0")
+    assert (code, out, err) == (2, "", "error: window length l must be >= 1, got 0\n")
 
 
 def test_missing_file(capsys):

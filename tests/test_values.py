@@ -188,6 +188,10 @@ def test_constructor_checks_kept():
         IntervalSpec(0, 0)
     with pytest.raises(InvalidSpec, match="0 <= m <= l"):
         IntervalSpec(1, 2)
+    with pytest.raises(InvalidSpec, match="must be integers"):
+        IntervalSpec(2.5, 1)
+    with pytest.raises(InvalidSpec, match="must be integers"):
+        FuzzConfig(levels=(1.5,))
     with pytest.raises(InvalidSpec, match="max_states must be in 1..8"):
         FuzzConfig(max_states=9)
     with pytest.raises(InvalidSpec, match="levels must be window lengths"):
