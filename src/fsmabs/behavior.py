@@ -3,14 +3,14 @@
 A *window* is a finite string over the machine's external alphabet,
 optionally padded on the left with the diamond symbol to encode positions
 before time zero.  The n-long windows generated by a machine (its
-dominoes) are computed by an exact forward fixpoint over
-(state, recent-history) pairs.  Behavioral inclusion and equality between
-two machines are decided on prefix languages, by one breadth-first walk
-over the product of the two machines' deterministic prefix acceptors;
-this is exact for live, finitely branching machines because their
-infinite behavior is the safety closure of the prefix language.  The walk
-visits at most |DFA(left)| * |DFA(right)| pairs; the subset construction
-is exponential in the worst case.
+dominoes) join each state's (n - 1)-long histories with the symbols of
+its steps.  Behavioral inclusion and equality between two machines are
+decided on prefix languages, by one breadth-first walk over the product
+of the two machines' deterministic prefix acceptors; this is exact for
+live, finitely branching machines because their infinite behavior is the
+safety closure of the prefix language.  The walk visits at most
+|DFA(left)| * |DFA(right)| pairs; the subset construction is exponential
+in the worst case.
 
 Windows are integer codes.  Each (machine, mode) has one
 :class:`WindowCodec` (:func:`window_codec`): the external symbols get
@@ -22,12 +22,15 @@ restricting and joining windows are integer arithmetic, and integer
 order is the canonical window order (diamond first, then declaration
 order, position by position).  The radix arithmetic lives here; other
 modules call the codec.  Every memoised result holds codes only, and
-the per-state maps (:func:`past_map`, :func:`future_map`,
+the per-state maps (the private past and future window maps, and
 :func:`external_strings_map`) are tuples indexed by state declaration
-index, like the successor table.  ``Window`` objects are decoded where
-the API hands one out (``external_strings``, ``DominoSet``,
-``AbstractMachine.windows_of`` and predicate witnesses), and the codec
-renders each (code, length) name once.
+index, like the successor table.  Both window maps step from k - 1 by
+one rule over the successor table: a history of a state extends one of
+a predecessor, a future of a state prefixes one of a successor.
+``Window`` objects are decoded where the API hands one out
+(``external_strings``, ``DominoSet``, ``AbstractMachine.windows_of`` and
+predicate witnesses), and the codec renders each (code, length) name
+once.
 """
 
 from __future__ import annotations
@@ -233,7 +236,9 @@ class DominoSet:
     __slots__ = ("length", "codes", "code_set", "codec")
 
     def __init__(self, length: int, windows, codec: WindowCodec | None = None):
-        """``windows`` are ``Window`` objects, or with ``codec`` their codes."""
+        """``windows`` are ``Window`` objects, or with ``codec`` their
+        codes; any iterable, read once."""
+        windows = tuple(windows)
         if codec is None:
             for w in windows:
                 if len(w) != length:
@@ -297,7 +302,7 @@ def successors(machine: StateMachine, mode: ExternalAlphabet) -> tuple:
     indices), symbols and targets in the order of their first transition,
     targets deduplicated.
 
-    Symbol codes are the digits of :func:`window_codec`.  The fixpoints,
+    Symbol codes are the digits of :func:`window_codec`.  The window maps,
     the prefix acceptor, :func:`is_deterministic` and the simulation
     checks of ``relations`` all read this one table.  A window
     abstraction's builder fills it (``StateMachine._table``) under the
@@ -318,45 +323,47 @@ def is_deterministic(machine: StateMachine, mode: ExternalAlphabet) -> bool:
     )
 
 
-# -- forward fixpoints -------------------------------------------------------
+# -- window maps -------------------------------------------------------------
 
 
 @derived
-def past_map(machine: StateMachine, mode: ExternalAlphabet, k: int) -> tuple:
+def _past_map(machine: StateMachine, mode: ExternalAlphabet, k: int) -> tuple:
     """For every state index, the codes of the k-long external histories
     of runs reaching it.
 
-    Breadth-first closure of (state, last-k-window) pairs seeded with
-    (x0, diamond^k); exact because the machine is finite and live.
+    Stepped from k - 1: at k = 0 every state's set is {0}, which is exact
+    because the machine passed ``require_accepted``, as every caller
+    checks first, so every state is reachable.  A k-history of x2 is the
+    all-diamond code 0 if x2 is initial, and h * base + s for each
+    (k - 1)-history h of a predecessor x whose step to x2 carries symbol
+    s.  The loop holds only the previous map; only the map asked for is
+    memoised.
     """
     moves = successors(machine, mode)
     base = window_codec(machine, mode).base
-    span = base**k
-    past = [set() for _ in machine.states]
-    queue = deque()
-    for x0 in machine._initial:
-        past[x0].add(0)
-        queue.append((x0, 0))
-    while queue:
-        x, hist = queue.popleft()
-        for symbol, targets in moves[x]:
-            nxt = (hist * base + symbol) % span
-            for x2 in targets:
-                seen = past[x2]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append((x2, nxt))
+    past = [{0} for _ in machine.states]
+    for _ in range(k):
+        longer = [set() for _ in machine.states]
+        for x0 in machine._initial:
+            longer[x0].add(0)
+        for histories, row in zip(past, moves):
+            for symbol, targets in row:
+                stepped = {h * base + symbol for h in histories}
+                for x2 in targets:
+                    longer[x2] |= stepped
+        past = longer
     return tuple(map(frozenset, past))
 
 
 @derived
-def future_map(machine: StateMachine, mode: ExternalAlphabet, k: int) -> tuple:
+def _future_map(machine: StateMachine, mode: ExternalAlphabet, k: int) -> tuple:
     """For every state index, the codes of the k-long label sequences of
-    paths from it: each (k - 1)-future of a successor behind the step's
-    label."""
+    paths from it, stepped from k - 1: each (k - 1)-future of a successor
+    behind the step's label.  The shorter maps of the chain stay
+    memoised."""
     if k == 0:
         return (frozenset((0,)),) * len(machine.states)
-    shorter = future_map(machine, mode, k - 1)
+    shorter = _future_map(machine, mode, k - 1)
     lead = window_codec(machine, mode).base ** (k - 1)
     return tuple(_step_futures(row, shorter, lead) for row in successors(machine, mode))
 
@@ -378,8 +385,8 @@ def dominoes(machine: StateMachine, mode: ExternalAlphabet, n: int) -> DominoSet
     n = window_length(n)
     require_accepted(machine, "dominoes")
     codec = window_codec(machine, mode)
-    past = past_map(machine, mode, n - 1)
-    steps = future_map(machine, mode, 1)
+    past = _past_map(machine, mode, n - 1)
+    steps = _future_map(machine, mode, 1)
     base = codec.base
     found = {h * base + s for hs, ss in zip(past, steps) for h in hs for s in ss}
     return DominoSet(n, sorted(found), codec)
@@ -393,21 +400,14 @@ def _joined(past: frozenset, futures: frozenset, future_len: int, base: int) -> 
 
 
 def external_strings(
-    machine: StateMachine,
-    mode: ExternalAlphabet,
-    x: str,
-    spec: IntervalSpec,
-    extended: bool = False,
+    machine: StateMachine, mode: ExternalAlphabet, x: str, spec: IntervalSpec
 ) -> tuple[Window, ...]:
     """Windows a run can exhibit around a visit to state ``x``, in
     canonical order.
 
-    The window covers l - m past symbols and m future ones (m + 1 with
-    ``extended``, i.e. the interval (l + 1, m + 1)).  Read from
+    The window covers l - m past symbols and m future ones.  Read from
     :func:`external_strings_map`.
     """
-    if extended:
-        spec = IntervalSpec(spec.l + 1, spec.m + 1)
     windows = external_strings_map(machine, mode, spec)[machine._index(x)]
     codec = window_codec(machine, mode)
     return tuple(codec.decode(w, spec.l) for w in windows)
@@ -422,8 +422,8 @@ def external_strings_map(
     past-history and future-label sets, which is exact because any
     history reaching a state can be continued by any future leaving it."""
     require_accepted(machine, "external_strings")
-    past = past_map(machine, mode, spec.l - spec.m)
-    fut = future_map(machine, mode, spec.m)
+    past = _past_map(machine, mode, spec.l - spec.m)
+    fut = _future_map(machine, mode, spec.m)
     base = window_codec(machine, mode).base
     return tuple(_joined(p, f, spec.m, base) for p, f in zip(past, fut))
 
@@ -437,66 +437,30 @@ class PrefixAutomaton(Value):
     Built by :func:`prefix_automaton`'s subset construction over the
     external alphabet; state 0 is the start and ``sink`` is the unique
     reject state.  Every non-sink state is accepting (prefix languages
-    are prefix-closed).  The acceptor holds each DFA state's machine state
-    indexes as given (``_found``; the library gives ascending tuples) and
-    makes their sets (``_members``) only when first read: by equality
-    and ``to_dot``, not by the inclusion walk.  ``to_dot`` renders them
-    as the machine's state names (``_state_names``); ``repr`` leaves
-    those out.
+    are prefix-closed).  The library reads ``table`` by column index
+    (``_columns`` maps each symbol to its column).  The acceptor holds
+    each DFA state's machine state indexes as given (``_found``; the
+    library gives ascending tuples) and makes their sets (``_members``)
+    only when equality or ``repr`` first reads them, not in the inclusion
+    walk.
     """
 
     _fields = ("alphabet", "_members", "table", "sink")
 
     def __init__(self, alphabet: tuple, _members: tuple,
-                 table: tuple[tuple[int, ...], ...], sink: int, _state_names: tuple[str, ...]):
+                 table: tuple[tuple[int, ...], ...], sink: int):
         self.__dict__.update(
             alphabet=alphabet, _found=_members, table=table, sink=sink,
-            _state_names=_state_names, _columns={s: i for i, s in enumerate(alphabet)},
+            _columns={s: i for i, s in enumerate(alphabet)},
         )
 
     @cached_property
     def _members(self) -> tuple[frozenset, ...]:
         return tuple(map(frozenset, self._found))
 
-    def _key(self) -> tuple:
-        return (self.alphabet, self._members, self.table, self.sink, self._state_names)
-
     @property
     def start(self) -> int:
         return 0
-
-    def step(self, state: int, symbol) -> int:
-        col = self._columns.get(symbol)
-        if col is None:
-            return self.sink
-        return self.table[state][col]
-
-    def accepts(self, word) -> bool:
-        state = self.start
-        for symbol in word:
-            state = self.step(state, symbol)
-            if state == self.sink:
-                return False
-        return True
-
-    def to_dot(self, name: str = "prefixes") -> str:
-        import json as _json
-
-        lines = [f"digraph {_json.dumps(name)} {{", "  rankdir=LR;"]
-        names = self._state_names
-        for i, members in enumerate(self._members):
-            if i == self.sink:
-                label, shape = "sink", "box"
-            else:
-                label = "{" + ",".join(sorted(names[j] for j in members)) + "}"
-                shape = "doublecircle" if i == self.start else "circle"
-            lines.append(f'  n{i} [label={_json.dumps(label)} shape={shape}];')
-        for i, row in enumerate(self.table):
-            for col, j in enumerate(row):
-                token = symbol_token(self.alphabet[col])
-                lines.append(f"  n{i} -> n{j} [label={_json.dumps(token)}];")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 @derived
@@ -537,15 +501,15 @@ def prefix_automaton(machine: StateMachine, mode: ExternalAlphabet) -> PrefixAut
         index[()] = len(found)
         found.append(())
         table.append((index[()],) * len(alphabet))
-    return PrefixAutomaton(alphabet, tuple(found), tuple(table), index[()], machine.states)
+    return PrefixAutomaton(alphabet, tuple(found), tuple(table), index[()])
 
 
 #: The derived functions whose results on a machine no window length
 #: changes, so ``cli.build_report`` keeps them across its levels.  A
-#: future map depends only on its own k, and the chain ``future_map``
-#: builds up to the longest future a level reads is held by that level
-#: anyway.
-LEVEL_FREE = _machine.LEVEL_FREE + (successors, prefix_automaton, future_map)
+#: future map depends only on its own k, and a level holds anyway the
+#: chain of shorter maps that ``_future_map`` memoises.  Past maps are
+#: not kept: ``_past_map`` memoises only the map asked for, no chain.
+LEVEL_FREE = _machine.LEVEL_FREE + (successors, prefix_automaton, _future_map)
 
 
 class InclusionVerdict(Value):

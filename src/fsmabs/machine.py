@@ -340,15 +340,6 @@ class StateMachine(Value):
         lo, hi = self._span(x)
         return tuple(self.outputs[y] for y in sorted({r[2] for r in self._rows[lo:hi]}))
 
-    def post_states(self, x: str, u: str | None = None) -> tuple[str, ...]:
-        """Successor states of ``x``; restricted to input ``u`` if given."""
-        if u is not None and u not in self.inputs:
-            raise UnknownInput(f"input {u!r} not declared")
-        ui = None if u is None else self.inputs.index(u)
-        lo, hi = self._span(x)
-        found = {r[3] for r in self._rows[lo:hi] if ui is None or r[1] == ui}
-        return tuple(self.states[x2] for x2 in sorted(found))
-
     def enabled_inputs(self, x: str) -> tuple[str, ...]:
         """Inputs with at least one transition from ``x``."""
         lo, hi = self._span(x)

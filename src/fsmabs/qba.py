@@ -15,7 +15,7 @@ rendered names joined by '|'.  The algorithms work on state indexes; a
 from __future__ import annotations
 
 from .analysis import derived
-from .behavior import (IntervalSpec, dominoes, external_strings_map, future_map, successors,
+from .behavior import (IntervalSpec, _future_map, dominoes, external_strings_map, successors,
                        window_codec, window_length)
 from .errors import InvalidPartition, InvalidSpec
 from .machine import ExternalAlphabet, StateMachine, Value, require_accepted
@@ -213,7 +213,7 @@ def is_domino_consistent(machine: StateMachine, l: int) -> PredicateResult:
     # a domino is an (l + 1)-future of x iff its first symbol steps x to a
     # state of which its last l symbols are a future
     steps = [dict(row) for row in successors(machine, _Y)]
-    futures = future_map(machine, _Y, l)
+    futures = _future_map(machine, _Y, l)
     lead = codec.base**l
     ordered_cells = [(codes, frozenset(codes), members) for codes, members in fibers(machine, l)]
     prefix_of = codec.restrictor(l + 1, 0, l - 1)

@@ -36,14 +36,14 @@ from .behavior import (
     IntervalSpec,
     Window,
     WindowCodec,
+    _future_map,
     _label_codes,
+    _past_map,
     _step_futures,
     _table_row,
     behavior_equal,
     dominoes,
     external_strings_map,
-    future_map,
-    past_map,
     successors,
     window_codec,
     window_length,
@@ -122,7 +122,7 @@ def _initial_codes(machine: StateMachine, mode: ExternalAlphabet, spec: Interval
     """Sorted codes of the windows anchored at a run's time zero: an
     all-diamond past (code 0) before an m-step future of an initial state,
     so each code is that of the future."""
-    futures = future_map(machine, mode, spec.m)
+    futures = _future_map(machine, mode, spec.m)
     return sorted(set().union(*(futures[x0] for x0 in machine._initial)))
 
 
@@ -147,7 +147,7 @@ def _emission(machine: StateMachine, codes: tuple, base: int, spec: IntervalSpec
     """The window abstraction's rows, each once, grouped by source: one
     sorted list of rows per state, in state order.  ``codes`` is the
     machine's ``_label_codes``, ``base`` its codec's radix, ``past`` and
-    ``future`` its ``past_map`` at l - m and ``future_map`` at m, and
+    ``future`` its ``_past_map`` at l - m and ``_future_map`` at m, and
     ``position`` maps the ascending realized windows to their state
     positions; the emission reads nothing else.
 
@@ -236,7 +236,7 @@ def build_abstract_machine(
     codes = _label_codes(machine, mode)
     source = (
         machine, codes, window_codec(machine, mode).base, spec,
-        past_map(machine, mode, spec.l - spec.m), future_map(machine, mode, spec.m),
+        _past_map(machine, mode, spec.l - spec.m), _future_map(machine, mode, spec.m),
     )
     table = []
     count = 0
@@ -302,9 +302,9 @@ def is_future_unique(
     """
     require_accepted(machine, "is_future_unique")
     codec = window_codec(machine, mode)
-    for x, futures in enumerate(future_map(machine, mode, spec.m)):
+    for x, futures in enumerate(_future_map(machine, mode, spec.m)):
         if len(futures) > 1:
-            past = min(past_map(machine, mode, spec.l - spec.m)[x])
+            past = min(_past_map(machine, mode, spec.l - spec.m)[x])
             first, second = (
                 codec.decode(codec.concat(past, f, spec.m), spec.l) for f in sorted(futures)[:2]
             )
@@ -323,7 +323,7 @@ def is_sbalc(
     codec = window_codec(machine, mode)
     emap = external_strings_map(machine, mode, spec)
     l, m = spec.l, spec.m
-    futures = future_map(machine, mode, m)
+    futures = _future_map(machine, mode, m)
     lead = codec.base**m
     # A window of x extends through x iff its last m + 1 symbols are a
     # future of x: its past part is already a history of x.

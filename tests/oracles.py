@@ -25,8 +25,11 @@ machine the product of per-state outputs and per-(state, input)
 successors, multiplied out by name through the validating constructor,
 as ``fsmabs.fuzz`` drew and shrank them before it worked on rows.  The
 test helpers ``past_windows``, ``future_windows`` and ``initial_windows``
-decode the library's own maps into ``Window`` sets; ``with_external``, ``diamond_window`` and
-``identity_relation`` build test inputs.
+decode the library's own maps into ``Window`` sets; ``acceptor_step``
+and ``acceptor_accepts`` run the library's prefix DFA on a word, and
+``post_states`` reads a state's successors from its rows;
+``with_external``, ``diamond_window`` and ``identity_relation`` build
+test inputs.
 """
 
 import random
@@ -38,10 +41,10 @@ from fsmabs.behavior import (
     IntervalSpec,
     PrefixAutomaton,
     Window,
+    _future_map,
     _label_codes,
+    _past_map,
     external_strings_map,
-    future_map,
-    past_map,
     prefix_automaton,
     successors,
     window_codec,
@@ -78,7 +81,7 @@ def past_windows(machine: StateMachine, mode: ExternalAlphabet, x: str, k: int) 
     library's past map."""
     i = machine._index(x)
     codec = window_codec(machine, mode)
-    return frozenset(codec.decode(w, k) for w in past_map(machine, mode, k)[i])
+    return frozenset(codec.decode(w, k) for w in _past_map(machine, mode, k)[i])
 
 
 def future_windows(machine: StateMachine, mode: ExternalAlphabet, x: str, k: int) -> frozenset:
@@ -86,7 +89,7 @@ def future_windows(machine: StateMachine, mode: ExternalAlphabet, x: str, k: int
     library's future map."""
     i = machine._index(x)
     codec = window_codec(machine, mode)
-    return frozenset(codec.decode(w, k) for w in future_map(machine, mode, k)[i])
+    return frozenset(codec.decode(w, k) for w in _future_map(machine, mode, k)[i])
 
 
 def initial_windows(machine: StateMachine, mode: ExternalAlphabet, spec: IntervalSpec) -> tuple:
@@ -231,7 +234,7 @@ def naive_behavior_included(
         x, acc = pair
         for _, u, y, x2 in left.outgoing(x):
             symbol = _project(mode, u, y)
-            nxt = acceptor.step(acc, symbol)
+            nxt = acceptor_step(acceptor, acc, symbol)
             if nxt == acceptor.sink:
                 word = [symbol]
                 cursor = pair
@@ -244,6 +247,30 @@ def naive_behavior_included(
                 parents[nxt_pair] = (pair, symbol)
                 queue.append(nxt_pair)
     return InclusionVerdict(True, None)
+
+
+def acceptor_step(acceptor: PrefixAutomaton, state: int, symbol) -> int:
+    """The acceptor's move on an external symbol; the sink on a symbol
+    outside its alphabet."""
+    col = acceptor._columns.get(symbol)
+    return acceptor.sink if col is None else acceptor.table[state][col]
+
+
+def acceptor_accepts(acceptor: PrefixAutomaton, word) -> bool:
+    """Whether ``word`` is a prefix the acceptor accepts."""
+    state = acceptor.start
+    for symbol in word:
+        state = acceptor_step(acceptor, state, symbol)
+        if state == acceptor.sink:
+            return False
+    return True
+
+
+def post_states(machine: StateMachine, x: str, u: str | None = None) -> tuple[str, ...]:
+    """Successor states of ``x`` (through input ``u`` if given), in
+    declaration order, read from ``outgoing``."""
+    found = {x2 for _, u2, _, x2 in machine.outgoing(x) if u is None or u2 == u}
+    return tuple(s for s in machine.states if s in found)
 
 
 def _project(mode: ExternalAlphabet, u: str, y: str):
@@ -576,7 +603,7 @@ def naive_prefix_automaton(machine: StateMachine, mode: ExternalAlphabet) -> Pre
     sink = index[empty]
     rows[empty] = [sink] * len(alphabet)
     table = tuple(tuple(rows[s]) for s in subsets)
-    return PrefixAutomaton(alphabet, tuple(subsets), table, sink, machine.states)
+    return PrefixAutomaton(alphabet, tuple(subsets), table, sink)
 
 
 # -- fuzz machines by name ------------------------------------------------------------
@@ -627,7 +654,7 @@ def naive_shrink_candidates(machine: StateMachine):
     successors = {}
     for x in machine.states:
         for u in machine.enabled_inputs(x):
-            successors[(x, u)] = list(machine.post_states(x, u))
+            successors[(x, u)] = list(post_states(machine, x, u))
 
     def variant(adm, succ):
         return _naive_assemble(

@@ -15,10 +15,10 @@ from fsmabs.analysis import scope
 from fsmabs.behavior import (
     LEVEL_FREE,
     IntervalSpec,
+    _future_map,
     dominoes,
     external_strings,
     external_strings_map,
-    future_map,
     saturation_check,
 )
 from fsmabs.cli import build_report
@@ -317,5 +317,5 @@ def test_completeness_checks_read_no_longer_future(fig_machine, l):
         with scope() as fresh:
             check()
             lengths = [args[-1] for function, args in fresh.results(fig_machine)
-                       if function is future_map]
+                       if function is _future_map]
         assert lengths and max(lengths) <= l

@@ -26,9 +26,10 @@ from fsmabs.qba import build_quotient_machine
 from fsmabs.relations import CanonicalKind, canonical_relation
 from fsmabs.salca import build_abstract_machine
 
-from .conftest import ACCEPTANCE_HEAD, UY, Y, reversed_labels
+from .conftest import ACCEPTANCE_HEAD, UY, Y, reversed_labels, sweep_machine, wide_machine
 from .oracles import (
     _succ_by_symbol,
+    acceptor_accepts,
     diamond_window,
     enumerate_prefixes,
     enumerate_visit_windows,
@@ -200,19 +201,8 @@ def test_external_strings_two_step_future(fig_machine):
 
 
 def test_external_strings_extended(fig_machine):
-    assert set(
-        external_strings(fig_machine, Y, "x1", IntervalSpec(2, 2), extended=True)
-    ) == windows("y1 y2 y3")
-
-
-def test_external_strings_extended_is_the_longer_interval(fig_machine):
-    for x in fig_machine.states:
-        for mode in (Y, UY):
-            for l in (1, 2, 3):
-                for m in range(l + 1):
-                    longer = external_strings(fig_machine, mode, x, IntervalSpec(l + 1, m + 1))
-                    spec = IntervalSpec(l, m)
-                    assert external_strings(fig_machine, mode, x, spec, extended=True) == longer
+    # the interval (2, 2) extended by one future step
+    assert set(external_strings(fig_machine, Y, "x1", IntervalSpec(3, 3))) == windows("y1 y2 y3")
 
 
 def test_external_strings_unknown_state(fig_machine):
@@ -247,7 +237,7 @@ def test_external_strings_match_run_enumeration(fig_machine, l, m):
 def test_external_strings_extended_matches_run_enumeration(fig_machine):
     for x in fig_machine.states:
         expected = enumerate_visit_windows(fig_machine, Y, x, 2, 2, 6, extended=True)
-        got = set(external_strings(fig_machine, Y, x, IntervalSpec(2, 2), extended=True))
+        got = set(external_strings(fig_machine, Y, x, IntervalSpec(3, 3)))
         assert got == expected
 
 
@@ -306,7 +296,7 @@ def test_prefix_automaton_agrees_with_enumeration(fig_machine):
     prefixes = enumerate_prefixes(fig_machine, Y, 8)
     for length in range(0, 9):
         for word in itertools.product(fig_machine.outputs, repeat=length):
-            assert acceptor.accepts(word) == (word in prefixes)
+            assert acceptor_accepts(acceptor, word) == (word in prefixes)
         if length >= 4:
             break  # 4^8 words is pointless; depth 4 already covers every state
 
@@ -323,13 +313,7 @@ def test_prefix_automaton_on_random_machines():
         prefixes = enumerate_prefixes(machine, Y, 8)
         for length in range(0, 9):
             for word in itertools.product(machine.outputs, repeat=length):
-                assert acceptor.accepts(word) == (word in prefixes)
-
-
-def test_prefix_automaton_dot(fig_machine):
-    dot = prefix_automaton(fig_machine, Y).to_dot()
-    assert dot.startswith("digraph")
-    assert "sink" in dot
+                assert acceptor_accepts(acceptor, word) == (word in prefixes)
 
 
 def test_behavior_equal(fig_machine):
@@ -438,6 +422,14 @@ def test_domino_set_validates_length():
         DominoSet(2, (window("y1"),))
 
 
+def test_domino_set_reads_a_generator_once():
+    given = (window("y1 y2"), window("<> y1"))
+    built = DominoSet(2, (w for w in given))
+    assert len(built) == 2
+    assert built.windows == given
+    assert window("y1 y2") in built
+
+
 # -- window codes against the tuple-based oracles --------------------------------
 
 
@@ -469,7 +461,8 @@ def test_window_codes_match_tuple_oracles_on_fuzz_corpus(mode):
                 emap = external_strings_map(machine, mode, spec)
                 for i, x in enumerate(machine.states):
                     assert external_strings(machine, mode, x, spec) == expected[x]
-                    assert external_strings(machine, mode, x, spec, extended=True) == extended[x]
+                    longer = IntervalSpec(l + 1, m + 1)
+                    assert external_strings(machine, mode, x, longer) == extended[x]
                     names = [codec.name(w, l) for w in emap[i]]
                     assert names == [w.name for w in expected[x]]
                     padded_names += sum(name.startswith("<>.") for name in names)
@@ -481,6 +474,12 @@ def test_window_codes_match_tuple_oracles_on_fuzz_corpus(mode):
                     canon = canonical_relation(CanonicalKind.M_STEP, machine, mode, l, m)
                     assert set(canon.pairs) == naive_m_step_pairs(machine, mode, l, m)
     assert padded_names > 0
+    # the past map at depth, on larger machines
+    for machine, depth in ((sweep_machine(), 9 if mode is Y else 5), (wide_machine(150, 1), 4)):
+        for k in range(depth):
+            past = naive_past_map(machine, mode, k)
+            for x in machine.states:
+                assert past_windows(machine, mode, x, k) == past[x]
 
 
 def test_pair_window_names(fig_machine):

@@ -280,7 +280,7 @@ def test_domino_consistency_counterexample():
     assert members
     assert domino.restrict(0, 0) in emap[members[0]]
     full = {
-        x: set(external_strings(m, Y, x, IntervalSpec(1, 1), extended=True))
+        x: set(external_strings(m, Y, x, IntervalSpec(2, 2)))
         for x in members
     }
     assert all(domino not in futures for futures in full.values())

@@ -83,10 +83,9 @@ CASES = {
     ),
     "PrefixAutomaton": (
         lambda: PrefixAutomaton(alphabet=("y",), _members=(frozenset({0}), frozenset()),
-                                table=((0,), (1,)), sink=1, _state_names=("s",)),
-        lambda: PrefixAutomaton(("y",), (frozenset({0}), frozenset()), ((0,), (1,)), 1, ("s",)),
-        # the state names are compared, though not shown
-        lambda: PrefixAutomaton(("y",), (frozenset({0}), frozenset()), ((0,), (1,)), 1, ("t",)),
+                                table=((0,), (1,)), sink=1),
+        lambda: PrefixAutomaton(("y",), (frozenset({0}), frozenset()), ((0,), (1,)), 1),
+        lambda: PrefixAutomaton(("y",), (frozenset({0}), frozenset()), ((1,), (1,)), 1),
         "sink",
         "PrefixAutomaton(alphabet=('y',), _members=(frozenset({0}), frozenset()), "
         "table=((0,), (1,)), sink=1)",
