@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -238,6 +239,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_build(args) -> int:
+    if args.out.endswith(("/", os.sep)) or Path(args.out).is_dir():
+        raise FsmabsError(f"--out {args.out!r} names a directory, not a file")
     machine = _load(args.machine)
     mode = ExternalAlphabet.from_token(args.external)
     if args.kind == "salca":

@@ -14,8 +14,8 @@ program makes uses the trusted path ``StateMachine._trusted`` instead:
 the abstraction builders, whose alphabets come from an already-validated
 machine and whose state names are rendered by the window codec, and the
 fuzz stream's drawn and shrunk machines, built from index rows, so no
-name is checked again.  The enabled-set operators,
-the reachability and liveness scan and :func:`validate` read the rows;
+name is checked again.  The enabled-set operators and :func:`validate`,
+the one structural scan, read the rows;
 ``transitions``, the name 4-tuples in row order, is rendered on first
 read, by the file format, DOT output and callers that ask for it, and
 so is ``initial``, from the ascending state indexes ``_initial``.
@@ -25,9 +25,13 @@ its successor table (``_table``, under its own mode) and its row count
 (``row_count``); its ``_rows`` are emitted again from the source machine
 and the maps the build held on first read; its ``_row_groups``, the rows
 grouped by source state, are emitted the same way on each call and
-cache no row view; neither looks anything up in a scope.  Such a
-machine is live and reachable by construction (``_live_reachable``), so
-:func:`require_live_reachable` does not scan it.
+cache no row view; neither looks anything up in a scope.
+
+The window-state, standard and quotient machines are live and reachable
+by construction, marked so (``_live_reachable``) by their one
+constructor, ``salca._window_machine``; the comparison gate passes them
+unread and reads only :func:`validate`'s ``reachable`` and ``live`` for
+any other machine.
 """
 
 from __future__ import annotations
@@ -215,7 +219,8 @@ class StateMachine(Value):
     #: The successor table under ``external``, when a builder filled it
     #: (see ``behavior.successors``).
     _table: tuple | None = None
-    #: Whether a builder made the machine live and reachable.
+    #: Whether a builder made the machine live and reachable
+    #: (``salca._window_machine``).
     _live_reachable = False
 
     def __init__(
@@ -347,22 +352,6 @@ class StateMachine(Value):
 
     # -- derived structure -------------------------------------------------
 
-    def _reachable(self) -> list:
-        """Per state index, whether some run reaches it."""
-        targets = [[] for _ in self.states]
-        for x, _, _, x2 in self._rows:
-            targets[x].append(x2)
-        seen = [False] * len(self.states)
-        stack = list(self._initial)
-        for x0 in stack:
-            seen[x0] = True
-        while stack:
-            for x2 in targets[stack.pop()]:
-                if not seen[x2]:
-                    seen[x2] = True
-                    stack.append(x2)
-        return seen
-
     def digest(self) -> str:
         """Short hash of the machine's file form, printed by reports."""
         return _sha256(dumps(self).encode("utf-8")).hexdigest()[:12]
@@ -383,20 +372,6 @@ def _fill(machine, states, inputs, outputs, initial, external, **extra) -> None:
 
 
 @derived
-def _unreachable_and_dead(machine: StateMachine) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The states no run reaches and the states with no outgoing
-    transition, in declaration order: the check ``validate`` and the
-    comparison gate share."""
-    reached = machine._reachable()
-    live = [False] * len(machine.states)
-    for x, _, _, _ in machine._rows:
-        live[x] = True
-    unreachable = tuple(s for s, hit in zip(machine.states, reached) if not hit)
-    dead = tuple(s for s, hit in zip(machine.states, live) if not hit)
-    return unreachable, dead
-
-
-@derived
 def validate(machine: StateMachine) -> ValidationReport:
     """Check the standing structural assumptions; reports, never raises.
 
@@ -405,12 +380,16 @@ def validate(machine: StateMachine) -> ValidationReport:
     output choice and successor choice are independent.  ``live`` is the
     finite-machine reading: every state has an outgoing transition, which
     together with ``reachable`` puts every state on an infinite run.
+    This is the one structural scan; the comparison gate reads its
+    ``reachable`` and ``live`` flags.
     """
     outputs = [set() for _ in machine.states]
+    targets = [set() for _ in machine.states]
     posts: dict = {}
     per_pair: dict = {}
     for x, u, y, x2 in machine._rows:
         outputs[x].add(y)
+        targets[x].add(x2)
         posts.setdefault((x, u), set()).add(x2)
         per_pair[(x, u)] = per_pair.get((x, u), 0) + 1
     out_det = all(len(found) <= 1 for found in outputs)
@@ -422,7 +401,17 @@ def validate(machine: StateMachine) -> ValidationReport:
         count == len(outputs[x]) * len(posts[(x, u)]) for (x, u), count in per_pair.items()
     )
 
-    unreachable, dead = _unreachable_and_dead(machine)
+    reached = [False] * len(machine.states)
+    stack = list(machine._initial)
+    for x0 in stack:
+        reached[x0] = True
+    while stack:
+        for x2 in targets[stack.pop()]:
+            if not reached[x2]:
+                reached[x2] = True
+                stack.append(x2)
+    unreachable = tuple(s for s, hit in zip(machine.states, reached) if not hit)
+    dead = tuple(s for s, found in zip(machine.states, outputs) if not found)
     return ValidationReport(
         output_deterministic=out_det,
         separable=separable,
@@ -435,7 +424,7 @@ def validate(machine: StateMachine) -> ValidationReport:
 
 #: The derived functions here whose results on a machine no window length
 #: changes: ``cli.build_report`` keeps them across its levels.
-LEVEL_FREE = (_unreachable_and_dead, validate)
+LEVEL_FREE = (validate,)
 
 
 def require_accepted(machine: StateMachine, operation: str) -> None:
@@ -450,16 +439,15 @@ def require_live_reachable(machine: StateMachine, operation: str) -> None:
 
     Built abstractions are typically not separable, yet behavior and
     simulation checks remain well defined for any live, reachable machine.
-    Reads only the reachability and liveness scan, not the separability
-    check of :func:`validate`, and skips the scan for a machine a builder
-    made live and reachable.
+    The window-state, standard and quotient machines are live and
+    reachable by construction, so the gate passes them unread; any other
+    machine is judged by the ``reachable`` and ``live`` flags of
+    :func:`validate`, never by its separability.
     """
     if machine._live_reachable:
         return
-    unreachable, dead = _unreachable_and_dead(machine)
-    problem = _rejection(
-        name for name, bad in (("reachable", unreachable), ("live", dead)) if bad
-    )
+    report = validate(machine)
+    problem = _rejection(name for name in ("reachable", "live") if not getattr(report, name))
     if problem:
         raise NotAccepted(f"{operation}: {problem}")
 

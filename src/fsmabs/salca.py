@@ -21,8 +21,9 @@ fills from them and their count; the machine's ``_rows`` are emitted
 again when first read, and its ``_row_groups`` on each call, without
 caching them; ``==`` and ``hash`` read the rows that way.  The emission
 reads only what the machine holds (``_source``), so a late read touches
-no scope.  Window-state and quotient machines share one constructor,
-:func:`_window_machine`.  ``standard_realization`` stays the
+no scope.  Window-state, standard and quotient machines share one
+constructor, :func:`_window_machine`, which marks each live and
+reachable by construction.  ``standard_realization`` stays the
 independent domino recipe, holding its rows.
 """
 
@@ -133,12 +134,14 @@ def _window_machine(
     """The abstraction whose states are the given cells, ascending tuples
     of ``length``-window codes in state order, each named by
     :func:`cell_token`; ``initial`` and ``rows`` are over the states'
-    positions, ``initial`` ascending; ``extra`` sets further fields."""
+    positions, ``initial`` ascending; ``extra`` sets further fields.
+    Every caller builds from an accepted source, so the machine is live
+    and reachable by construction, and marked so (``_live_reachable``)."""
     codec = window_codec(machine, mode)
     return AbstractMachine._trusted(
         tuple(cell_token(codec, codes, length) for codes in cells),
         machine.inputs, machine.outputs, initial, rows, mode,
-        cells=cells, codec=codec, window_length=length, **extra,
+        cells=cells, codec=codec, window_length=length, _live_reachable=True, **extra,
     )
 
 
@@ -246,7 +249,7 @@ def build_abstract_machine(
     initial = [position[w] for w in _initial_codes(machine, mode, spec)]
     return _window_machine(
         machine, mode, spec.l, tuple((w,) for w in realized), initial, None,
-        _table=tuple(table), row_count=count, _live_reachable=True, _source=source,
+        _table=tuple(table), row_count=count, _source=source,
     )
 
 

@@ -26,8 +26,10 @@ successors, multiplied out by name through the validating constructor,
 as ``fsmabs.fuzz`` drew and shrank them before it worked on rows.  The
 test helpers ``past_windows``, ``future_windows`` and ``initial_windows``
 decode the library's own maps into ``Window`` sets; ``acceptor_step``
-and ``acceptor_accepts`` run the library's prefix DFA on a word, and
-``post_states`` reads a state's successors from its rows;
+and ``acceptor_accepts`` run the library's prefix DFA on a word,
+``post_states`` reads a state's successors from its rows, and
+``live_and_reachable`` searches ``outgoing`` breadth first, apart from
+``validate``;
 ``with_external``, ``diamond_window`` and ``identity_relation`` build
 test inputs.
 """
@@ -271,6 +273,21 @@ def post_states(machine: StateMachine, x: str, u: str | None = None) -> tuple[st
     declaration order, read from ``outgoing``."""
     found = {x2 for _, u2, _, x2 in machine.outgoing(x) if u is None or u2 == u}
     return tuple(s for s in machine.states if s in found)
+
+
+def live_and_reachable(machine: StateMachine) -> tuple[bool, bool]:
+    """(live, reachable): whether every state has an outgoing transition,
+    and whether a breadth-first search over ``outgoing`` from the initial
+    states reaches every state."""
+    seen = set(machine.initial)
+    queue = deque(machine.initial)
+    while queue:
+        for _, _, _, x2 in machine.outgoing(queue.popleft()):
+            if x2 not in seen:
+                seen.add(x2)
+                queue.append(x2)
+    live = all(machine.outgoing(x) for x in machine.states)
+    return live, seen == set(machine.states)
 
 
 def _project(mode: ExternalAlphabet, u: str, y: str):

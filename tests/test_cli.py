@@ -149,6 +149,19 @@ def test_build_qba_rejects_salca_flags(fig_path, tmp_path, capsys, flags, messag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["existing", "missing" + os.sep])
+def test_build_out_naming_a_directory_is_rejected(fig_path, tmp_path, capsys, name):
+    # An existing directory, or a path ending in a separator, names no
+    # file: nothing is written beside it.
+    (tmp_path / "existing").mkdir()
+    out = str(tmp_path) + os.sep + name
+    before = sorted(tmp_path.iterdir())
+    code, text, err = run(capsys, "build", fig_path, "--kind", "qba", "--l", "1", "--out", out)
+    assert (code, text) == (2, "")
+    assert err == f"error: --out {out!r} names a directory, not a file\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_build_deterministic(fig_path, tmp_path, capsys):
     first = tmp_path / "one.json"
     second = tmp_path / "two.json"

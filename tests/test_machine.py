@@ -7,6 +7,8 @@ import pytest
 
 from fsmabs import behavior, relations
 from fsmabs import machine as mod
+from fsmabs.analysis import scope
+from fsmabs.behavior import IntervalSpec
 from fsmabs.errors import (
     IncompatibleAlphabets,
     NotAccepted,
@@ -15,6 +17,7 @@ from fsmabs.errors import (
     UnknownState,
 )
 from fsmabs.machine import DIAMOND, ExternalAlphabet, StateMachine, validate
+from fsmabs.salca import build_abstract_machine
 
 from .conftest import UY, Y
 from .oracles import post_states, with_external
@@ -89,6 +92,30 @@ def test_rejection_messages():
         mod.require_live_reachable(m, "op")
     loop = StateMachine(("s",), ("u",), ("y",), ("s",), (("s", "u", "y", "s"),))
     assert validate(loop).rejection() is None
+
+
+def test_comparison_gate_never_reads_separability(fig_machine):
+    # a live, reachable machine whose state a does not pair each output
+    # with each successor
+    tangled = StateMachine(
+        ("a", "b"), ("u",), ("y", "z"), ("a",),
+        (("a", "u", "y", "a"), ("a", "u", "z", "b"), ("b", "u", "y", "a")),
+    )
+    report = validate(tangled)
+    assert (report.separable, report.reachable, report.live) == (False, True, True)
+    mod.require_comparable(tangled, tangled, Y, "op")
+    assert relations.simulates(tangled, tangled, Y)
+    # a file round trip of a built window machine loses the builder's
+    # mark, so the gate scans the copy, and accepts it
+    built = build_abstract_machine(fig_machine, Y, IntervalSpec(2, 0))
+    copy = mod.loads(mod.dumps(built))
+    assert (built._live_reachable, copy._live_reachable) == (True, False)
+    assert not validate(copy).separable
+    with scope() as current:
+        mod.require_comparable(copy, built, Y, "op")
+        assert relations.simulates(copy, built, Y)
+        assert validate in {key[0] for key in current.results(copy)}
+        assert validate not in {key[0] for key in current.results(built)}
 
 
 def test_project_external(fig_machine):
@@ -188,7 +215,7 @@ def test_accepted_states_lie_on_infinite_runs(fig_machine):
             seen.append(x)
             x = fig_machine.outgoing(x)[0][3]
     # and every state is reachable from an initial state
-    assert all(fig_machine._reachable())
+    assert validate(fig_machine).reachable
 
 
 def test_union_identities(fig_machine):

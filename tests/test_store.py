@@ -33,7 +33,7 @@ from fsmabs.behavior import (
 from fsmabs.errors import NotAccepted
 from fsmabs.fuzz import FuzzConfig, _check, machine_stream
 from fsmabs.laws import check_laws
-from fsmabs.machine import StateMachine, _unreachable_and_dead, dumps, to_dict
+from fsmabs.machine import StateMachine, dumps, to_dict, validate
 from fsmabs.qba import build_quotient_machine
 from fsmabs.relations import (
     CanonicalKind,
@@ -218,10 +218,10 @@ def test_comparison_keeps_one_store_per_window_abstraction():
         for m in (0, 5):
             built = build_abstract_machine(SWEEP, Y, IntervalSpec(5, m))
             assert "_rows" not in built.__dict__
-            assert _unreachable_and_dead not in {key[0] for key in current.results(built)}
-        # the quotient is still scanned
+            assert validate not in {key[0] for key in current.results(built)}
+        # nor is the quotient scanned: no builder machine is
         quotient = build_quotient_machine(SWEEP, 5)
-        assert _unreachable_and_dead in {key[0] for key in current.results(quotient)}
+        assert validate not in {key[0] for key in current.results(quotient)}
 
 
 def test_unreachable_user_machine_still_rejected(tmp_path, capsys):
